@@ -10,21 +10,16 @@ from .exterior import (
     flat,
     hodge,
     inner,
-    interior_multi,
     interior_vector,
     multi_index_rank,
     multi_indices,
     wedge,
 )
 from .curvature import (
-    CurvatureExtremes,
     RiemannTensor,
     curvature_action_on_form,
-    curvature_extremes,
     curvature_operator_extremes,
     curvature_term,
-    sectional,
-    sectional_extremes,
     space_form,
     transverse_ricci,
     transverse_riemann,

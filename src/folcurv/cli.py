@@ -72,6 +72,15 @@ def _parse_theta(text: str | None, m: int) -> tuple[float, ...]:
     return theta
 
 
+def _refuse_below_one(args, *flags) -> bool:
+    """Report the first of the count flags set below 1; True if one was."""
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            print(f"{args.command}: --{flag} must be >= 1", file=sys.stderr)
+            return True
+    return False
+
+
 def _emit(args, builder, summary: dict) -> dict:
     summary = dict(summary)
     summary["elapsed_seconds"] = time.perf_counter() - args._t0
@@ -98,8 +107,7 @@ def _emit(args, builder, summary: dict) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        print("verify: --trials must be >= 1", file=sys.stderr)
+    if _refuse_below_one(args, "trials"):
         return 2
     tol = args.tol if args.tol is not None else 1e-10
     qs = [args.q] if args.q else [4, 5]
@@ -203,6 +211,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hopf(args) -> int:
+    if _refuse_below_one(args, "samples"):
+        return 2
     theta = _parse_theta(args.theta, args.m)
     model = WeightedHopfModel(args.m, theta)
     builder = report_mod.ReportBuilder({
@@ -273,6 +283,8 @@ def cmd_hopf(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if _refuse_below_one(args, "samples", "trials"):
+        return 2
     theta = _parse_theta(args.theta, args.m)
     model = WeightedHopfModel(args.m, theta)
     n, q = 2 * args.m - 1, model.q

@@ -1,4 +1,4 @@
-"""Curvature tensors, their eigen/sectional extremes, the transverse
+"""Curvature tensors, their curvature-operator extremes, the transverse
 curvature induced by the integrability tensor, and the Bochner curvature
 term on forms.
 
@@ -16,28 +16,21 @@ whose symmetries and first Bianchi identity follow from the skewness of A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exterior import (
     AlternatingForm,
+    contractions,
     interior_matrices,
     multi_indices,
-    vector_contractions,
-    bivector_contractions,
     wedge_matrices,
 )
 
 __all__ = [
     "RiemannTensor",
-    "CurvatureExtremes",
     "space_form",
     "curvature_operator_matrix",
     "curvature_operator_extremes",
-    "sectional",
-    "sectional_extremes",
-    "curvature_extremes",
     "transverse_riemann",
     "transverse_ricci",
     "curvature_action_on_form",
@@ -111,107 +104,6 @@ def curvature_operator_extremes(R: RiemannTensor) -> tuple[float, float]:
     """Extreme eigenvalues (rho0, rho1) of the curvature operator."""
     w = np.linalg.eigvalsh(curvature_operator_matrix(R))
     return float(w[0]), float(w[-1])
-
-
-def sectional(R: RiemannTensor, u, v) -> float:
-    """Sectional curvature R(u,v,u,v) / (|u|^2 |v|^2 - <u,v>^2)."""
-    u = np.asarray(getattr(u, "components", u), dtype=float)
-    v = np.asarray(getattr(v, "components", v), dtype=float)
-    den = (u @ u) * (v @ v) - (u @ v) ** 2
-    if den < 1e-14:
-        raise ValueError("degenerate plane: vectors are (numerically) dependent")
-    num = float(np.einsum("ijkl,i,j,k,l->", R.components, u, v, u, v))
-    return num / den
-
-
-def _refine_plane(R: RiemannTensor, u, v, sign: float) -> float:
-    """Deterministic local hill climb of sign*sectional over the plane,
-    starting from the orthonormal pair (u, v).  Returns the refined
-    sectional value (a genuine sectional curvature, whatever the start)."""
-    q = R.dimension
-    best = sectional(R, u, v)
-    step = 0.3
-    while step > 1e-3:
-        improved = False
-        for d in range(q):
-            for du, dv in ((1, 0), (0, 1)):
-                for s in (step, -step):
-                    uu = u + (s * du) * np.eye(q)[d]
-                    vv = v + (s * dv) * np.eye(q)[d]
-                    uu = uu / np.linalg.norm(uu)
-                    vv = vv - (vv @ uu) * uu
-                    nv = np.linalg.norm(vv)
-                    if nv < 1e-8:
-                        continue
-                    vv = vv / nv
-                    val = sectional(R, uu, vv)
-                    if sign * val > sign * best:
-                        best, u, v = val, uu, vv
-                        improved = True
-        if not improved:
-            step /= 2.0
-    return best
-
-
-def sectional_extremes(R: RiemannTensor, budget: int, rng_seed) -> tuple[float, float]:
-    """Sampled estimates (k0_est, k1_est) of the extreme sectional curvatures.
-
-    Random 2-planes plus a local refinement of each sample.  The only
-    guarantee is rho0 <= k0_est <= k1_est <= rho1 (every value is a genuine
-    sectional curvature); estimates are exact for space forms, and for a
-    fixed seed k1_est is non-decreasing and k0_est non-increasing in the
-    budget (each budget extends the previous sample set).
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if R.space_form_curvature is not None:
-        c = R.space_form_curvature
-        return c, c
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    q = R.dimension
-    k0 = np.inf
-    k1 = -np.inf
-    for _ in range(budget):
-        u = rng.standard_normal(q)
-        u /= np.linalg.norm(u)
-        v = rng.standard_normal(q)
-        v -= (v @ u) * u
-        v /= np.linalg.norm(v)
-        k0 = min(k0, _refine_plane(R, u, v, -1.0))
-        k1 = max(k1, _refine_plane(R, u, v, +1.0))
-    return float(k0), float(k1)
-
-
-@dataclass
-class CurvatureExtremes:
-    """Exact operator eigenvalue extremes with sampled sectional extremes.
-
-    The chain rho0 <= k0_est <= k1_est <= rho1 is validated at construction.
-    """
-
-    rho0: float
-    rho1: float
-    k0_est: float
-    k1_est: float
-    exact_space_form: float | None = None
-
-    def __post_init__(self):
-        slack = 1e-9
-        if not (
-            self.rho0 - slack <= self.k0_est
-            and self.k0_est <= self.k1_est + slack
-            and self.k1_est <= self.rho1 + slack
-        ):
-            raise ValueError(
-                "curvature extreme chain violated: "
-                f"rho0={self.rho0}, k0={self.k0_est}, k1={self.k1_est}, rho1={self.rho1}"
-            )
-
-
-def curvature_extremes(R: RiemannTensor, budget: int = 64, rng_seed=0) -> CurvatureExtremes:
-    rho0, rho1 = curvature_operator_extremes(R)
-    k0, k1 = sectional_extremes(R, budget, rng_seed)
-    return CurvatureExtremes(rho0, rho1, k0, k1, exact_space_form=R.space_form_curvature)
 
 
 # -- transverse curvature from the integrability tensor -----------------------
@@ -288,9 +180,9 @@ def curvature_term(ric: np.ndarray, Rnabla: RiemannTensor, a: AlternatingForm) -
     """
     if a.degree == 0:
         return 0.0
-    V = vector_contractions(a)
+    V = contractions(a, 1)
     term = float(np.einsum("ij,iA,jA->", ric, V, V))
     if a.degree >= 2:
-        P = bivector_contractions(a)
+        P = contractions(a, 2)
         term -= 0.5 * float(np.einsum("ijkl,ijA,klA->", Rnabla.components, P, P))
     return term

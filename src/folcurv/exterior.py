@@ -9,6 +9,13 @@ orthonormal and <a, b> collapses to a plain dot product.
 Orientation is the ordered frame itself.  The Hodge star sign is pinned by
 a ^ (*a) = |a|^2 vol, which also yields the contraction rule
 X . (*a) = (-1)^p * (X^flat ^ a).
+
+Every product reads one signed wedge table, ``_wedge_table``: the wedge and
+the Hodge star directly, the frame wedge/contraction matrices as its scatter
+and that scatter's adjoint, and frame-index access as iterated contraction.
+It is the only code that computes a permutation sign; ``tests/oracles.py``
+recomputes every product by determinant minors and shuffle sums as its
+independent check.
 """
 
 from __future__ import annotations
@@ -24,15 +31,12 @@ __all__ = [
     "FiberVector",
     "multi_indices",
     "multi_index_rank",
-    "sort_with_sign",
     "wedge",
     "interior_vector",
-    "interior_multi",
     "inner",
     "hodge",
     "flat",
-    "vector_contractions",
-    "bivector_contractions",
+    "contractions",
     "interior_matrices",
     "wedge_matrices",
 ]
@@ -58,24 +62,26 @@ def multi_index_rank(q: int, indices: tuple[int, ...]) -> int:
         raise ValueError(f"{indices!r} is not an increasing multi-index in range({q})")
 
 
-def sort_with_sign(indices) -> tuple[tuple[int, ...], int]:
-    """Sort an index tuple, returning (sorted tuple, permutation sign).
+@lru_cache(maxsize=None)
+def _wedge_table(q: int, p: int, r: int) -> tuple[np.ndarray, ...]:
+    """Signed index table of the wedge of a degree-p and a degree-r form.
 
-    A repeated index gives sign 0.
+    One row per disjoint pair (I, J) of increasing multi-indices, I outer and
+    J inner in lexicographic order: (rank of I u J, rank of I, rank of J,
+    sign of the shuffle sorting I + J), so that
+    e_I ^ e_J = sign * e_{I u J}.
     """
-    idx = list(indices)
-    sign = 1
-    # insertion sort, counting transpositions
-    for a in range(1, len(idx)):
-        b = a
-        while b > 0 and idx[b - 1] > idx[b]:
-            idx[b - 1], idx[b] = idx[b], idx[b - 1]
-            sign = -sign
-            b -= 1
-    for a in range(1, len(idx)):
-        if idx[a - 1] == idx[a]:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    if p + r > q:
+        raise ValueError(f"degree overflow: {p} + {r} > {q}")
+    union, right = _rank_table(q, p + r), _rank_table(q, r)
+    rows = []
+    for ia, I in enumerate(multi_indices(q, p)):
+        rest = [j for j in range(q) if j not in I]
+        for J in itertools.combinations(rest, r):
+            crossings = sum(x > y for x in I for y in J)
+            rows.append((union[tuple(sorted(I + J))], ia, right[J], -1 if crossings % 2 else 1))
+    k, ia, ib, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    return k, ia, ib, sign.astype(float)
 
 
 class FiberVector:
@@ -118,13 +124,12 @@ class AlternatingForm:
     """A degree-p alternating multilinear form on the q-dimensional fiber.
 
     ``coeffs[r]`` is the value on the frame vectors of the rank-r increasing
-    multi-index.  ``vacuous`` marks the zero object produced by contracting
-    more slots than the form has; any norm built from it reads 0.
+    multi-index.
     """
 
-    __slots__ = ("degree", "dimension", "coeffs", "vacuous")
+    __slots__ = ("degree", "dimension", "coeffs")
 
-    def __init__(self, degree: int, dimension: int, coeffs=None, *, vacuous: bool = False):
+    def __init__(self, degree: int, dimension: int, coeffs=None):
         if not 0 <= degree <= dimension:
             raise ValueError(f"degree {degree} out of range for dimension {dimension}")
         self.degree = degree
@@ -134,13 +139,12 @@ class AlternatingForm:
             self.coeffs = np.zeros(n)
         else:
             self.coeffs = np.array(coeffs, dtype=float).reshape(n)
-        self.vacuous = vacuous
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, degree: int, dimension: int, *, vacuous: bool = False) -> "AlternatingForm":
-        return cls(degree, dimension, vacuous=vacuous)
+    def zero(cls, degree: int, dimension: int) -> "AlternatingForm":
+        return cls(degree, dimension)
 
     @classmethod
     def basis(cls, dimension: int, indices) -> "AlternatingForm":
@@ -165,18 +169,19 @@ class AlternatingForm:
     def component(self, *indices: int) -> float:
         """Value on an arbitrary frame index tuple.
 
-        Indices may be unsorted or repeated; the permutation sign is applied
-        and a repeated index reads 0.
+        Indices may be unsorted or repeated: the value is read by contracting
+        the frame vectors into the slots in order, so the permutation sign
+        comes from the contraction tables and a repeated index reads 0.
         """
         if len(indices) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(indices)}")
         for i in indices:
             if not 0 <= i < self.dimension:
                 raise ValueError(f"index {i} out of range({self.dimension})")
-        srt, sign = sort_with_sign(indices)
-        if sign == 0:
-            return 0.0
-        return sign * float(self.coeffs[_rank_table(self.dimension, self.degree)[srt]])
+        c = self.coeffs
+        for d, i in zip(range(self.degree, 0, -1), indices):
+            c = interior_matrices(self.dimension, d)[i] @ c
+        return float(c[0])
 
     @property
     def norm_sq(self) -> float:
@@ -221,37 +226,14 @@ class AlternatingForm:
 # -- products ----------------------------------------------------------------
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Sign of the shuffle sorting the concatenation of two increasing
-    disjoint tuples: (-1)^(number of crossing pairs)."""
-    inv = 0
-    for a in left:
-        for b in right:
-            if a > b:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     """Wedge product; graded-anticommutative, a^b = (-1)^(pr) b^a."""
     if a.dimension != b.dimension:
         raise ValueError("wedge of forms on fibers of different dimension")
-    q = a.dimension
-    p, r = a.degree, b.degree
-    if p + r > q:
-        raise ValueError(f"degree overflow: {p} + {r} > {q}")
-    out = AlternatingForm(p + r, q)
-    ranks = _rank_table(q, p + r)
-    for I, ca in zip(multi_indices(q, p), a.coeffs):
-        if ca == 0.0:
-            continue
-        si = set(I)
-        for J, cb in zip(multi_indices(q, r), b.coeffs):
-            if cb == 0.0 or si & set(J):
-                continue
-            merged, _ = sort_with_sign(I + J)
-            out.coeffs[ranks[merged]] += _merge_sign(I, J) * ca * cb
-    return out
+    q, p, r = a.dimension, a.degree, b.degree
+    k, ia, ib, sign = _wedge_table(q, p, r)
+    out = np.bincount(k, weights=sign * a.coeffs[ia] * b.coeffs[ib], minlength=comb(q, p + r))
+    return AlternatingForm(p + r, q, out)
 
 
 def interior_vector(v, a: AlternatingForm) -> AlternatingForm:
@@ -264,29 +246,9 @@ def interior_vector(v, a: AlternatingForm) -> AlternatingForm:
     return AlternatingForm(a.degree - 1, q, np.einsum("i,iAB,B->A", c, mats, a.coeffs))
 
 
-def interior_multi(vs, a: AlternatingForm) -> AlternatingForm:
-    """Interior product by the s-vector X_1 ^ ... ^ X_s:
-
-        ((X_1 ^ ... ^ X_s) . a)(Y_1, ..., Y_{p-s}) = a(X_s, ..., X_1, Y_1, ...)
-
-    so the last listed vector contracts the first slot.  When s exceeds the
-    degree the result is the vacuous zero scalar, which downstream squared
-    norms read as 0.
-    """
-    vs = list(vs)
-    if len(vs) > a.degree:
-        return AlternatingForm.zero(0, a.dimension, vacuous=True)
-    out = a
-    for v in reversed(vs):
-        out = interior_vector(v, out)
-    return out
-
-
 def inner(a: AlternatingForm, b: AlternatingForm) -> float:
     """The p-form inner product with the 1/p! normalization: a dot product
     of coefficients over increasing multi-indices."""
-    if a.vacuous or b.vacuous:
-        return 0.0
     a._check_compatible(b)
     return float(a.coeffs @ b.coeffs)
 
@@ -296,15 +258,11 @@ def hodge(a: AlternatingForm) -> AlternatingForm:
 
     *e_I = sign(I, I^c) e_{I^c}, so that a ^ (*a) = |a|^2 vol.
     """
-    q = a.dimension
-    out = AlternatingForm(q - a.degree, q)
-    ranks = _rank_table(q, q - a.degree)
-    for I, c in zip(multi_indices(q, a.degree), a.coeffs):
-        if c == 0.0:
-            continue
-        comp = tuple(i for i in range(q) if i not in I)
-        out.coeffs[ranks[comp]] += _merge_sign(I, comp) * c
-    return out
+    q, p = a.dimension, a.degree
+    _, ia, ib, sign = _wedge_table(q, p, q - p)
+    out = np.zeros(comb(q, q - p))
+    out[ib] = sign * a.coeffs[ia]
+    return AlternatingForm(q - p, q, out)
 
 
 def flat(v, q: int) -> AlternatingForm:
@@ -319,50 +277,35 @@ def flat(v, q: int) -> AlternatingForm:
 
 
 @lru_cache(maxsize=None)
-def interior_matrices(q: int, p: int) -> np.ndarray:
-    """M[i] @ coeffs(a) = coeffs(e_i . a); shape (q, C(q,p-1), C(q,p))."""
-    if p < 1:
-        raise ValueError("no contraction matrices for scalars")
-    mats = np.zeros((q, comb(q, p - 1), comb(q, p)))
-    low = _rank_table(q, p - 1)
-    for r, I in enumerate(multi_indices(q, p)):
-        for t, i in enumerate(I):
-            J = I[:t] + I[t + 1 :]
-            mats[i, low[J], r] = -1.0 if t % 2 else 1.0
-    return mats
-
-
-@lru_cache(maxsize=None)
 def wedge_matrices(q: int, p: int) -> np.ndarray:
     """W[j] @ coeffs(a) = coeffs(e^j ^ a) for deg-p a; shape (q, C(q,p+1), C(q,p))."""
     if p >= q:
         raise ValueError("degree overflow in wedge matrices")
+    k, j, r, sign = _wedge_table(q, 1, p)
     mats = np.zeros((q, comb(q, p + 1), comb(q, p)))
-    high = _rank_table(q, p + 1)
-    for r, J in enumerate(multi_indices(q, p)):
-        sj = set(J)
-        for j in range(q):
-            if j in sj:
-                continue
-            merged, _ = sort_with_sign((j,) + J)
-            mats[j, high[merged], r] = _merge_sign((j,), J)
+    mats[j, k, r] = sign
     return mats
 
 
-def vector_contractions(a: AlternatingForm) -> np.ndarray:
-    """Table T with T[i] = coeffs(e_i . a); shape (q, C(q, p-1))."""
-    return np.einsum("iAB,B->iA", interior_matrices(a.dimension, a.degree), a.coeffs)
+@lru_cache(maxsize=None)
+def interior_matrices(q: int, p: int) -> np.ndarray:
+    """M[i] @ coeffs(a) = coeffs(e_i . a); shape (q, C(q,p-1), C(q,p)).
+
+    Contraction by e_i is the adjoint of e^i ^ under the coefficient dot
+    product, so M[i] is the transpose of the wedge matrix W[i].
+    """
+    if p < 1:
+        raise ValueError("no contraction matrices for scalars")
+    return np.ascontiguousarray(wedge_matrices(q, p - 1).transpose(0, 2, 1))
 
 
-def bivector_contractions(a: AlternatingForm) -> np.ndarray:
-    """Table P with P[i, j] = coeffs((e_j ^ e_i) . a) = a(e_i, e_j, ...);
-    shape (q, q, C(q, p-2)).  Requires degree >= 2."""
+def contractions(a: AlternatingForm, k: int) -> np.ndarray:
+    """Table C with C[i_1, ..., i_k] = coeffs(a(e_i1, ..., e_ik, .)), the
+    first k slots filled in order; shape (q,) * k + (C(q, p-k),)."""
     q, p = a.dimension, a.degree
-    if p < 2:
-        raise ValueError("bivector contraction table needs degree >= 2")
-    return np.einsum(
-        "jAB,iBC,C->ijA",
-        interior_matrices(q, p - 1),
-        interior_matrices(q, p),
-        a.coeffs,
-    )
+    if not 0 <= k <= p:
+        raise ValueError(f"cannot contract {k} slots of a degree-{p} form")
+    out = a.coeffs
+    for d in range(p, p - k, -1):
+        out = np.einsum("iAB,...B->...iA", interior_matrices(q, d), out)
+    return out

@@ -20,6 +20,7 @@ every form; ``master_identity_residual`` enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -32,11 +33,9 @@ from .curvature import (
 )
 from .exterior import (
     AlternatingForm,
-    bivector_contractions,
+    contractions,
     hodge,
     interior_vector,
-    multi_indices,
-    vector_contractions,
     wedge,
 )
 
@@ -158,7 +157,7 @@ def ricci_contraction(RM: RiemannTensor, a: AlternatingForm) -> float:
     """S1 = sum R[l,i,l,j] <e_i.a, e_j.a>."""
     if a.degree == 0:
         return 0.0
-    V = vector_contractions(a)
+    V = contractions(a, 1)
     return float(np.einsum("ij,iA,jA->", RM.ricci(), V, V))
 
 
@@ -166,7 +165,7 @@ def bivector_curvature_sum(RM: RiemannTensor, a: AlternatingForm) -> float:
     """S2 = sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a>; zero below degree 2."""
     if a.degree < 2:
         return 0.0
-    P = bivector_contractions(a)
+    P = contractions(a, 2)
     return float(np.einsum("ijkl,ijA,klA->", RM.components, P, P))
 
 
@@ -193,7 +192,7 @@ def mixed_bivector_term(A: ONeillTensor, a: AlternatingForm) -> float:
     """
     if a.degree < 2:
         return 0.0
-    P = bivector_contractions(a)
+    P = contractions(a, 2)
     return float(np.einsum("ijs,kls,ijA,klA->", A.a, A.a, P, P))
 
 
@@ -228,10 +227,10 @@ def bplus_norm_closed(A: ONeillTensor, a: AlternatingForm) -> float:
     """
     if a.degree < 1:
         raise ValueError("B+ needs a form of degree >= 1")
-    V = vector_contractions(a)
+    V = contractions(a, 1)
     out = float(np.einsum("kis,kjs,iA,jA->", A.a, A.a, V, V))
     if a.degree >= 2:
-        P = bivector_contractions(a)
+        P = contractions(a, 2)
         out += float(np.einsum("ils,jks,ijA,klA->", A.a, A.a, P, P))
     return out
 
@@ -243,28 +242,18 @@ def bminus_norm(A: ONeillTensor, a: AlternatingForm) -> float:
     """|B-(a)|^2 from the definition.
 
     B-(a) contracts a by (p-1)-vectors e_i ^ e_I and wedges with A_{e_i}; the
-    squared norm sums the squared (k, l) components over all (p-2)-index
-    blocks I with the 1/(p-2)! normalization.  Vacuously 0 below degree 2.
+    squared norm sums the squared (k, l) components over all (p-2)-tuples I
+    with the 1/(p-2)! normalization.  Vacuously 0 below degree 2.
     """
     p, q = a.degree, a.dimension
     if p < 2:
         return 0.0
-    total = 0.0
-    for s in range(A.vdim):
-        for I in multi_indices(q, p - 2):
-            # omega_i = (e_i ^ e_I) . a as a 1-form; its value on e_k is
-            # a(e_{i_{p-2}}, ..., e_{i_1}, e_i, e_k), a fixed reindexing sign
-            # that squares away, so contract in slot order (i, I, k).
-            for k in range(q):
-                for l in range(k + 1, q):
-                    val = 0.0
-                    for i in range(q):
-                        val += (
-                            a.component(i, *I, k) * A.a[i, l, s]
-                            - a.component(i, *I, l) * A.a[i, k, s]
-                        )
-                    total += 2.0 * val * val  # (k,l) and (l,k) blocks
-    return total
+    # omega[i, I, k] = a(e_i, e_I, e_k), the 1-form (e_i ^ e_I) . a up to a
+    # reindexing sign that squares away; one row per (p-2)-tuple I
+    omega = contractions(a, p - 1).reshape(q, -1, q)
+    X = np.einsum("iIk,ils->sIkl", omega, A.a)  # sum_i omega_i(e_k) A_i(e_l)
+    B = X - X.transpose(0, 1, 3, 2)
+    return float(np.sum(B * B)) / factorial(p - 2)
 
 
 def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm) -> float:
@@ -276,9 +265,9 @@ def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm) -> float:
     p = a.degree
     if p < 2:
         return 0.0
-    V = vector_contractions(a)
+    V = contractions(a, 1)
     half = (p - 1) * float(np.einsum("ils,jls,iA,jA->", A.a, A.a, V, V))
-    P = bivector_contractions(a)
+    P = contractions(a, 2)
     half -= float(np.einsum("ils,kjs,ijA,klA->", A.a, A.a, P, P))
     return 2.0 * half
 
@@ -376,7 +365,7 @@ def prop41_check(
     if p == 0:
         t1 = 0.0
     else:
-        V = vector_contractions(a)
+        V = contractions(a, 1)
         t1 = float(np.einsum("ij,iA,jA->", ric, V, V))
     rhs = (
         -(p - 7) / 3.0 * t1
@@ -478,18 +467,14 @@ def two_form_rewrite(RM: RiemannTensor, a: AlternatingForm) -> dict:
     """
     p, q = a.degree, a.dimension
     half_s2 = 0.5 * bivector_curvature_sum(RM, a)
+    M = curvature_operator_matrix(RM)
     if p < 2:
         theta_route = 0.0
     else:
-        M = curvature_operator_matrix(RM)
-        pair_rank = {ij: r for r, ij in enumerate(multi_indices(q, 2))}
-        theta_route = 0.0
-        for I in multi_indices(q, p - 2):
-            v = np.zeros(len(pair_rank))
-            for (i, j), r in pair_rank.items():
-                v[r] = a.component(i, j, *I)
-            theta_route += 2.0 * float(v @ M @ v)
-    rho1 = float(np.linalg.eigvalsh(curvature_operator_matrix(RM))[-1])
+        # v[r, I] = a(e_i, e_j, e_I) for the rank-r pair i < j
+        v = contractions(a, 2)[np.triu_indices(q, 1)]
+        theta_route = 2.0 * float(np.sum(v * (M @ v)))
+    rho1 = float(np.linalg.eigvalsh(M)[-1])
     bound = p * (p - 1) * rho1 * a.norm_sq
     return {"half_s2": half_s2, "theta_route": theta_route, "bound": bound}
 
@@ -508,7 +493,7 @@ def contraction_chain(A: ONeillTensor, a: AlternatingForm) -> dict:
     if a.degree < 1:
         raise ValueError("contraction chain needs a form of degree >= 1")
     q = a.dimension
-    P = bivector_contractions(a) if a.degree >= 2 else None
+    P = contractions(a, 2) if a.degree >= 2 else None
     out = {"mixed_term_per_s": [], "q_sum_bivector_per_s": [],
            "q_sum_wedge_per_s": [], "q_sum_contraction_per_s": []}
     for s in range(A.vdim):

@@ -3,11 +3,13 @@
 Schema: {config, checks: [{name, lhs, rhs, gap, tol, pass}],
          findings: [{kind, detail, values}], summary, version}.
 Floats are serialized with 17 significant digits so reports round-trip
-exactly and diff cleanly.
+exactly and diff cleanly; a non-finite float is refused, since JSON has no
+spelling for it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 __version__ = "0.1.0"
@@ -70,6 +72,8 @@ def _serialize(obj: Any, out: list[str]):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"report holds a non-finite float ({obj!r}), which JSON cannot carry")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, dict):
         out.append("{")
@@ -92,7 +96,8 @@ def _serialize(obj: Any, out: list[str]):
 
 
 def dumps_report(report: dict) -> str:
-    """JSON text with floats rendered at 17 significant digits."""
+    """JSON text with floats rendered at 17 significant digits; raises
+    ``ValueError`` on an infinite or NaN float."""
     out: list[str] = []
     _serialize(report, out)
     return "".join(out)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import folcurv.cli as cli
+from folcurv.report import dumps_report
 
 
 def run(args):
@@ -172,6 +173,27 @@ def test_bounds_hypothesis_violation_exits_2(capsys):
     assert "hypothesis" in capsys.readouterr().err
     assert run(["bounds", "--theorem", "3.1", "--m", "3", "--p", "3",
                 "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "0"],
+    ["hopf", "--m", "3", "--samples", "0"],
+    ["hopf", "--m", "3", "--samples", "-1"],
+    ["bounds", "--theorem", "sandwich", "--m", "3", "--samples", "0"],
+    ["bounds", "--theorem", "sandwich", "--m", "3", "--samples", "-1"],
+    ["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "0", "--samples", "1"],
+])
+def test_empty_runs_are_refused(capsys, argv):
+    # a run over no trials or samples would pass vacuously or fail midway
+    assert run(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_report_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_report({"summary": {"gap": [1.0, value]}})
 
 
 def test_report_floats_have_17_significant_digits(tmp_path):

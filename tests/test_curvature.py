@@ -1,19 +1,15 @@
-"""Curvature tensors, operator/sectional extremes, transverse curvature,
+"""Curvature tensors, curvature-operator extremes, transverse curvature,
 and the Bochner curvature term."""
 
 import numpy as np
 import pytest
 
 from folcurv.curvature import (
-    CurvatureExtremes,
     RiemannTensor,
     curvature_action_on_form,
-    curvature_extremes,
     curvature_operator_extremes,
     curvature_operator_matrix,
     curvature_term,
-    sectional,
-    sectional_extremes,
     space_form,
     transverse_ricci,
     transverse_riemann,
@@ -67,7 +63,7 @@ def test_bianchi_violation_raises():
 
 
 # ---------------------------------------------------------------------------
-# curvature operator and sectional extremes
+# curvature operator extremes
 # ---------------------------------------------------------------------------
 
 
@@ -82,68 +78,23 @@ def test_operator_extremes_on_space_forms():
     assert np.allclose(M, np.eye(6))
 
 
-def test_sectional_on_space_forms():
-    R = space_form(5, 1.0)
-    rng = np.random.default_rng(3)
-    u, v = rng.standard_normal(5), rng.standard_normal(5)
-    assert sectional(R, u, v) == pytest.approx(1.0, abs=1e-12)
-    # plane invariance: Gram-Schmidt and rescaling do not change the value
-    R2 = random_curvature(rng, 5)
-    uu = u / np.linalg.norm(u)
-    vv = v - (v @ uu) * uu
-    vv /= np.linalg.norm(vv)
-    assert sectional(R2, u, v) == pytest.approx(sectional(R2, uu, vv), abs=1e-10)
-    assert sectional(R2, 3.0 * u, v) == pytest.approx(sectional(R2, u, v), abs=1e-10)
-
-
-def test_sectional_degenerate_plane_raises():
-    R = space_form(4, 1.0)
-    u = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="degenerate"):
-        sectional(R, u, 2.0 * u)
-
-
-def test_sectional_extremes_exact_on_space_forms():
-    k0, k1 = sectional_extremes(space_form(4, 1.0), budget=1, rng_seed=0)
-    assert (k0, k1) == (1.0, 1.0)
-
-
-def test_sectional_estimates_respect_operator_bounds():
-    rng = np.random.default_rng(5)
-    for q in (4, 5):
-        R = random_curvature(rng, q)
-        rho0, rho1 = curvature_operator_extremes(R)
-        k0, k1 = sectional_extremes(R, budget=20, rng_seed=7)
-        assert rho0 - 1e-9 <= k0 <= k1 <= rho1 + 1e-9
-
-
-def test_sectional_estimate_budget_monotone():
-    R = random_curvature(np.random.default_rng(9), 5)
-    prev_k1, prev_k0 = -np.inf, np.inf
-    for budget in (5, 10, 20):
-        k0, k1 = sectional_extremes(R, budget=budget, rng_seed=11)
-        assert k1 >= prev_k1 - 1e-15
-        assert k0 <= prev_k0 + 1e-15
-        prev_k1, prev_k0 = k1, k0
-
-
 def test_perturbed_space_form_chain():
-    # a decomposable perturbation keeps the tensor valid; the estimate chain
-    # rho0 <= k0 <= k1 <= rho1 must hold around it
+    # a decomposable perturbation of the (0, 1) plane keeps the tensor valid
+    # and lifts the top eigenvalue by exactly its size; the chain
+    # rho0 <= K(e_i, e_j) <= rho1 must hold on every coordinate plane
     q, c, d = 4, 1.0, 0.35
     R = space_form(q, c).components.copy()
     for (i, j, k, l), s in [((0, 1, 0, 1), 1), ((1, 0, 0, 1), -1),
                             ((0, 1, 1, 0), -1), ((1, 0, 1, 0), 1)]:
         R[i, j, k, l] += s * d
     Rt = RiemannTensor(R)
-    ext = curvature_extremes(Rt, budget=40, rng_seed=13)
-    assert ext.rho1 == pytest.approx(c + d, abs=1e-12)
-    assert ext.rho0 - 1e-9 <= ext.k0_est <= ext.k1_est <= ext.rho1 + 1e-9
+    rho0, rho1 = curvature_operator_extremes(Rt)
+    assert rho0 == pytest.approx(c, abs=1e-12)
+    assert rho1 == pytest.approx(c + d, abs=1e-12)
+    for i in range(q):
+        for j in range(i + 1, q):
+            assert rho0 - 1e-9 <= Rt.components[i, j, i, j] <= rho1 + 1e-9
 
-
-def test_extremes_chain_violation_raises():
-    with pytest.raises(ValueError, match="chain"):
-        CurvatureExtremes(rho0=0.0, rho1=1.0, k0_est=-0.5, k1_est=0.5)
 
 
 # ---------------------------------------------------------------------------

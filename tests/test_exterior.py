@@ -9,10 +9,10 @@ import pytest
 from folcurv.exterior import (
     AlternatingForm,
     FiberVector,
+    contractions,
     flat,
     hodge,
     inner,
-    interior_multi,
     interior_vector,
     multi_index_rank,
     multi_indices,
@@ -114,7 +114,8 @@ def test_wedge_errors():
 def test_wedge_matches_shuffle_oracle_and_anticommutes():
     rng = np.random.default_rng(11)
     for q in (3, 4, 5):
-        for p, r in [(1, 1), (1, 2), (2, 2), (2, 1), (3, 1)]:
+        pairs = [(1, 1), (1, 2), (2, 2), (2, 1), (3, 1), (0, 2), (2, 0), (0, 0)]
+        for p, r in pairs + [(p, q - p) for p in range(q + 1)]:
             if p + r > q:
                 continue
             a, b = random_form(rng, q, p), random_form(rng, q, r)
@@ -168,40 +169,21 @@ def test_interior_scalar_errors():
         interior_vector(np.ones(3), AlternatingForm(0, 3, [1.0]))
 
 
-def test_interior_multi_reversed_order_and_vacuous():
-    w = wedge(AlternatingForm.basis(2, (0,)), AlternatingForm.basis(2, (1,)))
-    v0, v1 = FiberVector.basis(2, 0), FiberVector.basis(2, 1)
-    scalar = interior_multi([v0, v1], w)
-    assert scalar.degree == 0 and scalar.coeffs[0] == -1.0  # value a(e_1, e_0)
-    under = interior_multi([v0, v1], AlternatingForm.basis(2, (0,)))
-    assert under.vacuous and under.degree == 0 and under.coeffs[0] == 0.0
-    assert inner(under, under) == 0.0
-
-
-def test_interior_multi_antisymmetry_in_the_vectors():
+def test_contractions_match_basis_value_oracle():
+    # C[i_1, ..., i_k][rank of J] = a(e_i1, ..., e_ik, e_J): slots filled in order
     rng = np.random.default_rng(19)
-    for q in (3, 4):
-        for p in (2, 3):
+    for q in range(1, 6):
+        for p in range(0, q + 1):
             a = random_form(rng, q, p)
-            v, w = rng.standard_normal(q), rng.standard_normal(q)
-            lhs = interior_multi([v, w], a)
-            rhs = interior_multi([w, v], a)
-            assert np.allclose(lhs.coeffs, -rhs.coeffs, atol=1e-12)
-
-
-def test_interior_multi_equals_iterated_contraction_on_basis_forms():
-    for q in range(2, 6):
-        for p in range(1, q + 1):
-            for I in multi_indices(q, p):
-                a = AlternatingForm.basis(q, I)
-                for s in range(1, min(p, 3) + 1):
-                    for X in itertools.permutations(range(q), s):
-                        vs = [FiberVector.basis(q, x) for x in X]
-                        got = interior_multi(vs, a)
-                        expect = a
-                        for v in reversed(vs):
-                            expect = interior_vector(v, expect)
-                        assert np.allclose(got.coeffs, expect.coeffs, atol=0.0)
+            for k in range(0, p + 1):
+                C = contractions(a, k)
+                assert C.shape == (q,) * k + (len(multi_indices(q, p - k)),)
+                for X in itertools.product(range(q), repeat=k):
+                    for r, J in enumerate(multi_indices(q, p - k)):
+                        assert C[X][r] == pytest.approx(
+                            naive_basis_value(a, X + J), abs=1e-12)
+    with pytest.raises(ValueError):
+        contractions(random_form(rng, 3, 1), 2)
 
 
 # ---------------------------------------------------------------------------

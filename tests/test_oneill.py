@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from folcurv.curvature import space_form, transverse_ricci, transverse_riemann
-from folcurv.exterior import AlternatingForm, interior_multi
+from folcurv.exterior import AlternatingForm, contractions, interior_vector
 from folcurv.oneill import (
     BoundReport,
     MasterIdentityError,
@@ -90,9 +90,7 @@ def test_vertical_contraction_single_entry_hand_case():
 
 
 def _gram(a):
-    from folcurv.exterior import vector_contractions
-
-    V = vector_contractions(a)
+    V = contractions(a, 1)
     return V @ V.T
 
 
@@ -119,7 +117,7 @@ def test_mixed_bivector_term_against_assembled_bivector():
                 u = A.horizontal_action(i, s)
                 ei = np.zeros(q)
                 ei[i] = 1.0
-                acc = acc + interior_multi([u, ei], a)
+                acc = acc + interior_vector(u, interior_vector(ei, a))
             expect += acc.norm_sq
         assert mixed_bivector_term(A, a) == pytest.approx(expect, abs=1e-12)
 
@@ -177,13 +175,12 @@ def test_bminus_hand_expanded_case():
 
 def test_bminus_identities_random():
     rng = np.random.default_rng(19)
-    for q in (4, 5):
-        for p in (2, 3):
-            for k in range(25):
-                A = random_skew_oneill(rng, q, 1 + k % 3)
-                a = random_form(rng, q, p)
-                assert bminus_norm(A, a) == pytest.approx(
-                    bminus_norm_closed(A, a), abs=1e-10)
+    for q, p in [(4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4)]:
+        for k in range(25):
+            A = random_skew_oneill(rng, q, 1 + k % 3)
+            a = random_form(rng, q, p)
+            assert bminus_norm(A, a) == pytest.approx(
+                bminus_norm_closed(A, a), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +398,12 @@ def test_cor31_scan_signs():
 
 def test_two_form_rewrite_and_bound():
     rng = np.random.default_rng(53)
-    for q in (4, 5):
-        for p in (2, 3):
-            R = random_curvature(rng, q)
-            a = random_form(rng, q, p)
-            d = two_form_rewrite(R, a)
-            assert d["half_s2"] == pytest.approx(d["theta_route"], abs=1e-10)
-            assert d["half_s2"] <= d["bound"] + 1e-10
+    for q, p in [(4, 2), (4, 3), (5, 2), (5, 3), (5, 4), (6, 4)]:
+        R = random_curvature(rng, q)
+        a = random_form(rng, q, p)
+        d = two_form_rewrite(R, a)
+        assert d["half_s2"] == pytest.approx(d["theta_route"], abs=1e-10)
+        assert d["half_s2"] <= d["bound"] + 1e-10
     # degree 1: everything degenerates to zero
     d1 = two_form_rewrite(random_curvature(rng, 4), random_form(rng, 4, 1))
     assert d1["half_s2"] == 0.0 and d1["theta_route"] == 0.0
