@@ -58,7 +58,6 @@ from .hopf import (
     kahler_form,
     lie_bracket,
     mean_curvature,
-    norm_displays,
     oneill_closed_form,
     oneill_from_brackets,
     sample_point,

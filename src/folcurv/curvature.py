@@ -34,6 +34,8 @@ __all__ = [
     "transverse_riemann",
     "transverse_ricci",
     "curvature_action_on_form",
+    "ricci_contraction",
+    "bivector_curvature_sum",
     "curvature_term",
 ]
 
@@ -112,35 +114,36 @@ def curvature_operator_extremes(R: RiemannTensor) -> tuple[float, float]:
 def transverse_riemann(RM: RiemannTensor, A, *, tol: float = 1e-9) -> RiemannTensor:
     """Transverse curvature tensor from the ambient one and the
     integrability tensor.  The output is validated against all curvature
-    invariants at ``tol``; a violation signals a broken A."""
+    invariants at ``tol``; a violation signals a broken A.  Its Ricci trace
+    is then checked against the closed form
+
+        Ric_t[i,j] = sum_l { R[l,i,l,j] + 3 g(A_l e_i, A_l e_j) }
+
+    (the skew-diagonal term g(A_l e_l, .) vanishes identically).
+    """
     a = A.a
     if a.shape[0] != RM.dimension:
         raise ValueError("integrability tensor dimension does not match curvature")
     G = np.einsum("ijs,kls->ijkl", a, a)
-    Rt = (
+    Rt = RiemannTensor(
         RM.components
         + 2.0 * G
         - np.einsum("jks,ils->ijkl", a, a)
-        - np.einsum("kis,jls->ijkl", a, a)
+        - np.einsum("kis,jls->ijkl", a, a),
+        tol=tol,
     )
-    return RiemannTensor(Rt, tol=tol)
-
-
-def transverse_ricci(RM: RiemannTensor, A, *, tol: float = 1e-10) -> tuple[np.ndarray, float]:
-    """Transverse Ricci and scalar curvature:
-
-        Ric_t[i,j] = sum_l { R[l,i,l,j] + 3 g(A_l e_i, A_l e_j) }
-
-    (the skew-diagonal term g(A_l e_l, .) vanishes identically).  The result
-    is checked against the trace of the full transverse tensor.
-    """
-    a = A.a
     ric = RM.ricci() + 3.0 * np.einsum("lis,ljs->ij", a, a)
-    trace_route = transverse_riemann(RM, A).ricci()
-    err = np.max(np.abs(ric - trace_route))
-    if err > tol:
+    err = np.max(np.abs(ric - Rt.ricci()))
+    if err > 1e-10:
         raise ValueError(f"transverse Ricci disagrees with Riemann trace by {err:.3e}")
-    return ric, float(np.trace(ric))
+    return Rt
+
+
+def transverse_ricci(RM: RiemannTensor, A) -> tuple[np.ndarray, float]:
+    """Transverse Ricci and scalar curvature, read off the checked
+    transverse tensor."""
+    Rt = transverse_riemann(RM, A)
+    return Rt.ricci(), Rt.scalar()
 
 
 # -- curvature acting on forms ------------------------------------------------
@@ -168,21 +171,27 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     return AlternatingForm(p, q, out)
 
 
-def curvature_term(ric: np.ndarray, Rnabla: RiemannTensor, a: AlternatingForm) -> float:
-    """The Bochner curvature pairing <R(a), a> through its Ricci/Riemann
-    contraction expansion:
+def ricci_contraction(R: RiemannTensor, a: AlternatingForm) -> float:
+    """S1 = sum R[l,i,l,j] <e_i.a, e_j.a>."""
+    if a.degree == 0:
+        return 0.0
+    V = contractions(a, 1)
+    return float(np.einsum("ij,iA,jA->", R.ricci(), V, V))
 
-        sum Ric[i,j] <e_i.a, e_j.a>
-        - 1/2 sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a>
+
+def bivector_curvature_sum(R: RiemannTensor, a: AlternatingForm) -> float:
+    """S2 = sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a>; zero below degree 2."""
+    if a.degree < 2:
+        return 0.0
+    P = contractions(a, 2)
+    return float(np.einsum("ijkl,ijA,klA->", R.components, P, P))
+
+
+def curvature_term(R: RiemannTensor, a: AlternatingForm) -> float:
+    """The Bochner curvature pairing <R(a), a> through its Ricci/Riemann
+    contraction expansion, S1(a) - 1/2 S2(a).
 
     Equality with ``inner(curvature_action_on_form(...), a)`` is the first
     Bianchi consistency check, exercised by the verification suites.
     """
-    if a.degree == 0:
-        return 0.0
-    V = contractions(a, 1)
-    term = float(np.einsum("ij,iA,jA->", ric, V, V))
-    if a.degree >= 2:
-        P = contractions(a, 2)
-        term -= 0.5 * float(np.einsum("ijkl,ijA,klA->", Rnabla.components, P, P))
-    return term
+    return ricci_contraction(R, a) - 0.5 * bivector_curvature_sum(R, a)

@@ -42,7 +42,6 @@ __all__ = [
     "field_labels",
     "field_X",
     "fields_YW",
-    "norm_displays",
     "lie_bracket",
     "adapted_frame",
     "oneill_from_brackets",
@@ -214,29 +213,6 @@ def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float = 
         if v @ v < norm_floor:
             raise DegeneratePointError(f"field {label} degenerates at this point")
         out.append(v)
-    return out
-
-
-def norm_displays(model: WeightedHopfModel, point: SpherePoint) -> dict[str, float]:
-    """Closed-form squared norms of X and the frame fields:
-
-        |X|^2     = sum theta_k^2 |z_k|^2
-        |Y_l|^2   = |z_l|^2 (sum_{k>l} |z_k|^2)(sum_{k>=l} |z_k|^2)
-        |W_p|^2   = |z_p|^2 (sum_{t>p} theta_t^2 |z_t|^2)(sum_{s>=p} theta_s^2 |z_s|^2)
-        |W_{m-1}|^2 = |z_{m-1}|^2 |z_m|^2 (theta_m^2 |z_m|^2 + theta_{m-1}^2 |z_{m-1}|^2)
-    """
-    m = model.m
-    th = np.asarray(model.theta)
-    zz = point.moduli_sq
-    tz = th * th * zz
-    out = {"X": float(np.sum(tz))}
-    for l in range(1, m):
-        lo = l - 1
-        out[f"Y{l}"] = float(zz[lo] * np.sum(zz[lo + 1 :]) * np.sum(zz[lo:]))
-    for p in range(1, m - 1):
-        po = p - 1
-        out[f"W{p}"] = float(zz[po] * np.sum(tz[po + 1 :]) * np.sum(tz[po:]))
-    out[f"W{m - 1}"] = float(zz[m - 2] * zz[m - 1] * (tz[m - 1] + tz[m - 2]))
     return out
 
 

@@ -26,9 +26,10 @@ import numpy as np
 
 from .curvature import (
     RiemannTensor,
+    bivector_curvature_sum,
     curvature_operator_matrix,
     curvature_term,
-    transverse_ricci,
+    ricci_contraction,
     transverse_riemann,
 )
 from .exterior import (
@@ -51,8 +52,6 @@ __all__ = [
     "bminus_norm_closed",
     "mixed_bivector_term",
     "vertical_contraction_term",
-    "ricci_contraction",
-    "bivector_curvature_sum",
     "prop31_value",
     "master_identity_residual",
     "prop41_check",
@@ -151,22 +150,6 @@ def oneill_norm(A: ONeillTensor) -> float:
     """|A|^2 = sum a[i,j,s]^2; coincides with sum_{i,s} |A_{e_i} V_s|^2 by the
     derived vertical action."""
     return A.norm_sq
-
-
-def ricci_contraction(RM: RiemannTensor, a: AlternatingForm) -> float:
-    """S1 = sum R[l,i,l,j] <e_i.a, e_j.a>."""
-    if a.degree == 0:
-        return 0.0
-    V = contractions(a, 1)
-    return float(np.einsum("ij,iA,jA->", RM.ricci(), V, V))
-
-
-def bivector_curvature_sum(RM: RiemannTensor, a: AlternatingForm) -> float:
-    """S2 = sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a>; zero below degree 2."""
-    if a.degree < 2:
-        return 0.0
-    P = contractions(a, 2)
-    return float(np.einsum("ijkl,ijA,klA->", RM.components, P, P))
 
 
 def vertical_contraction_term(A: ONeillTensor, a: AlternatingForm) -> float:
@@ -305,17 +288,9 @@ def master_identity_residual(
     Must vanish (|residual| <= tol) on all inputs; a violation raises
     ``MasterIdentityError`` carrying the input digest.
     """
+    # S1 - 1/2 S2 + 2 V - M is -E(a), so the residual is <R(a), a> - |B+|^2 + E(a)
     Rn = transverse_riemann(RM, A)
-    ric, _ = transverse_ricci(RM, A)
-    lhs = curvature_term(ric, Rn, a)
-    rhs = (
-        ricci_contraction(RM, a)
-        - 0.5 * bivector_curvature_sum(RM, a)
-        + bplus_norm(A, a)
-        + 2.0 * vertical_contraction_term(A, a)
-        - mixed_bivector_term(A, a)
-    )
-    residual = lhs - rhs
+    residual = curvature_term(Rn, a) - bplus_norm(A, a) + prop31_value(RM, A, a)
     if raise_on_violation and abs(residual) > tol:
         digest = {
             "q": a.dimension,
@@ -360,15 +335,9 @@ def prop41_check(
     """
     p = a.degree
     Rn = transverse_riemann(RM, A)
-    ric, _ = transverse_ricci(RM, A)
-    lhs = 2.0 * curvature_term(ric, Rn, a)
-    if p == 0:
-        t1 = 0.0
-    else:
-        V = contractions(a, 1)
-        t1 = float(np.einsum("ij,iA,jA->", ric, V, V))
+    lhs = 2.0 * curvature_term(Rn, a)
     rhs = (
-        -(p - 7) / 3.0 * t1
+        -(p - 7) / 3.0 * ricci_contraction(Rn, a)
         + (p - 1) / 3.0 * ricci_contraction(RM, a)
         - bivector_curvature_sum(RM, a)
         - (vertical_contraction_term(A, a) + 2.0 * mixed_bivector_term(A, a))
@@ -492,8 +461,9 @@ def contraction_chain(A: ONeillTensor, a: AlternatingForm) -> dict:
     """
     if a.degree < 1:
         raise ValueError("contraction chain needs a form of degree >= 1")
-    q = a.dimension
-    P = contractions(a, 2) if a.degree >= 2 else None
+    p, q = a.degree, a.dimension
+    V = contractions(a, 1)
+    P = contractions(a, 2) if p >= 2 else None
     out = {"mixed_term_per_s": [], "q_sum_bivector_per_s": [],
            "q_sum_wedge_per_s": [], "q_sum_contraction_per_s": []}
     for s in range(A.vdim):
@@ -505,10 +475,10 @@ def contraction_chain(A: ONeillTensor, a: AlternatingForm) -> dict:
                 w = np.einsum("j,jA->A", u, P[i])  # (u ^ e_i) . a = u . (e_i . a)
                 mid += float(w @ w)
                 acc = w if acc is None else acc + w
-            end += interior_vector(u, a).norm_sq
-            ei = np.zeros(q)
-            ei[i] = 1.0
-            midw += wedge(AlternatingForm.one_form(q, u), interior_vector(ei, a)).norm_sq
+            ua = u @ V  # u . a
+            end += float(ua @ ua)
+            midw += wedge(AlternatingForm.one_form(q, u),
+                          AlternatingForm(p - 1, q, V[i])).norm_sq
         out["mixed_term_per_s"].append(float(acc @ acc) if acc is not None else 0.0)
         out["q_sum_bivector_per_s"].append(q * mid)
         out["q_sum_wedge_per_s"].append(q * midw)

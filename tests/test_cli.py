@@ -5,6 +5,7 @@ import json
 import pytest
 
 import folcurv.cli as cli
+from folcurv import curvature, oneill
 from folcurv.report import dumps_report
 
 
@@ -175,19 +176,57 @@ def test_bounds_hypothesis_violation_exits_2(capsys):
                 "--quiet"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--trials", "0"],
-    ["hopf", "--m", "3", "--samples", "0"],
-    ["hopf", "--m", "3", "--samples", "-1"],
-    ["bounds", "--theorem", "sandwich", "--m", "3", "--samples", "0"],
-    ["bounds", "--theorem", "sandwich", "--m", "3", "--samples", "-1"],
-    ["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "0", "--samples", "1"],
-])
-def test_empty_runs_are_refused(capsys, argv):
-    # a run over no trials or samples would pass vacuously or fail midway
+REFUSED_RUNS = [
+    (["verify", "--trials", "0"], "--trials must be >= 1"),
+    (["hopf", "--m", "3", "--samples", "0"], "--samples must be >= 1"),
+    (["hopf", "--m", "3", "--samples", "-1"], "--samples must be >= 1"),
+    (["bounds", "--theorem", "sandwich", "--m", "3", "--samples", "0"],
+     "--samples must be >= 1"),
+    (["bounds", "--theorem", "sandwich", "--m", "3", "--samples", "-1"],
+     "--samples must be >= 1"),
+    (["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "0", "--samples", "1"],
+     "--trials must be >= 1"),
+    (["verify", "--q", "0", "--trials", "1"], "--q must be in [2, 12]"),
+    (["verify", "--q", "1", "--trials", "1"], "--q must be in [2, 12]"),
+    (["verify", "--q", "-1", "--trials", "1"], "--q must be in [2, 12]"),
+    (["verify", "--q", "13", "--trials", "1"], "--q must be in [2, 12]"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_RUNS,
+                         ids=[f"argv{i}" for i in range(len(REFUSED_RUNS))])
+def test_empty_runs_are_refused(capsys, argv, message):
+    # a run over no trials or samples would pass vacuously or fail midway,
+    # and a fiber dimension out of range would do either or exhaust memory
     assert run(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "must be >= 1" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+
+
+def test_verify_smallest_fiber_dimension_runs(tmp_path):
+    out = tmp_path / "q2.json"
+    assert run(["verify", "--q", "2", "--trials", "1", "--out", str(out), "--quiet"]) == 0
+    assert load(out)["config"]["q"] == [2]
+
+
+def test_one_transverse_tensor_per_evaluation(monkeypatch):
+    # verify builds one tensor for the master identity and one for the
+    # term-vs-action check per instance (6 instances per trial); hopf with
+    # unit weights builds one per point
+    real = curvature.transverse_riemann
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    for module in (curvature, oneill, cli):
+        monkeypatch.setattr(module, "transverse_riemann", counting)
+    assert run(["verify", "--trials", "2", "--quiet"]) == 0
+    assert len(builds) == 24
+    builds.clear()
+    assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -203,15 +203,15 @@ def test_curvature_term_examples():
     R = space_form(q, c)
     a = random_form(rng, q, 1)
     a.coeffs /= np.linalg.norm(a.coeffs)
-    assert curvature_term(R.ricci(), R, a) == pytest.approx((q - 1) * c, abs=1e-12)
+    assert curvature_term(R, a) == pytest.approx((q - 1) * c, abs=1e-12)
     # p=2, q=4, c=1, unit form
     R4 = space_form(4, 1.0)
     b = random_form(rng, 4, 2)
     b.coeffs /= np.linalg.norm(b.coeffs)
-    assert curvature_term(R4.ricci(), R4, b) == pytest.approx(4.0, abs=1e-12)
+    assert curvature_term(R4, b) == pytest.approx(4.0, abs=1e-12)
     # zero form
     z = AlternatingForm(2, 4)
-    assert curvature_term(R4.ricci(), R4, z) == 0.0
+    assert curvature_term(R4, z) == 0.0
 
 
 def test_curvature_term_equals_action_pairing_on_transverse_data():
@@ -223,8 +223,7 @@ def test_curvature_term_equals_action_pairing_on_transverse_data():
             for p in range(1, q):
                 RM, A, a = random_instance(rng, q, p, vdim=1 + (count % 3))
                 Rn = transverse_riemann(RM, A)
-                ric, _ = transverse_ricci(RM, A)
-                lhs = curvature_term(ric, Rn, a)
+                lhs = curvature_term(Rn, a)
                 rhs = inner(curvature_action_on_form(Rn, a), a)
                 assert lhs == pytest.approx(rhs, abs=1e-9, rel=1e-9)
                 count += 1

@@ -22,7 +22,6 @@ from folcurv.hopf import (
     kahler_form,
     lie_bracket,
     mean_curvature,
-    norm_displays,
     oneill_closed_form,
     oneill_from_brackets,
     realify,
@@ -119,26 +118,9 @@ def test_field_x_examples():
     assert x01 @ x01 == pytest.approx(0.25)
 
 
-def test_norm_displays_match_numeric_norms():
-    rng = np.random.default_rng(5)
-    for m in (2, 3, 4, 5, 6):
-        theta = tuple([1.0] + [float(t) for t in rng.uniform(0.3, 1.0, m - 1)])
-        model = WeightedHopfModel(m, theta)
-        for _ in range(100):
-            pt = sample_point(model, rng)
-            disp = norm_displays(model, pt)
-            x = field_X(model, pt)
-            assert x @ x == pytest.approx(disp["X"], abs=1e-12)
-            for lab, f in zip(field_labels(model), fields_YW(model, pt)):
-                assert f @ f == pytest.approx(disp[lab], abs=1e-12)
-
-
 def test_m2_half_half_point_norms():
     model = WeightedHopfModel(2, (1.0, 1.0))
     pt = SpherePoint(np.array([1.0 + 0j, 1.0 + 0j]) / np.sqrt(2.0))
-    disp = norm_displays(model, pt)
-    assert disp["Y1"] == pytest.approx(0.25)
-    assert disp["W1"] == pytest.approx(0.25)
     y1, w1 = fields_YW(model, pt)
     assert y1 @ y1 == pytest.approx(0.25, abs=1e-14)
     assert w1 @ w1 == pytest.approx(0.25, abs=1e-14)

@@ -207,9 +207,8 @@ def test_master_identity_reduces_to_weitzenbock_for_zero_tensor():
     # with A = 0 the right side is the two ambient contractions alone
     from folcurv.curvature import curvature_term
 
-    ric, _ = transverse_ricci(RM, A)
-    assert curvature_term(ric, RM, a) == pytest.approx(c * p * (q - p) * a.norm_sq,
-                                                       abs=1e-12)
+    assert curvature_term(RM, a) == pytest.approx(c * p * (q - p) * a.norm_sq,
+                                                  abs=1e-12)
 
 
 def test_master_identity_violation_raises_with_digest():
@@ -238,8 +237,7 @@ def test_prop31_zero_form_and_zero_tensor_space_form_value():
     for k in range(10):
         RM2, A2, a2 = random_instance(rng, 4, 2, vdim=2)
         Rn = transverse_riemann(RM2, A2)
-        ric, _ = transverse_ricci(RM2, A2)
-        pairing = curvature_term(ric, Rn, a2)
+        pairing = curvature_term(Rn, a2)
         assert prop31_value(RM2, A2, a2) == pytest.approx(
             bplus_norm(A2, a2) - pairing, abs=1e-10)
 
