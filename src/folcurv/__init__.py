@@ -49,6 +49,7 @@ from .oneill import (
 )
 from .hopf import (
     AdaptedFrame,
+    BracketRouteError,
     DegeneratePointError,
     SpherePoint,
     WeightedHopfModel,

@@ -15,6 +15,7 @@ failure.  Everything printed is also present in the structured report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -36,6 +37,7 @@ from .exterior import (
     wedge,
 )
 from .hopf import (
+    BracketRouteError,
     DegeneratePointError,
     WeightedHopfModel,
     adapted_frame,
@@ -84,6 +86,16 @@ def _refuse_below_one(args, *flags) -> bool:
     return False
 
 
+def _tolerance(args, default: float) -> float:
+    """The --tol value, or ``default`` when it is unset; a value that is not
+    finite and positive is refused as an input error (exit 2)."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"{args.command}: --tol must be finite and > 0, got {args.tol}")
+    return args.tol
+
+
 def _emit(args, builder, summary: dict) -> dict:
     summary = dict(summary)
     summary["elapsed_seconds"] = time.perf_counter() - args._t0
@@ -116,7 +128,7 @@ def cmd_verify(args) -> int:
     if args.q is not None and not lo <= args.q <= hi:
         print(f"verify: --q must be in [{lo}, {hi}]", file=sys.stderr)
         return 2
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = _tolerance(args, 1e-10)
     qs = [args.q] if args.q is not None else [4, 5]
     builder = report_mod.ReportBuilder({
         "command": "verify", "trials": args.trials, "seed": args.seed,
@@ -263,7 +275,7 @@ def cmd_hopf(args) -> int:
                     float(np.linalg.norm(act.coeffs)), 1e-9)
                 builder.residual_check(
                     f"hopf.kahler_curvature_pairing.point{k}", inner(act, w), 1e-9)
-    except DegeneratePointError as exc:
+    except (DegeneratePointError, BracketRouteError) as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 1
     nb = np.asarray(norms_bracket)
@@ -290,6 +302,7 @@ def cmd_hopf(args) -> int:
 def cmd_bounds(args) -> int:
     if _refuse_below_one(args, "samples", "trials"):
         return 2
+    tol = _tolerance(args, 1e-9)
     theta = _parse_theta(args.theta, args.m)
     model = WeightedHopfModel(args.m, theta)
     n, q = 2 * args.m - 1, model.q
@@ -310,7 +323,6 @@ def cmd_bounds(args) -> int:
     K0 = K1 = rho1 = 1.0
     scalM = float(n * (n - 1))
     RM = space_form(q, 1.0)
-    tol = args.tol if args.tol is not None else 1e-9
     streams = np.random.SeedSequence(args.seed).spawn(args.samples)
     gaps = []
     try:
@@ -354,7 +366,7 @@ def cmd_bounds(args) -> int:
             if not rep.satisfied:
                 builder.finding("negative-gap", "bound violated at a sampled point",
                                 rep.as_dict())
-    except DegeneratePointError as exc:
+    except (DegeneratePointError, BracketRouteError) as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 1
     summary = {

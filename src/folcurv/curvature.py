@@ -164,10 +164,12 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
         return AlternatingForm.zero(0, q)
     W = wedge_matrices(q, p - 1)
     L = interior_matrices(q, p)
-    # T[k,l] = e^k ^ (e_l . a)
-    T = np.einsum("kAB,lBC,C->klA", W, L, a.coeffs)
+    # two operands per step, so no step loops over the full index product
+    La = np.einsum("lBC,C->lB", L, a.coeffs)              # e_l . a
+    T = np.einsum("kAB,lB->klA", W, La)                   # e^k ^ (e_l . a)
     phi = np.einsum("ijkl,klA->ijA", Rnabla.components, T)
-    out = np.einsum("jAB,iBC,ijC->A", W, L, phi)
+    Y = np.einsum("iBC,ijC->jB", L, phi)                  # sum_i e_i . phi_ij
+    out = np.einsum("jAB,jB->A", W, Y)                    # sum_j e^j ^ Y_j
     return AlternatingForm(p, q, out)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "SpherePoint",
     "AdaptedFrame",
     "DegeneratePointError",
+    "BracketRouteError",
     "realify",
     "complexify",
     "field_labels",
@@ -54,6 +55,10 @@ __all__ = [
 
 class DegeneratePointError(ValueError):
     """The point is too close to a degenerate stratum for the frame fields."""
+
+
+class BracketRouteError(RuntimeError):
+    """The two bracket-route values of |A|^2 disagree at a point."""
 
 
 @dataclass(frozen=True)
@@ -271,7 +276,8 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
 
         |A|^2 = 1/(2|X|^2) sum_{i<j} <[Z_i, Z_j], X>^2 / (|Z_i|^2 |Z_j|^2),
 
-    asserted to agree with the tensor norm.
+    checked against the tensor norm; a disagreement raises
+    ``BracketRouteError``.
     """
     if frame is None:
         frame = adapted_frame(model, point)
@@ -295,7 +301,7 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
     display /= 2.0 * frame.vertical_norm**2
     A = ONeillTensor(a)
     if abs(A.norm_sq - display) > 1e-10 * max(1.0, display):
-        raise AssertionError(
+        raise BracketRouteError(
             f"bracket-norm routes disagree: {A.norm_sq} vs {display}"
         )
     return A, display

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import folcurv.cli as cli
-from folcurv import curvature, oneill
+from folcurv import curvature, hopf, oneill
 from folcurv.report import dumps_report
 
 
@@ -84,6 +85,19 @@ def test_hopf_unit_weights_m3(tmp_path):
     assert "hopf.transverse_scalar.point0" in names
     assert "hopf.kahler_parallel.point0" in names
     assert rep["findings"] == []
+
+
+def test_hopf_unit_weights_m20(tmp_path):
+    # q = 38: the Kahler parallelism check applies the Bochner action to a
+    # 2-form in 703 coordinates, the size that needs a planned contraction
+    out = tmp_path / "hopf20.json"
+    assert run(["hopf", "--m", "20", "--samples", "1", "--seed", "0",
+                "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    names = {c["name"] for c in rep["checks"]}
+    assert {"hopf.kahler_parallel.point0",
+            "hopf.kahler_curvature_pairing.point0"} <= names
+    assert all(c["pass"] for c in rep["checks"])
 
 
 def test_hopf_m2(tmp_path):
@@ -190,6 +204,17 @@ REFUSED_RUNS = [
     (["verify", "--q", "1", "--trials", "1"], "--q must be in [2, 12]"),
     (["verify", "--q", "-1", "--trials", "1"], "--q must be in [2, 12]"),
     (["verify", "--q", "13", "--trials", "1"], "--q must be in [2, 12]"),
+    (["verify", "--q", "2", "--trials", "1", "--tol", "nan"], "--tol must be finite and > 0"),
+    (["verify", "--q", "2", "--trials", "1", "--tol", "inf"], "--tol must be finite and > 0"),
+    (["verify", "--q", "2", "--trials", "1", "--tol", "0"], "--tol must be finite and > 0"),
+    (["verify", "--q", "2", "--trials", "1", "--tol=-1e-10"],
+     "--tol must be finite and > 0"),
+    (["bounds", "--theorem", "sandwich", "--m", "3", "--tol", "nan"],
+     "--tol must be finite and > 0"),
+    (["bounds", "--theorem", "3.1", "--m", "3", "--p", "2", "--tol=-inf"],
+     "--tol must be finite and > 0"),
+    (["bounds", "--theorem", "4.1", "--m", "3", "--p", "2", "--tol", "0"],
+     "--tol must be finite and > 0"),
 ]
 
 
@@ -201,6 +226,41 @@ def test_empty_runs_are_refused(capsys, argv, message):
     assert run(argv + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "1", "--tol", "nan"],
+    ["bounds", "--theorem", "3.1", "--m", "3", "--p", "2", "--tol", "0"],
+])
+def test_bad_tol_is_refused_before_any_instance(capsys, monkeypatch, argv):
+    # one error line and exit 2, before a form, an instance or a point is drawn
+    def drawn(*args, **kwargs):
+        raise AssertionError("an instance was drawn before --tol was checked")
+
+    for name in ("random_form", "random_instance", "sample_point"):
+        monkeypatch.setattr(cli, name, drawn)
+    assert run(argv + ["--quiet"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--m", "3", "--samples", "2"],
+    ["bounds", "--theorem", "3.1", "--m", "3", "--p", "2", "--samples", "2"],
+])
+def test_bracket_route_disagreement_fails_with_one_line(capsys, monkeypatch, argv):
+    # a tensor that no longer matches the pairing display must end the run
+    # with a typed error and exit 1, not an assertion traceback
+    real = hopf.ONeillTensor
+    monkeypatch.setattr(hopf, "ONeillTensor", lambda a: real(2.0 * a))
+    model = hopf.WeightedHopfModel(3, (1.0, 1.0, 1.0))
+    pt = hopf.sample_point(model, np.random.default_rng(0))
+    with pytest.raises(hopf.BracketRouteError, match="routes disagree"):
+        hopf.oneill_from_brackets(model, pt)
+    assert run(argv + ["--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "routes disagree" in err and "Traceback" not in err
 
 
 def test_verify_smallest_fiber_dimension_runs(tmp_path):

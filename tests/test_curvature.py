@@ -1,6 +1,9 @@
 """Curvature tensors, curvature-operator extremes, transverse curvature,
 and the Bochner curvature term."""
 
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -176,13 +179,48 @@ def test_action_vanishes_for_zero_curvature():
 
 def test_action_matches_naive_slot_oracle():
     rng = np.random.default_rng(31)
-    for q, p in [(3, 1), (4, 2), (4, 3), (5, 2)]:
+    # the first four cases keep their draws; then the top degree and the
+    # wider (q, p) shapes that the contraction order has to get right
+    for q, p in [(3, 1), (4, 2), (4, 3), (5, 2), (4, 4), (5, 4), (6, 3)]:
         R = random_curvature(rng, q)
         a = random_form(rng, q, p)
         out = curvature_action_on_form(R, a)
         for I in multi_indices(q, p):
             assert out.component(*I) == pytest.approx(
                 naive_curvature_action_value(R, a, I), abs=1e-10)
+
+
+def test_action_at_large_fiber_dimension():
+    # (q, p) = (18, 3) is far beyond the slot oracle; two identities that
+    # do not read the action's code pin it there: the pairing expansion
+    # S1 - 1/2 S2 on a generic tensor, and c p (q - p) |a|^2 on a space form
+    rng = np.random.default_rng(47)
+    q, p = 18, 3
+    R = random_curvature(rng, q)
+    a = random_form(rng, q, p)
+    assert inner(curvature_action_on_form(R, a), a) == pytest.approx(
+        curvature_term(R, a), abs=1e-10)
+    c = 0.6
+    val = inner(curvature_action_on_form(space_form(q, c), a), a)
+    assert val == pytest.approx(c * p * (q - p) * a.norm_sq, abs=1e-10)
+
+
+def test_action_allocates_no_large_temporaries():
+    # the largest intermediates are (q, q, C(q,p)) arrays, two of them alive
+    # at once; the bound allows four, so a step that materializes a larger
+    # product fails it (peak memory without a timing test)
+    q, p = 18, 2
+    rng = np.random.default_rng(53)
+    R = random_curvature(rng, q)
+    a = random_form(rng, q, p)
+    curvature_action_on_form(R, a)  # build the cached tables first
+    tracemalloc.start()
+    try:
+        curvature_action_on_form(R, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * q * q * comb(q, p) * 8
 
 
 def test_space_form_weitzenbock_constant():
