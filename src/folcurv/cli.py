@@ -240,7 +240,8 @@ def cmd_hopf(args) -> int:
     q = model.q
     streams = np.random.SeedSequence(args.seed).spawn(args.samples)
     norms_bracket, norms_closed, kappa_norms = [], [], []
-    RM = space_form(q, 1.0) if q >= 2 else None
+    # only the unit-weight checks read the ambient curvature (a dense q^4 array)
+    RM = space_form(q, 1.0) if model.is_hopf else None
     try:
         for k, ss in enumerate(streams):
             pt = sample_point(model, np.random.default_rng(ss))
@@ -388,17 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the identity/bound tolerance")
         p.add_argument("--out", type=str, default=None,
                        help="write the structured JSON report to this path")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the human-readable summary")
 
+    def tolerance(p):  # hopf checks fixed tolerances and takes no --tol
+        p.add_argument("--tol", type=float, default=None,
+                       help="override the identity/bound tolerance")
+
     pv = sub.add_parser("verify", help="run the seeded identity suites")
     pv.add_argument("--trials", type=int, default=200)
     pv.add_argument("--q", type=int, default=None,
                     help="restrict the fiber dimension, 2 to 12 (default: 4 and 5)")
+    tolerance(pv)
     common(pv)
 
     ph = sub.add_parser("hopf", help="sample a weighted circle foliation model")
@@ -416,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--samples", type=int, default=5)
     pb.add_argument("--trials", type=int, default=1000,
                     help="unit 1-forms scanned per point (cor3.1)")
+    tolerance(pb)
     common(pb)
     return ap
 

@@ -22,7 +22,6 @@ from .exterior import (
     AlternatingForm,
     contractions,
     interior_matrices,
-    multi_indices,
     wedge_matrices,
 )
 
@@ -94,12 +93,8 @@ def space_form(q: int, c: float) -> RiemannTensor:
 def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
     """The symmetric C(q,2) x C(q,2) matrix of the curvature operator on the
     orthonormal bivector basis {e_i ^ e_j : i < j}."""
-    pairs = multi_indices(R.dimension, 2)
-    M = np.empty((len(pairs), len(pairs)))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            M[a, b] = R.components[i, j, k, l]
-    return M
+    i, j = np.triu_indices(R.dimension, 1)         # the order of multi_indices(q, 2)
+    return R.components[i[:, None], j[:, None], i, j]
 
 
 def curvature_operator_extremes(R: RiemannTensor) -> tuple[float, float]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import CDual, Dual, seed_point
+from .dual import CDual, seed_point
 from .exterior import AlternatingForm
 from .oneill import ONeillTensor
 
@@ -116,25 +116,17 @@ def complexify(x: np.ndarray) -> np.ndarray:
 
 
 def apply_complex_structure(x: np.ndarray) -> np.ndarray:
-    """Multiplication by i in interleaved real coordinates."""
+    """Multiplication by i in interleaved real coordinates (last axis)."""
     out = np.empty_like(x)
-    out[0::2] = -x[1::2]
-    out[1::2] = x[0::2]
+    out[..., 0::2] = -x[..., 1::2]
+    out[..., 1::2] = x[..., 0::2]
     return out
 
 
-# -- generic field evaluation --------------------------------------------------
+# -- field evaluation on dual numbers -----------------------------------------
 #
-# The field definitions are written once over a generic complex scalar type
-# (numpy complex or CDual), so values and exact Jacobians share one code path.
-
-
-def _times_i(w):
-    return w.times_i() if isinstance(w, CDual) else 1j * w
-
-
-def _abs2(w):
-    return w.abs2() if isinstance(w, CDual) else float(np.real(w * np.conj(w)))
+# Each field is written once over CDual coordinates seeded at a point, so one
+# evaluation gives its value and its exact Jacobian together.
 
 
 def field_labels(model: WeightedHopfModel) -> tuple[str, ...]:
@@ -143,56 +135,37 @@ def field_labels(model: WeightedHopfModel) -> tuple[str, ...]:
     return tuple(f"Y{l}" for l in range(1, m)) + tuple(f"W{p}" for p in range(1, m))
 
 
-def _zero_like(zc):
-    if isinstance(zc[0], CDual):
-        n = zc[0].re.grad.shape[0]
-        return CDual(Dual.constant(0.0, n), Dual.constant(0.0, n))
-    return 0.0 + 0.0j
-
-
-def _field(model: WeightedHopfModel, label: str, zc):
-    """Components of a named field over generic complex scalars."""
+def _field(model: WeightedHopfModel, label: str, zc) -> dict[int, CDual]:
+    """The nonzero complex components {k: component} of a named field over
+    seeded CDual coordinates."""
     m, th = model.m, model.theta
-    out = [_zero_like(zc) for _ in range(m)]
     if label == "X":
-        for k in range(m):
-            out[k] = _times_i(zc[k]) * th[k]
-        return out
+        return {k: zc[k].times_i() * th[k] for k in range(m)}
     kind, idx = label[0], int(label[1:])
     if kind == "Y" and 1 <= idx <= m - 1:
         lo = idx - 1
-        tail = sum((_abs2(zc[k]) for k in range(lo + 1, m)), start=_abs2(zc[lo]) * 0.0)
-        out[lo] = zc[lo] * (-tail)
-        mod = _abs2(zc[lo])
-        for k in range(lo + 1, m):
-            out[k] = zc[k] * mod
-        return out
+        tail = sum((zc[k].abs2() for k in range(lo + 2, m)), start=zc[lo + 1].abs2())
+        mod = zc[lo].abs2()
+        return {lo: zc[lo] * (-tail), **{k: zc[k] * mod for k in range(lo + 1, m)}}
     if kind == "W" and 1 <= idx <= m - 2:
         po = idx - 1
-        tail = sum(
-            (_abs2(zc[k]) * (th[k] * th[k]) for k in range(po + 1, m)),
-            start=_abs2(zc[po]) * 0.0,
-        )
-        out[po] = _times_i(zc[po]) * (-tail)
-        mod = _abs2(zc[po])
-        for k in range(po + 1, m):
-            out[k] = _times_i(zc[k]) * (mod * (th[po] * th[k]))
-        return out
+        tail = sum((zc[k].abs2() * (th[k] * th[k]) for k in range(po + 2, m)),
+                   start=zc[po + 1].abs2() * (th[po + 1] * th[po + 1]))
+        mod = zc[po].abs2()
+        return {po: zc[po].times_i() * (-tail),
+                **{k: zc[k].times_i() * (mod * (th[po] * th[k])) for k in range(po + 1, m)}}
     if kind == "W" and idx == m - 1:
-        out[m - 2] = _times_i(zc[m - 2]) * (_abs2(zc[m - 1]) * (-th[m - 1]))
-        out[m - 1] = _times_i(zc[m - 1]) * (_abs2(zc[m - 2]) * th[m - 2])
-        return out
+        return {m - 2: zc[m - 2].times_i() * (zc[m - 1].abs2() * (-th[m - 1])),
+                m - 1: zc[m - 1].times_i() * (zc[m - 2].abs2() * th[m - 2])}
     raise ValueError(f"unknown field id {label!r} for m={model.m}")
 
 
-def _evaluate(model: WeightedHopfModel, label: str, point: SpherePoint):
-    """Field value (real 2m-vector) and exact Jacobian (2m x 2m)."""
-    x = realify(point.z)
-    comps = _field(model, label, seed_point(x))
-    n = x.shape[0]
-    value = np.empty(n)
-    jac = np.empty((n, n))
-    for k, w in enumerate(comps):
+def _unpack(comps: dict[int, CDual], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interleaved real value (2m) and Jacobian (2m x 2m) of the components
+    of a field; absent components are zero."""
+    value = np.zeros(2 * m)
+    jac = np.zeros((2 * m, 2 * m))
+    for k, w in comps.items():
         value[2 * k], value[2 * k + 1] = w.re.value, w.im.value
         jac[2 * k], jac[2 * k + 1] = w.re.grad, w.im.grad
     return value, jac
@@ -200,39 +173,43 @@ def _evaluate(model: WeightedHopfModel, label: str, point: SpherePoint):
 
 def field_X(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
     """Generating field of the action, |X|^2 = sum theta_k^2 |z_k|^2."""
-    return realify(np.array([1j * t * zk for t, zk in zip(model.theta, point.z)]))
+    return _unpack(_field(model, "X", seed_point(realify(point.z))), model.m)[0]
 
 
 def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float = 1e-3):
-    """The 2m-2 horizontal frame fields, ordered as ``field_labels``.
+    """The generating field X and the 2m-2 horizontal frame fields, ordered as
+    ``field_labels``, with the horizontal fields' exact Jacobians, all from
+    one dual-number evaluation at the point: ``(x, fields, jacobians)`` of
+    shapes (2m,), (q, 2m) and (q, 2m, 2m).
 
     Raises ``DegeneratePointError`` when any field norm falls below the floor
     implied by the degeneracy margin (resample the point)."""
-    zz = point.moduli_sq
-    if np.min(zz) < eps_deg:
+    if np.min(point.moduli_sq) < eps_deg:
         raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
-    norm_floor = eps_deg**3 * min(model.theta) ** 4
-    out = []
-    for label in field_labels(model):
-        v = realify(np.array(_field(model, label, list(point.z))))
-        if v @ v < norm_floor:
-            raise DegeneratePointError(f"field {label} degenerates at this point")
-        out.append(v)
-    return out
+    zc = seed_point(realify(point.z))
+    labels = field_labels(model)
+    x = _unpack(_field(model, "X", zc), model.m)[0]
+    fields, jacobians = map(np.array, zip(*(_unpack(_field(model, label, zc), model.m)
+                                            for label in labels)))
+    low = np.flatnonzero(np.einsum("ik,ik->i", fields, fields)
+                         < eps_deg**3 * min(model.theta) ** 4)
+    if low.size:
+        raise DegeneratePointError(f"field {labels[low[0]]} degenerates at this point")
+    return x, fields, jacobians
 
 
-def lie_bracket(label_a: str, label_b: str, model: WeightedHopfModel,
-                point: SpherePoint) -> np.ndarray:
-    """[U, V](z) = DV(z) U(z) - DU(z) V(z) with exact Jacobians."""
-    u, ju = _evaluate(model, label_a, point)
-    v, jv = _evaluate(model, label_b, point)
-    return jv @ u - ju @ v
+def lie_bracket(fields: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
+    """Every bracket of a family of fields, B[i, j] = [Z_i, Z_j] =
+    DZ_j Z_i - DZ_i Z_j, from their values (k, n) and Jacobians (k, n, n)."""
+    D = np.einsum("jab,ib->ija", jacobians, fields)      # D[i, j] = DZ_j Z_i
+    return D - D.transpose(1, 0, 2)
 
 
 @dataclass
 class AdaptedFrame:
     """Orthonormal frame adapted to the foliation at a point: the normalized
-    generating field plus the normalized horizontal fields."""
+    generating field plus the normalized horizontal fields, with the
+    unnormalized horizontal fields and their exact Jacobians."""
 
     vertical: np.ndarray
     horizontal: np.ndarray          # shape (q, 2m)
@@ -241,15 +218,16 @@ class AdaptedFrame:
     vertical_norm: float            # |X|
     gram_residual: float
     tangency_residual: float
+    fields: np.ndarray              # unnormalized Z_i, shape (q, 2m)
+    jacobians: np.ndarray           # DZ_i, shape (q, 2m, 2m)
 
 
 def adapted_frame(model: WeightedHopfModel, point: SpherePoint, *,
                   eps_deg: float = 1e-3, tol: float = 1e-10) -> AdaptedFrame:
-    x_amb = field_X(model, point)
+    x_amb, fields, jacobians = fields_YW(model, point, eps_deg=eps_deg)
     nx = np.linalg.norm(x_amb)
-    fields = fields_YW(model, point, eps_deg=eps_deg)
     norms = np.array([np.linalg.norm(f) for f in fields])
-    horizontal = np.array([f / n for f, n in zip(fields, norms)])
+    horizontal = fields / norms[:, None]
     vertical = x_amb / nx
     basis = np.vstack([vertical, horizontal])
     gram_residual = float(np.max(np.abs(basis @ basis.T - np.eye(len(basis)))))
@@ -261,7 +239,7 @@ def adapted_frame(model: WeightedHopfModel, point: SpherePoint, *,
             f"tangency={tangency_residual:.3e}"
         )
     return AdaptedFrame(vertical, horizontal, field_labels(model), norms, float(nx),
-                        gram_residual, tangency_residual)
+                        gram_residual, tangency_residual, fields, jacobians)
 
 
 def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
@@ -277,28 +255,20 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
         |A|^2 = 1/(2|X|^2) sum_{i<j} <[Z_i, Z_j], X>^2 / (|Z_i|^2 |Z_j|^2),
 
     checked against the tensor norm; a disagreement raises
-    ``BracketRouteError``.
+    ``BracketRouteError``.  The brackets come from the frame's own field
+    values and Jacobians.
     """
     if frame is None:
         frame = adapted_frame(model, point)
-    labels = frame.labels
-    q = len(labels)
-    x_amb = frame.vertical * frame.vertical_norm
-    values, jacs = {}, {}
-    for lab in labels:
-        values[lab], jacs[lab] = _evaluate(model, lab, point)
+    q = len(frame.labels)
+    pairing = lie_bracket(frame.fields, frame.jacobians) @ (frame.vertical * frame.vertical_norm)
+    i, j = np.triu_indices(q, 1)
+    denom = frame.field_norms[i] * frame.field_norms[j]
+    upper = pairing[i, j] / (2.0 * denom * frame.vertical_norm)
     a = np.zeros((q, q, 1))
-    display = 0.0
-    for i in range(q):
-        for j in range(i + 1, q):
-            li, lj = labels[i], labels[j]
-            bracket = jacs[lj] @ values[li] - jacs[li] @ values[lj]
-            pairing = float(bracket @ x_amb)
-            denom = frame.field_norms[i] * frame.field_norms[j]
-            a[i, j, 0] = pairing / (2.0 * denom * frame.vertical_norm)
-            a[j, i, 0] = -a[i, j, 0]
-            display += pairing**2 / (denom**2)
-    display /= 2.0 * frame.vertical_norm**2
+    a[i, j, 0] = upper
+    a[j, i, 0] = -upper
+    display = float(np.sum(pairing[i, j] ** 2 / denom**2)) / (2.0 * frame.vertical_norm**2)
     A = ONeillTensor(a)
     if abs(A.norm_sq - display) > 1e-10 * max(1.0, display):
         raise BracketRouteError(
@@ -347,15 +317,9 @@ def kahler_form(model: WeightedHopfModel, point: SpherePoint,
     """
     if not model.is_hopf:
         raise ValueError("the canonical 2-form requires all weights equal to 1")
-    q = model.q
-    w = AlternatingForm(2, q)
-    jh = np.array([apply_complex_structure(h) for h in frame.horizontal])
-    r = 0
-    for i in range(q):
-        for j in range(i + 1, q):
-            w.coeffs[r] = jh[i] @ frame.horizontal[j]
-            r += 1
-    return w
+    i, j = np.triu_indices(model.q, 1)
+    jh = apply_complex_structure(frame.horizontal)
+    return AlternatingForm(2, model.q, np.einsum("rk,rk->r", jh[i], frame.horizontal[j]))
 
 
 def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
@@ -363,16 +327,9 @@ def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
     vertical field along itself; zero exactly when all weights are 1
     (the Hopf circles are great circles)."""
     x = realify(point.z)
-    zc = seed_point(x)
-    xs = _field(model, "X", zc)
-    norm = sum((w.abs2() for w in xs), start=xs[0].abs2() * 0.0).sqrt()
-    n = x.shape[0]
-    value = np.empty(n)
-    jac = np.empty((n, n))
-    for k, w in enumerate(xs):
-        wk = w * (1.0 / norm)
-        value[2 * k], value[2 * k + 1] = wk.re.value, wk.im.value
-        jac[2 * k], jac[2 * k + 1] = wk.re.grad, wk.im.grad
+    xs = _field(model, "X", seed_point(x))
+    norm = sum((w.abs2() for w in xs.values()), start=xs[0].abs2() * 0.0).sqrt()
+    value, jac = _unpack({k: w * (1.0 / norm) for k, w in xs.items()}, model.m)
     dvv = jac @ value                       # ambient flat derivative D_V V
     dvv = dvv - (dvv @ x) * x               # sphere projection (unit normal z)
     kappa = dvv - (dvv @ value) * value     # horizontal projection

@@ -289,6 +289,52 @@ def test_one_transverse_tensor_per_evaluation(monkeypatch):
     assert len(builds) == 2
 
 
+def test_one_dual_evaluation_per_point(monkeypatch):
+    # per point the frame seeds the point once and evaluates X and the q
+    # horizontal fields once; mean_curvature seeds once more for X/|X|
+    seeds, fields = [], []
+    real_seed, real_field = hopf.seed_point, hopf._field
+
+    def counting_seed(*args):
+        seeds.append(1)
+        return real_seed(*args)
+
+    def counting_field(*args):
+        fields.append(1)
+        return real_field(*args)
+
+    monkeypatch.setattr(hopf, "seed_point", counting_seed)
+    monkeypatch.setattr(hopf, "_field", counting_field)
+    assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
+    assert len(seeds) == 4          # 2 per point
+    assert len(fields) == 12        # q + 2 per point, q = 4
+
+
+def test_weighted_hopf_builds_no_ambient_curvature(monkeypatch):
+    # only the unit-weight checks read the ambient space form
+    real = cli.space_form
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "space_form", counting)
+    assert run(["hopf", "--m", "3", "--theta", "1,1,0.5", "--samples", "2", "--quiet"]) == 0
+    assert builds == []
+    assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
+    assert len(builds) == 1
+
+
+def test_hopf_takes_no_tol(capsys):
+    # hopf checks fixed tolerances, so --tol is an unrecognized argument
+    with pytest.raises(SystemExit) as exc:
+        run(["hopf", "--m", "2", "--samples", "1", "--tol", "nan", "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --tol nan" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_report_refuses_non_finite_floats(value):
     with pytest.raises(ValueError, match="non-finite"):
