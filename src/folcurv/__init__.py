@@ -33,11 +33,11 @@ from .oneill import (
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
+    cor31_report,
     cor31_scan,
     hodge_trace_residual,
     master_identity_residual,
     mixed_bivector_term,
-    oneill_norm,
     prop31_value,
     prop41_check,
     sandwich_check,

@@ -4,7 +4,7 @@ curvature bound checks, with a machine-readable JSON report.
     verify  [--trials N] [--seed S] [--q Q] [--tol T]
     hopf    --m M [--theta t1,t2,...] [--samples N] [--seed S]
     bounds  --theorem {3.1|3.2|4.1|sandwich|cor3.1} --m M [--theta ...]
-            --p P [--samples N] [--trials N] [--seed S]
+            --p P [--samples N] [--trials N] [--seed S] [--tol T]
 
 ``--out PATH`` writes the structured report; ``--quiet`` suppresses the
 human summary.  Identity failures exit nonzero; a negative theorem gap is a
@@ -18,6 +18,8 @@ import argparse
 import math
 import sys
 import time
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,12 +50,13 @@ from .hopf import (
     sample_point,
 )
 from .oneill import (
+    _check_pq,
     bminus_norm,
     bminus_norm_closed,
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_scan,
+    cor31_report,
     hodge_trace_residual,
     master_identity_residual,
     sandwich_check,
@@ -64,10 +67,11 @@ from .oneill import (
 )
 from .synthetic import random_curvature, random_form, random_instance
 
-THEOREMS = ("3.1", "3.2", "4.1", "sandwich", "cor3.1")
 # the cached wedge and contraction tables for every degree at q = 12 take
 # about 457 MiB, and each further dimension multiplies that by about 4
 VERIFY_Q_RANGE = (2, 12)
+# a dense q^4 curvature array is refused above this size (q > 76)
+DENSE_CURVATURE_BYTES = 256 * 2**20
 
 
 def _parse_theta(text: str | None, m: int) -> tuple[float, ...]:
@@ -77,13 +81,11 @@ def _parse_theta(text: str | None, m: int) -> tuple[float, ...]:
     return theta
 
 
-def _refuse_below_one(args, *flags) -> bool:
-    """Report the first of the count flags set below 1; True if one was."""
+def _refuse_below_one(args, *flags):
+    """Refuse, as an input error (exit 2), the first count flag set below 1."""
     for flag in flags:
         if getattr(args, flag) < 1:
-            print(f"{args.command}: --{flag} must be >= 1", file=sys.stderr)
-            return True
-    return False
+            raise ValueError(f"{args.command}: --{flag} must be >= 1")
 
 
 def _tolerance(args, default: float) -> float:
@@ -96,7 +98,18 @@ def _tolerance(args, default: float) -> float:
     return args.tol
 
 
-def _emit(args, builder, summary: dict) -> dict:
+def _unit_sphere(args, q: int):
+    """The dense curvature of the unit round sphere in fiber dimension q; a q
+    whose q^4 array would exceed ``DENSE_CURVATURE_BYTES`` is refused as an
+    input error (exit 2) before anything is allocated."""
+    nbytes = 8 * q**4
+    if nbytes > DENSE_CURVATURE_BYTES:
+        raise ValueError(f"{args.command}: the dense curvature array at q={q} takes {nbytes} "
+                         f"bytes, over the {DENSE_CURVATURE_BYTES}-byte limit (q <= 76)")
+    return space_form(q, 1.0)
+
+
+def _emit(args, builder, summary: dict):
     summary = dict(summary)
     summary["elapsed_seconds"] = time.perf_counter() - args._t0
     rep = builder.finish(summary)
@@ -115,19 +128,16 @@ def _emit(args, builder, summary: dict) -> dict:
             print(f"  finding[{f['kind']}]: {f['detail']}")
         if not args.out:
             print(text)
-    return rep
 
 
 # -- verify ---------------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    if _refuse_below_one(args, "trials"):
-        return 2
+    _refuse_below_one(args, "trials")
     lo, hi = VERIFY_Q_RANGE
     if args.q is not None and not lo <= args.q <= hi:
-        print(f"verify: --q must be in [{lo}, {hi}]", file=sys.stderr)
-        return 2
+        raise ValueError(f"verify: --q must be in [{lo}, {hi}]")
     tol = _tolerance(args, 1e-10)
     qs = [args.q] if args.q is not None else [4, 5]
     builder = report_mod.ReportBuilder({
@@ -162,9 +172,8 @@ def cmd_verify(args) -> int:
             t1 = random_form(rng, q, int(pt))
             x = rng.standard_normal(q)
             lhs = interior_vector(x, wedge(w1, t1))
-            rhs = wedge(interior_vector(x, w1), t1)
-            part = wedge(w1, interior_vector(x, t1)) if t1.degree >= 1 else None
-            rhs = rhs + ((-1) ** w1.degree) * part
+            rhs = (wedge(interior_vector(x, w1), t1)
+                   + ((-1) ** w1.degree) * wedge(w1, interior_vector(x, t1)))
             leibniz = max(leibniz, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
             anticomm = max(anticomm, float(np.max(np.abs(
                 wedge(w1, t1).coeffs
@@ -221,7 +230,7 @@ def cmd_verify(args) -> int:
                     "chain uses the bivector reading",
                     {"q": q, "p": p, "min_margin": float(wedge_margin)})
 
-    rep = _emit(args, builder, {"all_passed": builder.all_passed})
+    _emit(args, builder, {"all_passed": builder.all_passed})
     return 0 if builder.all_passed else 1
 
 
@@ -229,8 +238,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hopf(args) -> int:
-    if _refuse_below_one(args, "samples"):
-        return 2
+    _refuse_below_one(args, "samples")
     theta = _parse_theta(args.theta, args.m)
     model = WeightedHopfModel(args.m, theta)
     builder = report_mod.ReportBuilder({
@@ -241,44 +249,40 @@ def cmd_hopf(args) -> int:
     streams = np.random.SeedSequence(args.seed).spawn(args.samples)
     norms_bracket, norms_closed, kappa_norms = [], [], []
     # only the unit-weight checks read the ambient curvature (a dense q^4 array)
-    RM = space_form(q, 1.0) if model.is_hopf else None
-    try:
-        for k, ss in enumerate(streams):
-            pt = sample_point(model, np.random.default_rng(ss))
-            frame = adapted_frame(model, pt)
-            builder.residual_check(f"hopf.frame_gram.point{k}", frame.gram_residual, 1e-10)
-            A, display = oneill_from_brackets(model, pt, frame=frame)
-            closed = oneill_closed_form(model, pt)
-            norms_bracket.append(A.norm_sq)
-            norms_closed.append(closed)
-            if abs(closed - A.norm_sq) > 1e-8:
-                builder.finding(
-                    "closed-form-discrepancy",
-                    "closed-form |A|^2 (as printed) disagrees with the bracket "
-                    "route; the bracket route is the source of truth",
-                    {"point": k, "bracket": A.norm_sq, "closed": closed,
-                     "difference": closed - A.norm_sq})
-            kappa = float(np.linalg.norm(mean_curvature(model, pt)))
-            kappa_norms.append(kappa)
-            if model.is_hopf:
-                builder.residual_check(
-                    f"hopf.oneill_norm_value.point{k}",
-                    A.norm_sq - 2.0 * (model.m - 1), 1e-9)
-                builder.residual_check(f"hopf.mean_curvature_zero.point{k}", kappa, 1e-10)
-                Rn = transverse_riemann(RM, A)
-                builder.residual_check(
-                    f"hopf.transverse_scalar.point{k}",
-                    Rn.scalar() - (q * (q - 1) + 3.0 * A.norm_sq), 1e-9)
-                w = kahler_form(model, pt, frame)
-                act = curvature_action_on_form(Rn, w)
-                builder.residual_check(
-                    f"hopf.kahler_parallel.point{k}",
-                    float(np.linalg.norm(act.coeffs)), 1e-9)
-                builder.residual_check(
-                    f"hopf.kahler_curvature_pairing.point{k}", inner(act, w), 1e-9)
-    except (DegeneratePointError, BracketRouteError) as exc:
-        print(f"sampling failure: {exc}", file=sys.stderr)
-        return 1
+    RM = _unit_sphere(args, q) if model.is_hopf else None
+    for k, ss in enumerate(streams):
+        pt = sample_point(model, np.random.default_rng(ss))
+        frame = adapted_frame(model, pt)
+        builder.residual_check(f"hopf.frame_gram.point{k}", frame.gram_residual, 1e-10)
+        A, display = oneill_from_brackets(model, pt, frame=frame)
+        closed = oneill_closed_form(model, pt)
+        norms_bracket.append(A.norm_sq)
+        norms_closed.append(closed)
+        if abs(closed - A.norm_sq) > 1e-8:
+            builder.finding(
+                "closed-form-discrepancy",
+                "closed-form |A|^2 (as printed) disagrees with the bracket "
+                "route; the bracket route is the source of truth",
+                {"point": k, "bracket": A.norm_sq, "closed": closed,
+                 "difference": closed - A.norm_sq})
+        kappa = float(np.linalg.norm(mean_curvature(model, pt)))
+        kappa_norms.append(kappa)
+        if model.is_hopf:
+            builder.residual_check(
+                f"hopf.oneill_norm_value.point{k}",
+                A.norm_sq - 2.0 * (model.m - 1), 1e-9)
+            builder.residual_check(f"hopf.mean_curvature_zero.point{k}", kappa, 1e-10)
+            Rn = transverse_riemann(RM, A)
+            builder.residual_check(
+                f"hopf.transverse_scalar.point{k}",
+                Rn.scalar() - (q * (q - 1) + 3.0 * A.norm_sq), 1e-9)
+            w = kahler_form(model, pt, frame)
+            act = curvature_action_on_form(Rn, w)
+            builder.residual_check(
+                f"hopf.kahler_parallel.point{k}",
+                float(np.linalg.norm(act.coeffs)), 1e-9)
+            builder.residual_check(
+                f"hopf.kahler_curvature_pairing.point{k}", inner(act, w), 1e-9)
     nb = np.asarray(norms_bracket)
     summary = {
         "oneill_norm_sq": {
@@ -299,77 +303,64 @@ def cmd_hopf(args) -> int:
 
 # -- bounds ---------------------------------------------------------------------
 
+# exact curvature data of the unit round sphere that carries every model
+K0 = K1 = RHO1 = 1.0
+
+
+class Bound(NamedTuple):
+    """A row of the theorem table."""
+
+    evaluate: Callable  # (ctx, A, rng) -> the row's BoundReports at a sampled point
+    needs_p: bool = False  # takes --p under the q >= 4, 2 <= p <= q-2 hypothesis
+    reads_ambient: bool = False  # reads the dense ambient curvature ctx.RM
+    finding: tuple[str, str] = ("negative-gap", "bound violated at a sampled point")
+
+
+BOUNDS = {
+    "3.1": Bound(lambda c, A, rng: [thm31_report(K0, RHO1, c.q, c.p, A, tol=c.tol)],
+                 needs_p=True),
+    "3.2": Bound(lambda c, A, rng: [thm32_report(float(c.n * (c.n - 1)), K1, RHO1, c.n,
+                                                 c.q, c.p, A, tol=c.tol)], needs_p=True),
+    "4.1": Bound(lambda c, A, rng: [thm41_report(transverse_ricci(c.RM, A)[1], K0, RHO1,
+                                                 c.q, c.p, A, tol=c.tol)],
+                 needs_p=True, reads_ambient=True),
+    "sandwich": Bound(lambda c, A, rng: sandwich_check(transverse_ricci(c.RM, A)[1], K0, K1,
+                                                       c.q, A, tol=c.tol), reads_ambient=True),
+    "cor3.1": Bound(lambda c, A, rng: [cor31_report(c.RM, A, c.trials, rng, tol=c.tol)],
+                    reads_ambient=True,
+                    finding=("obstruction-not-certified", "sampled maximum of the "
+                             "obstruction quantity exceeded the certification threshold")),
+}
+
 
 def cmd_bounds(args) -> int:
-    if _refuse_below_one(args, "samples", "trials"):
-        return 2
+    _refuse_below_one(args, "samples", "trials")
+    row = BOUNDS[args.theorem]
     tol = _tolerance(args, 1e-9)
     theta = _parse_theta(args.theta, args.m)
     model = WeightedHopfModel(args.m, theta)
-    n, q = 2 * args.m - 1, model.q
-    if args.theorem in ("3.1", "3.2", "4.1"):
+    q = model.q
+    if row.needs_p:
         if args.p is None:
-            print("bounds: --p is required for this theorem", file=sys.stderr)
-            return 2
-        if q < 4 or not 2 <= args.p <= q - 2:
-            print(f"bounds: hypothesis violated: need q >= 4 and 2 <= p <= q-2 "
-                  f"(q={q}, p={args.p})", file=sys.stderr)
-            return 2
+            raise ValueError(f"bounds: --p is required for theorem {args.theorem}")
+        _check_pq(q, args.p)
     builder = report_mod.ReportBuilder({
         "command": "bounds", "theorem": args.theorem, "m": args.m,
         "theta": list(theta), "p": args.p, "samples": args.samples,
         "trials": args.trials, "seed": args.seed,
     })
-    # exact curvature data of the unit round sphere
-    K0 = K1 = rho1 = 1.0
-    scalM = float(n * (n - 1))
-    RM = space_form(q, 1.0)
-    streams = np.random.SeedSequence(args.seed).spawn(args.samples)
+    ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p, tol=tol, trials=args.trials,
+                          RM=_unit_sphere(args, q) if row.reads_ambient else None)
     gaps = []
-    try:
-        for k, ss in enumerate(streams):
-            rng = np.random.default_rng(ss)
-            pt = sample_point(model, rng)
-            A, _ = oneill_from_brackets(model, pt)
-            if args.theorem == "3.1":
-                rep = thm31_report(K0, rho1, q, args.p, A, tol=tol)
-            elif args.theorem == "3.2":
-                rep = thm32_report(scalM, K1, rho1, n, q, args.p, A, tol=tol)
-            elif args.theorem == "4.1":
-                _, scal_nabla = transverse_ricci(RM, A)
-                rep = thm41_report(scal_nabla, K0, rho1, q, args.p, A, tol=tol)
-            elif args.theorem == "sandwich":
-                _, scal_nabla = transverse_ricci(RM, A)
-                lower, upper = sandwich_check(scal_nabla, K0, K1, q, A, tol=tol)
-                for rep2 in (lower, upper):
-                    builder.check(f"bounds.{rep2.theorem_id}.point{k}", rep2.lhs,
-                                  rep2.rhs, rep2.tol, rep2.satisfied)
-                    gaps.append(rep2.gap)
-                    if not rep2.satisfied:
-                        builder.finding("negative-gap", "bound violated at a "
-                                        "sampled point", rep2.as_dict())
-                continue
-            else:  # cor3.1
-                scan_max = cor31_scan(RM, A, args.trials, rng)
-                target = -(q - 1) / 2.0
-                passed = scan_max <= target + 1e-9
-                builder.check(f"bounds.cor3.1.point{k}", scan_max, target, 1e-9, passed)
-                gaps.append(scan_max - target)
-                if not passed:
-                    builder.finding("obstruction-not-certified",
-                                    "sampled maximum of the obstruction quantity "
-                                    "exceeded the certification threshold",
-                                    {"point": k, "max": scan_max, "threshold": target})
-                continue
-            builder.check(f"bounds.thm{args.theorem}.point{k}", rep.lhs, rep.rhs,
-                          rep.tol, rep.satisfied)
+    for k, ss in enumerate(np.random.SeedSequence(args.seed).spawn(args.samples)):
+        rng = np.random.default_rng(ss)
+        A, _ = oneill_from_brackets(model, sample_point(model, rng))
+        for rep in row.evaluate(ctx, A, rng):
+            builder.check(f"bounds.{rep.theorem_id}.point{k}", rep.lhs, rep.rhs, rep.tol,
+                          rep.satisfied)
             gaps.append(rep.gap)
             if not rep.satisfied:
-                builder.finding("negative-gap", "bound violated at a sampled point",
-                                rep.as_dict())
-    except (DegeneratePointError, BracketRouteError) as exc:
-        print(f"sampling failure: {exc}", file=sys.stderr)
-        return 1
+                builder.finding(*row.finding, {"point": k, **rep.as_dict()})
     summary = {
         "gap": {"min": float(np.min(gaps)), "max": float(np.max(gaps)),
                 "per_check": [float(g) for g in gaps]},
@@ -413,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(ph)
 
     pb = sub.add_parser("bounds", help="evaluate a curvature bound on a model")
-    pb.add_argument("--theorem", type=str, required=True, choices=THEOREMS)
+    pb.add_argument("--theorem", type=str, required=True, choices=BOUNDS)
     pb.add_argument("--m", type=int, required=True)
     pb.add_argument("--theta", type=str, default=None)
     pb.add_argument("--p", type=int, default=None, help="form degree")
@@ -429,11 +420,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "hopf":
-            return cmd_hopf(args)
-        return cmd_bounds(args)
+        command = {"verify": cmd_verify, "hopf": cmd_hopf, "bounds": cmd_bounds}[args.command]
+        return command(args)
+    except (DegeneratePointError, BracketRouteError) as exc:  # before ValueError
+        print(f"sampling failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

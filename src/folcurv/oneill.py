@@ -44,7 +44,6 @@ __all__ = [
     "ONeillTensor",
     "BoundReport",
     "MasterIdentityError",
-    "oneill_norm",
     "sandwich_check",
     "bplus_norm",
     "bplus_norm_closed",
@@ -59,6 +58,7 @@ __all__ = [
     "thm32_report",
     "thm41_report",
     "cor31_scan",
+    "cor31_report",
     "two_form_rewrite",
     "contraction_chain",
     "hodge_trace_residual",
@@ -95,6 +95,8 @@ class ONeillTensor:
 
     @property
     def norm_sq(self) -> float:
+        """|A|^2 = sum a[i,j,s]^2; coincides with sum_{i,s} |A_{e_i} V_s|^2 by
+        the derived vertical action."""
         return float(np.sum(self.a * self.a))
 
     def __repr__(self):
@@ -144,12 +146,6 @@ class MasterIdentityError(ValueError):
 
 
 # -- elementary quantities -----------------------------------------------------
-
-
-def oneill_norm(A: ONeillTensor) -> float:
-    """|A|^2 = sum a[i,j,s]^2; coincides with sum_{i,s} |A_{e_i} V_s|^2 by the
-    derived vertical action."""
-    return A.norm_sq
 
 
 def vertical_contraction_term(A: ONeillTensor, a: AlternatingForm) -> float:
@@ -314,9 +310,9 @@ def sandwich_check(
     with equality on space forms.  Violations are flagged, not raised."""
     if q < 2:
         raise ValueError("sandwich bound needs q >= 2")
-    n2 = 3.0 * oneill_norm(A)
+    n2 = 3.0 * A.norm_sq
     inputs = {"q": q, "K0": K0, "K1": K1, "scal_nabla": scal_nabla,
-              "oneill_norm_sq": oneill_norm(A)}
+              "oneill_norm_sq": A.norm_sq}
     lower = _report("sandwich.lower", n2, scal_nabla - q * (q - 1) * K1, tol, inputs)
     upper = _report("sandwich.upper", scal_nabla - q * (q - 1) * K0, n2, tol, inputs)
     return lower, upper
@@ -363,9 +359,9 @@ def thm31_report(K0: float, rho1: float, q: int, p: int, A: ONeillTensor,
         (q-2)|A|^2 >= K0 q(q-1) - (p(p-1) + (q-p)(q-p-1)) rho1.
     """
     _check_pq(q, p)
-    lhs = (q - 2) * oneill_norm(A)
+    lhs = (q - 2) * A.norm_sq
     rhs = K0 * q * (q - 1) - _degree_constant(q, p) * rho1
-    inputs = {"q": q, "p": p, "K0": K0, "rho1": rho1, "oneill_norm_sq": oneill_norm(A)}
+    inputs = {"q": q, "p": p, "K0": K0, "rho1": rho1, "oneill_norm_sq": A.norm_sq}
     return _report("thm3.1", lhs, rhs, tol, inputs)
 
 
@@ -376,10 +372,10 @@ def thm32_report(scalM: float, K1: float, rho1: float, n: int, q: int, p: int,
         (q-2)|A|^2 >= Scal - K1 (n-q)(n+q-1) - (p(p-1) + (q-p)(q-p-1)) rho1.
     """
     _check_pq(q, p)
-    lhs = (q - 2) * oneill_norm(A)
+    lhs = (q - 2) * A.norm_sq
     rhs = scalM - K1 * (n - q) * (n + q - 1) - _degree_constant(q, p) * rho1
     inputs = {"n": n, "q": q, "p": p, "K1": K1, "rho1": rho1, "scalM": scalM,
-              "oneill_norm_sq": oneill_norm(A)}
+              "oneill_norm_sq": A.norm_sq}
     return _report("thm3.2", lhs, rhs, tol, inputs)
 
 
@@ -393,14 +389,14 @@ def thm41_report(scal_nabla: float, K0: float, rho1: float, q: int, p: int,
                        - 2 (p(p-1) + (q-p)(q-p-1)) rho1.
     """
     _check_pq(q, p)
-    lhs = (2 * q + 1) * oneill_norm(A)
+    lhs = (2 * q + 1) * A.norm_sq
     rhs = (
         -(p - 7) / 3.0 * scal_nabla
         + (p - 1) / 3.0 * q * (q - 1) * K0
         - 2.0 * _degree_constant(q, p) * rho1
     )
     inputs = {"q": q, "p": p, "K0": K0, "rho1": rho1, "scal_nabla": scal_nabla,
-              "oneill_norm_sq": oneill_norm(A)}
+              "oneill_norm_sq": A.norm_sq}
     return _report("thm4.1", lhs, rhs, tol, inputs, note="existence-type")
 
 
@@ -411,7 +407,7 @@ def cor31_scan(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed) -> flo
     would force max E >= 0, so a strictly negative sampled maximum certifies
     (on the sample) the nonexistence obstruction.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator is returned unaltered
     q = RM.dimension
     best = -np.inf
     for _ in range(trials):
@@ -419,6 +415,17 @@ def cor31_scan(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed) -> flo
         v /= np.linalg.norm(v)
         best = max(best, prop31_value(RM, A, AlternatingForm.one_form(q, v)))
     return float(best)
+
+
+def cor31_report(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed,
+                 *, tol: float = 1e-9) -> BoundReport:
+    """Corollary 3.1 on the sample: the parallel 1-form obstruction is
+    certified when the ``cor31_scan`` maximum is at most -(q-1)/2.  An upper
+    bound, so it passes when lhs <= rhs + tol."""
+    q = RM.dimension
+    lhs, rhs = cor31_scan(RM, A, trials, rng_seed), -(q - 1) / 2.0
+    return BoundReport("cor3.1", lhs, rhs, lhs - rhs, tol, bool(lhs <= rhs + tol),
+                       {"q": q, "trials": trials, "oneill_norm_sq": A.norm_sq})
 
 
 # -- estimate and identity checks ------------------------------------------------

@@ -231,9 +231,12 @@ def test_empty_runs_are_refused(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ["verify", "--trials", "1", "--tol", "nan"],
     ["bounds", "--theorem", "3.1", "--m", "3", "--p", "2", "--tol", "0"],
+    ["bounds", "--theorem", "3.2", "--m", "3", "--p", "3"],
+    ["bounds", "--theorem", "4.1", "--m", "3"],
 ])
 def test_bad_tol_is_refused_before_any_instance(capsys, monkeypatch, argv):
-    # one error line and exit 2, before a form, an instance or a point is drawn
+    # one error line and exit 2, before a form, an instance or a point is
+    # drawn; so is a bounds degree outside the hypothesis or missing
     def drawn(*args, **kwargs):
         raise AssertionError("an instance was drawn before --tol was checked")
 
@@ -310,20 +313,124 @@ def test_one_dual_evaluation_per_point(monkeypatch):
     assert len(fields) == 12        # q + 2 per point, q = 4
 
 
-def test_weighted_hopf_builds_no_ambient_curvature(monkeypatch):
-    # only the unit-weight checks read the ambient space form
+@pytest.fixture
+def space_form_builds(monkeypatch):
+    """The list that gains one entry per ambient space form the CLI builds."""
     real = cli.space_form
     builds = []
 
     def counting(*args, **kwargs):
-        builds.append(1)
+        builds.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "space_form", counting)
+    return builds
+
+
+def test_weighted_hopf_builds_no_ambient_curvature(space_form_builds):
+    # only the unit-weight checks read the ambient space form
     assert run(["hopf", "--m", "3", "--theta", "1,1,0.5", "--samples", "2", "--quiet"]) == 0
-    assert builds == []
+    assert space_form_builds == []
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert len(builds) == 1
+    assert space_form_builds == [(4, 1.0)]
+
+
+BOUND_ROWS = {
+    # theorem: (check names at each point, ambient space forms built)
+    "3.1": (["thm3.1"], 0),
+    "3.2": (["thm3.2"], 0),
+    "4.1": (["thm4.1"], 1),
+    "sandwich": (["sandwich.lower", "sandwich.upper"], 1),
+    "cor3.1": (["cor3.1"], 1),
+}
+
+
+def test_bound_rows_cover_the_theorem_table():
+    assert set(BOUND_ROWS) == set(cli.BOUNDS)
+
+
+@pytest.mark.parametrize("theorem", list(BOUND_ROWS))
+def test_every_bound_row_runs(tmp_path, space_form_builds, theorem):
+    # one emission path for every row; only the rows that read the ambient
+    # curvature build it, once per run
+    ids, ambient = BOUND_ROWS[theorem]
+    out = tmp_path / "b.json"
+    assert run(["bounds", "--theorem", theorem, "--m", "3", "--p", "2", "--samples", "2",
+                "--trials", "20", "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    assert [c["name"] for c in rep["checks"]] == [
+        f"bounds.{i}.point{k}" for k in range(2) for i in ids]
+    assert all(c["pass"] for c in rep["checks"])
+    assert len(rep["summary"]["gap"]["per_check"]) == 2 * len(ids)
+    assert len(space_form_builds) == ambient
+
+
+def test_cor31_reads_tol(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--samples", "1",
+                "--trials", "20", "--tol", "1e-3", "--out", str(out), "--quiet"]) == 0
+    assert [c["tol"] for c in load(out)["checks"]] == [1e-3]
+
+
+def test_bound_findings_name_their_point(tmp_path, monkeypatch):
+    out = tmp_path / "f.json"
+    assert run(["bounds", "--theorem", "3.1", "--m", "4", "--p", "2",
+                "--theta", "1,0.9,0.6,0.3", "--samples", "3", "--seed", "0",
+                "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    assert rep["findings"]
+    for f in rep["findings"]:
+        assert f["kind"] == "negative-gap"
+        check = rep["checks"][f["values"]["point"]]
+        assert not check["pass"]
+        assert check["lhs"] == f["values"]["lhs"] and check["rhs"] == f["values"]["rhs"]
+    # an uncertified obstruction: a scan maximum above -(q-1)/2 at every point
+    monkeypatch.setattr(oneill, "cor31_scan", lambda RM, A, trials, rng: 0.0)
+    assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--samples", "2",
+                "--trials", "5", "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    assert [f["kind"] for f in rep["findings"]] == ["obstruction-not-certified"] * 2
+    assert [(f["values"]["point"], f["values"]["lhs"], f["values"]["rhs"])
+            for f in rep["findings"]] == [(0, 0.0, -1.5), (1, 0.0, -1.5)]
+
+
+class Reached(Exception):
+    """Raised by a monkeypatched step to show a run got that far."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--m", "100"],
+    ["hopf", "--m", "40"],
+    ["bounds", "--theorem", "4.1", "--m", "40", "--p", "2"],
+    ["bounds", "--theorem", "sandwich", "--m", "40"],
+    ["bounds", "--theorem", "cor3.1", "--m", "40"],
+])
+def test_oversized_dense_curvature_is_refused(capsys, monkeypatch, argv):
+    # q = 2m - 2 > 76: the q^4 array of the ambient curvature would pass
+    # 256 MiB, so the run ends with one error line before allocating it
+    def allocated(*args, **kwargs):
+        raise AssertionError("a dense curvature array was allocated")
+
+    monkeypatch.setattr(cli, "space_form", allocated)
+    assert run(argv + ["--samples", "1", "--quiet"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(cli.DENSE_CURVATURE_BYTES) in lines[0]
+
+
+@pytest.mark.parametrize("argv,step", [
+    (["hopf", "--m", "39"], "space_form"),           # q = 76, the largest allowed
+    (["hopf", "--m", "40", "--theta", ",".join(["1"] + ["0.5"] * 39)], "sample_point"),
+    (["bounds", "--theorem", "3.1", "--m", "40", "--p", "2"], "sample_point"),
+    (["bounds", "--theorem", "3.2", "--m", "40", "--p", "2"], "sample_point"),
+])
+def test_runs_without_a_large_dense_array_are_not_refused(monkeypatch, argv, step):
+    def reached(*args, **kwargs):
+        raise Reached(step)
+
+    monkeypatch.setattr(cli, step, reached)
+    with pytest.raises(Reached):
+        run(argv + ["--samples", "1", "--quiet"])
 
 
 def test_hopf_takes_no_tol(capsys):

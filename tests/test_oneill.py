@@ -19,7 +19,6 @@ from folcurv.oneill import (
     hodge_trace_residual,
     master_identity_residual,
     mixed_bivector_term,
-    oneill_norm,
     prop31_value,
     prop41_check,
     sandwich_check,
@@ -66,9 +65,9 @@ def test_norm_routes_agree():
     other = sum(
         float(A.horizontal_action(i, s) @ A.horizontal_action(i, s))
         for i in range(5) for s in range(3))
-    assert oneill_norm(A) == pytest.approx(other, abs=1e-12)
-    assert oneill_norm(ONeillTensor.zero(4, 2)) == 0.0
-    assert oneill_norm(hopf_like_oneill()) == 4.0
+    assert A.norm_sq == pytest.approx(other, abs=1e-12)
+    assert ONeillTensor.zero(4, 2).norm_sq == 0.0
+    assert hopf_like_oneill().norm_sq == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +445,6 @@ def test_duality_assembled_bound():
             _, rho1 = curvature_operator_extremes(RM)
             lhs = prop31_value(RM, A, a) + prop31_value(RM, A, hodge(a))
             const = p * (p - 1) + (q - p) * (q - p - 1)
-            rhs = (-RM.scalar() + const * rho1 + (q - 2) * oneill_norm(A)) * a.norm_sq
+            rhs = (-RM.scalar() + const * rho1 + (q - 2) * A.norm_sq) * a.norm_sq
             assert lhs <= rhs + 1e-9
             assert const == (q - p) * (q - p - 1) + p * (p - 1)
