@@ -54,7 +54,6 @@ from .hopf import (
     SpherePoint,
     WeightedHopfModel,
     adapted_frame,
-    field_X,
     fields_YW,
     kahler_form,
     lie_bracket,

@@ -109,6 +109,16 @@ def _unit_sphere(args, q: int):
     return space_form(q, 1.0)
 
 
+def _point_streams(seed: int, n: int):
+    """The random generators of the n sample points, each from the next child
+    of ``SeedSequence(seed)``.  Children are spawned one at a time, so no
+    per-sample state is held ahead of its point; repeated ``spawn(1)`` gives
+    the same children as one ``spawn(n)``."""
+    root = np.random.SeedSequence(seed)
+    for _ in range(n):
+        yield np.random.default_rng(root.spawn(1)[0])
+
+
 def _emit(args, builder, summary: dict):
     summary = dict(summary)
     summary["elapsed_seconds"] = time.perf_counter() - args._t0
@@ -246,12 +256,11 @@ def cmd_hopf(args) -> int:
         "samples": args.samples, "seed": args.seed,
     })
     q = model.q
-    streams = np.random.SeedSequence(args.seed).spawn(args.samples)
     norms_bracket, norms_closed, kappa_norms = [], [], []
     # only the unit-weight checks read the ambient curvature (a dense q^4 array)
     RM = _unit_sphere(args, q) if model.is_hopf else None
-    for k, ss in enumerate(streams):
-        pt = sample_point(model, np.random.default_rng(ss))
+    for k, rng in enumerate(_point_streams(args.seed, args.samples)):
+        pt = sample_point(model, rng)
         frame = adapted_frame(model, pt)
         builder.residual_check(f"hopf.frame_gram.point{k}", frame.gram_residual, 1e-10)
         A, display = oneill_from_brackets(model, pt, frame=frame)
@@ -265,7 +274,7 @@ def cmd_hopf(args) -> int:
                 "route; the bracket route is the source of truth",
                 {"point": k, "bracket": A.norm_sq, "closed": closed,
                  "difference": closed - A.norm_sq})
-        kappa = float(np.linalg.norm(mean_curvature(model, pt)))
+        kappa = float(np.linalg.norm(mean_curvature(model, pt, frame=frame)))
         kappa_norms.append(kappa)
         if model.is_hopf:
             builder.residual_check(
@@ -352,8 +361,7 @@ def cmd_bounds(args) -> int:
     ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p, tol=tol, trials=args.trials,
                           RM=_unit_sphere(args, q) if row.reads_ambient else None)
     gaps = []
-    for k, ss in enumerate(np.random.SeedSequence(args.seed).spawn(args.samples)):
-        rng = np.random.default_rng(ss)
+    for k, rng in enumerate(_point_streams(args.seed, args.samples)):
         A, _ = oneill_from_brackets(model, sample_point(model, rng))
         for rep in row.evaluate(ctx, A, rng):
             builder.check(f"bounds.{rep.theorem_id}.point{k}", rep.lhs, rep.rhs, rep.tol,

@@ -1,37 +1,50 @@
-"""Forward-mode dual numbers with vector tangents.
+"""Forward-mode dual numbers over arrays.
 
-A ``Dual`` carries a value and a gradient row; seeding the coordinates of a
-point with the identity tangent basis evaluates a function together with its
-full Jacobian in one sweep.  Exact (to rounding) for the polynomial vector
-fields differentiated here; ``sqrt`` extends the reach to normalized fields.
-``CDual`` packs two duals into a complex scalar with the few operations the
-sphere fields need: products, multiplication by i, and squared modulus.
+A ``Dual`` carries a value of shape S and its gradient, of shape S + (n,):
+one tangent row per entry.  Seeding the coordinates of a point with the
+identity tangent basis evaluates a whole family of functions together with
+their full Jacobians in one sweep, one array operation per step of the
+formula (vectorized forward mode; Griewank & Walther, *Evaluating
+Derivatives*, ch. 3).  Values broadcast as numpy arrays do, and the gradient
+axis stays last.  Exact (to rounding) for the polynomial vector fields
+differentiated here; ``sqrt`` extends the reach to normalized fields.
+
+``CDual`` packs two duals into a complex array with the few operations the
+sphere fields need: products, multiplication by i, squared modulus,
+indexing, and the interleaved real form.  ``suffix_sum`` gives the strict
+tail sums sum_{k>l} x_k of an array or a dual along its first axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dual", "CDual", "seed_point"]
+__all__ = ["Dual", "CDual", "seed_point", "suffix_sum"]
 
 
 class Dual:
     __slots__ = ("value", "grad")
+    __array_ufunc__ = None  # ndarray op Dual defers to the Dual's reflected method
 
-    def __init__(self, value: float, grad):
-        self.value = float(value)
+    def __init__(self, value, grad):
+        self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
 
     @classmethod
-    def constant(cls, value: float, n: int) -> "Dual":
-        return cls(value, np.zeros(n))
+    def constant(cls, value, n: int) -> "Dual":
+        value = np.asarray(value, dtype=float)
+        return cls(value, np.zeros(value.shape + (n,)))
 
     def _coerce(self, other):
         if isinstance(other, Dual):
             return other
         if isinstance(other, CDual):
             return NotImplemented
-        return Dual(float(other), np.zeros_like(self.grad))
+        return Dual.constant(other, self.grad.shape[-1])
+
+    def __getitem__(self, index) -> "Dual":
+        """Index the value axes; the gradient axis is kept (no Ellipsis)."""
+        return Dual(self.value[index], self.grad[index])
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -57,10 +70,13 @@ class Dual:
         return Dual(-self.value, -self.grad)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, CDual):
             return NotImplemented
-        return Dual(self.value * o.value, self.value * o.grad + o.value * self.grad)
+        if not isinstance(other, Dual):  # a constant scales the tangents
+            c = np.asarray(other, dtype=float)
+            return Dual(self.value * c, self.grad * c[..., None])
+        return Dual(self.value * other.value,
+                    self.value[..., None] * other.grad + other.value[..., None] * self.grad)
 
     __rmul__ = __mul__
 
@@ -69,7 +85,8 @@ class Dual:
         if o is NotImplemented:
             return NotImplemented
         inv = 1.0 / o.value
-        return Dual(self.value * inv, (self.grad - self.value * inv * o.grad) * inv)
+        q = self.value * inv
+        return Dual(q, (self.grad - q[..., None] * o.grad) * inv[..., None])
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -79,20 +96,24 @@ class Dual:
 
     def sqrt(self) -> "Dual":
         r = np.sqrt(self.value)
-        return Dual(r, self.grad / (2.0 * r))
+        return Dual(r, self.grad / (2.0 * r)[..., None])
 
     def __repr__(self):
         return f"Dual({self.value}, grad={self.grad})"
 
 
 class CDual:
-    """Complex scalar with dual-number real and imaginary parts."""
+    """Complex array with dual-number real and imaginary parts."""
 
     __slots__ = ("re", "im")
+    __array_ufunc__ = None
 
     def __init__(self, re: Dual, im: Dual):
         self.re = re
         self.im = im
+
+    def __getitem__(self, index) -> "CDual":
+        return CDual(self.re[index], self.im[index])
 
     def __add__(self, other: "CDual") -> "CDual":
         return CDual(self.re + other.re, self.im + other.im)
@@ -109,7 +130,7 @@ class CDual:
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
-        # real scalar or Dual
+        # real array or Dual
         return CDual(self.re * other, self.im * other)
 
     __rmul__ = __mul__
@@ -120,16 +141,36 @@ class CDual:
     def abs2(self) -> Dual:
         return self.re * self.re + self.im * self.im
 
+    def interleaved(self) -> Dual:
+        """The real dual whose last value axis interleaves the real and
+        imaginary parts, [re_0, im_0, re_1, im_1, ...]."""
+        value = np.stack([self.re.value, self.im.value], axis=-1)
+        grad = np.stack([self.re.grad, self.im.grad], axis=-2)
+        return Dual(value.reshape(*value.shape[:-2], -1),
+                    grad.reshape(*grad.shape[:-3], -1, grad.shape[-1]))
+
     def __repr__(self):
         return f"CDual({self.re.value}+{self.im.value}j)"
 
 
-def seed_point(x: np.ndarray) -> list[CDual]:
-    """Lift interleaved real coordinates [x0, y0, x1, y1, ...] to CDual
-    coordinates seeded with the identity tangent basis."""
-    n = x.shape[0]
-    eye = np.eye(n)
-    return [
-        CDual(Dual(x[2 * k], eye[2 * k]), Dual(x[2 * k + 1], eye[2 * k + 1]))
-        for k in range(n // 2)
-    ]
+def seed_point(x: np.ndarray) -> CDual:
+    """Lift interleaved real coordinates [x0, y0, x1, y1, ...] to the complex
+    dual coordinates z_k = x_k + i y_k, seeded with the identity tangent
+    basis."""
+    eye = np.eye(x.shape[0])
+    return CDual(Dual(x[0::2], eye[0::2]), Dual(x[1::2], eye[1::2]))
+
+
+def _tails(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    out[:-1] = np.cumsum(x[:0:-1], axis=0)[::-1]
+    return out
+
+
+def suffix_sum(x):
+    """Strict suffix sums along the first axis, out[l] = sum_{k>l} x[k]
+    (zero in the last place), of an array or a ``Dual``: one reversed
+    ``cumsum``, whose Jacobian is the same sum of the gradient rows."""
+    if isinstance(x, Dual):
+        return Dual(_tails(x.value), _tails(x.grad))
+    return _tails(np.asarray(x, dtype=float))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import CDual, seed_point
+from .dual import seed_point, suffix_sum
 from .exterior import AlternatingForm
 from .oneill import ONeillTensor
 
@@ -41,7 +41,6 @@ __all__ = [
     "realify",
     "complexify",
     "field_labels",
-    "field_X",
     "fields_YW",
     "lie_bracket",
     "adapted_frame",
@@ -125,8 +124,9 @@ def apply_complex_structure(x: np.ndarray) -> np.ndarray:
 
 # -- field evaluation on dual numbers -----------------------------------------
 #
-# Each field is written once over CDual coordinates seeded at a point, so one
-# evaluation gives its value and its exact Jacobian together.
+# The fields are written once over the CDual coordinates seeded at a point, as
+# array operations on whole families, so one evaluation gives every value and
+# its exact Jacobian together.
 
 
 def field_labels(model: WeightedHopfModel) -> tuple[str, ...]:
@@ -135,67 +135,44 @@ def field_labels(model: WeightedHopfModel) -> tuple[str, ...]:
     return tuple(f"Y{l}" for l in range(1, m)) + tuple(f"W{p}" for p in range(1, m))
 
 
-def _field(model: WeightedHopfModel, label: str, zc) -> dict[int, CDual]:
-    """The nonzero complex components {k: component} of a named field over
-    seeded CDual coordinates."""
-    m, th = model.m, model.theta
-    if label == "X":
-        return {k: zc[k].times_i() * th[k] for k in range(m)}
-    kind, idx = label[0], int(label[1:])
-    if kind == "Y" and 1 <= idx <= m - 1:
-        lo = idx - 1
-        tail = sum((zc[k].abs2() for k in range(lo + 2, m)), start=zc[lo + 1].abs2())
-        mod = zc[lo].abs2()
-        return {lo: zc[lo] * (-tail), **{k: zc[k] * mod for k in range(lo + 1, m)}}
-    if kind == "W" and 1 <= idx <= m - 2:
-        po = idx - 1
-        tail = sum((zc[k].abs2() * (th[k] * th[k]) for k in range(po + 2, m)),
-                   start=zc[po + 1].abs2() * (th[po + 1] * th[po + 1]))
-        mod = zc[po].abs2()
-        return {po: zc[po].times_i() * (-tail),
-                **{k: zc[k].times_i() * (mod * (th[po] * th[k])) for k in range(po + 1, m)}}
-    if kind == "W" and idx == m - 1:
-        return {m - 2: zc[m - 2].times_i() * (zc[m - 1].abs2() * (-th[m - 1])),
-                m - 1: zc[m - 1].times_i() * (zc[m - 2].abs2() * th[m - 2])}
-    raise ValueError(f"unknown field id {label!r} for m={model.m}")
-
-
-def _unpack(comps: dict[int, CDual], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Interleaved real value (2m) and Jacobian (2m x 2m) of the components
-    of a field; absent components are zero."""
-    value = np.zeros(2 * m)
-    jac = np.zeros((2 * m, 2 * m))
-    for k, w in comps.items():
-        value[2 * k], value[2 * k + 1] = w.re.value, w.im.value
-        jac[2 * k], jac[2 * k + 1] = w.re.grad, w.im.grad
-    return value, jac
-
-
-def field_X(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
-    """Generating field of the action, |X|^2 = sum theta_k^2 |z_k|^2."""
-    return _unpack(_field(model, "X", seed_point(realify(point.z))), model.m)[0]
-
-
 def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float = 1e-3):
     """The generating field X and the 2m-2 horizontal frame fields, ordered as
-    ``field_labels``, with the horizontal fields' exact Jacobians, all from
-    one dual-number evaluation at the point: ``(x, fields, jacobians)`` of
-    shapes (2m,), (q, 2m) and (q, 2m, 2m).
+    ``field_labels``, with their exact Jacobians, all from one dual-number
+    evaluation at the point: ``(x, x_jacobian, fields, jacobians)`` of shapes
+    (2m,), (2m, 2m), (q, 2m) and (q, 2m, 2m).
+
+    Row l of Y (and of W) is a coefficient row times z (times i z): the
+    diagonal entry is minus the tail sum_{k>l} |z_k|^2 (weighted by theta_k^2
+    for W), the entries right of it are |z_l|^2 (times theta_l theta_k for W).
+    The last row of W is W_{m-1} as defined, not the general row.
 
     Raises ``DegeneratePointError`` when any field norm falls below the floor
     implied by the degeneracy margin (resample the point)."""
     if np.min(point.moduli_sq) < eps_deg:
         raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
-    zc = seed_point(realify(point.z))
-    labels = field_labels(model)
-    x = _unpack(_field(model, "X", zc), model.m)[0]
-    fields, jacobians = map(np.array, zip(*(_unpack(_field(model, label, zc), model.m)
-                                            for label in labels)))
+    m = model.m
+    th = np.asarray(model.theta)
+    z = seed_point(realify(point.z))
+    iz = z.times_i()
+    mod = z.abs2()                                   # |z_k|^2
+    tail = suffix_sum(mod)                           # sum_{k>l} |z_k|^2
+    wtail = suffix_sum(mod * th**2)                  # sum_{k>l} theta_k^2 |z_k|^2
+    rows, cols = np.ogrid[:m - 1, :m]
+    diag, upper = (cols == rows) * 1.0, (cols > rows) * 1.0
+    last = (np.arange(m - 1) == m - 2) * 1.0         # the row of W_{m-1}
+    weight = np.outer(th[:-1], th) * upper           # theta_p theta_k, k > p
+    weight[m - 2, m - 1] = th[m - 2]
+    w_diag = wtail[:-1] * (1.0 - last) + mod[m - 1] * (th[m - 1] * last)
+    y = z * (mod[:-1, None] * upper - tail[:-1, None] * diag)
+    w = iz * (mod[:-1, None] * weight - w_diag[:, None] * diag)
+    x = (iz * th).interleaved()
+    y, w = y.interleaved(), w.interleaved()
+    fields = np.concatenate([y.value, w.value])
     low = np.flatnonzero(np.einsum("ik,ik->i", fields, fields)
                          < eps_deg**3 * min(model.theta) ** 4)
     if low.size:
-        raise DegeneratePointError(f"field {labels[low[0]]} degenerates at this point")
-    return x, fields, jacobians
+        raise DegeneratePointError(f"field {field_labels(model)[low[0]]} degenerates at this point")
+    return x.value, x.grad, fields, np.concatenate([y.grad, w.grad])
 
 
 def lie_bracket(fields: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
@@ -209,13 +186,14 @@ def lie_bracket(fields: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
 class AdaptedFrame:
     """Orthonormal frame adapted to the foliation at a point: the normalized
     generating field plus the normalized horizontal fields, with the
-    unnormalized horizontal fields and their exact Jacobians."""
+    unnormalized fields and their exact Jacobians."""
 
     vertical: np.ndarray
     horizontal: np.ndarray          # shape (q, 2m)
     labels: tuple[str, ...]
     field_norms: np.ndarray         # unnormalized |Z_i|
     vertical_norm: float            # |X|
+    vertical_jacobian: np.ndarray   # DX, shape (2m, 2m)
     gram_residual: float
     tangency_residual: float
     fields: np.ndarray              # unnormalized Z_i, shape (q, 2m)
@@ -224,7 +202,7 @@ class AdaptedFrame:
 
 def adapted_frame(model: WeightedHopfModel, point: SpherePoint, *,
                   eps_deg: float = 1e-3, tol: float = 1e-10) -> AdaptedFrame:
-    x_amb, fields, jacobians = fields_YW(model, point, eps_deg=eps_deg)
+    x_amb, x_jacobian, fields, jacobians = fields_YW(model, point, eps_deg=eps_deg)
     nx = np.linalg.norm(x_amb)
     norms = np.array([np.linalg.norm(f) for f in fields])
     horizontal = fields / norms[:, None]
@@ -239,7 +217,7 @@ def adapted_frame(model: WeightedHopfModel, point: SpherePoint, *,
             f"tangency={tangency_residual:.3e}"
         )
     return AdaptedFrame(vertical, horizontal, field_labels(model), norms, float(nx),
-                        gram_residual, tangency_residual, fields, jacobians)
+                        x_jacobian, gram_residual, tangency_residual, fields, jacobians)
 
 
 def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
@@ -278,33 +256,34 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
 
 
 def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
-    """Closed-form |A|^2 of the weighted foliation, evaluated literally as a
-    three-part sum over the weights and coordinate moduli.
+    """Closed-form |A|^2 of the weighted foliation, evaluated literally as the
+    printed three-part sum over the weights and coordinate moduli (0-based
+    j, i; Z_j = sum_{k>=j} |z_k|^2, T_j = sum_{k>=j} theta_k^2 |z_k|^2):
 
-    The bracket route is the source of truth; a disagreement beyond 1e-8 is
-    a reportable finding about this formula, never silently patched.
+        |A|^2 |X|^2 / 2 = theta_{m-2}^2 theta_{m-1}^2 (Z_{m-2} / T_{m-2})
+            + sum_{j<m-2} theta_j^2 T_{j+1} Z_j / (T_j Z_{j+1})
+            + sum_{j<i<m-1} |z_i|^2 |z_j|^2 D_i^2 / (T_{j+1} T_j Z_{i+1} Z_i),
+        D_i = sum_{k>i} (theta_i^2 - theta_k^2) |z_k|^2.
+
+    The tails are suffix sums, and the double sum factors into a suffix sum
+    over i.  The bracket route is the source of truth; a disagreement beyond
+    1e-8 is a reportable finding about this formula, never silently patched.
     """
     m = model.m
-    th = np.asarray(model.theta)
+    th2 = np.asarray(model.theta) ** 2
     zz = point.moduli_sq
-    tz = th * th * zz
-    x2 = float(np.sum(tz))
-    term1 = th[m - 2] ** 2 * th[m - 1] ** 2 * (zz[m - 2] + zz[m - 1]) / (tz[m - 2] + tz[m - 1])
-    term2 = 0.0
-    for j in range(m - 2):  # 1-based j in 1..m-2
-        term2 += (
-            th[j] ** 2 * np.sum(tz[j + 1 :]) * np.sum(zz[j:])
-            / (np.sum(tz[j:]) * np.sum(zz[j + 1 :]))
-        )
-    term3 = 0.0
-    for j in range(m - 2):
-        for i in range(j + 1, m - 1):  # 1-based i in j+1..m-1
-            num = zz[i] * zz[j] * float(np.sum((th[i] ** 2 - th[i + 1 :] ** 2) * zz[i + 1 :])) ** 2
-            den = (
-                np.sum(tz[j + 1 :]) * np.sum(tz[j:]) * np.sum(zz[i + 1 :]) * np.sum(zz[i:])
-            )
-            term3 += num / den
-    return float(2.0 * (term1 + term2 + term3) / x2)
+    tz = th2 * zz
+    z_tail, t_tail = suffix_sum(zz), suffix_sum(tz)          # Z_{j+1}, T_{j+1}
+    z_incl, t_incl = zz + z_tail, tz + t_tail                # Z_j, T_j
+    term1 = th2[m - 2] * th2[m - 1] * (zz[m - 2] + zz[m - 1]) / (tz[m - 2] + tz[m - 1])
+    j = slice(0, m - 2)
+    term2 = np.sum(th2[j] * t_tail[j] * z_incl[j] / (t_incl[j] * z_tail[j]))
+    rows, cols = np.ogrid[:m - 1, :m]
+    d = np.sum(np.where(cols > rows, (th2[:-1, None] - th2) * zz, 0.0), axis=1)
+    i = slice(0, m - 1)
+    inner_i = suffix_sum(zz[i] * d**2 / (z_tail[i] * z_incl[i]))   # sum over i > j
+    term3 = np.sum(zz[j] * inner_i[j] / (t_tail[j] * t_incl[j]))
+    return float(2.0 * (term1 + term2 + term3) / np.sum(tz))
 
 
 def kahler_form(model: WeightedHopfModel, point: SpherePoint,
@@ -322,17 +301,25 @@ def kahler_form(model: WeightedHopfModel, point: SpherePoint,
     return AlternatingForm(2, model.q, np.einsum("rk,rk->r", jh[i], frame.horizontal[j]))
 
 
-def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
+def mean_curvature(model: WeightedHopfModel, point: SpherePoint, *,
+                   frame: AdaptedFrame | None = None) -> np.ndarray:
     """Horizontal part of the sphere covariant derivative of the unit
-    vertical field along itself; zero exactly when all weights are 1
-    (the Hopf circles are great circles)."""
+    vertical field V = X/|X| along itself; zero exactly when all weights are
+    1 (the Hopf circles are great circles).
+
+    D_V V = DX V / |X| plus a multiple of V, which the horizontal projection
+    removes.  X and DX are read from ``frame`` when it is given; otherwise
+    from one field evaluation at the point (X itself never degenerates)."""
+    if frame is None:
+        x_amb, x_jacobian = fields_YW(model, point, eps_deg=0.0)[:2]
+        nx = np.linalg.norm(x_amb)
+        v = x_amb / nx
+    else:
+        x_jacobian, nx, v = frame.vertical_jacobian, frame.vertical_norm, frame.vertical
     x = realify(point.z)
-    xs = _field(model, "X", seed_point(x))
-    norm = sum((w.abs2() for w in xs.values()), start=xs[0].abs2() * 0.0).sqrt()
-    value, jac = _unpack({k: w * (1.0 / norm) for k, w in xs.items()}, model.m)
-    dvv = jac @ value                       # ambient flat derivative D_V V
+    dvv = x_jacobian @ v / nx               # ambient flat derivative D_V V, up to V
     dvv = dvv - (dvv @ x) * x               # sphere projection (unit normal z)
-    kappa = dvv - (dvv @ value) * value     # horizontal projection
+    kappa = dvv - (dvv @ v) * v             # horizontal projection
     return kappa
 
 

@@ -117,3 +117,30 @@ def fd_directional(field_fn, x, u, h=1e-6):
 def fd_lie_bracket(f_u, f_v, x, h=1e-6):
     """[U, V](x) = D_U V - D_V U by finite differences."""
     return fd_directional(f_v, x, f_u(x), h) - fd_directional(f_u, x, f_v(x), h)
+
+
+def oneill_closed_form_loop(model, point) -> float:
+    """The printed closed-form |A|^2 of the weighted circle foliation, term by
+    term: every tail sum recomputed, every (i, j) pair of the third part
+    summed in a nested loop."""
+    m = model.m
+    th = np.asarray(model.theta)
+    zz = point.moduli_sq
+    tz = th * th * zz
+    x2 = float(np.sum(tz))
+    term1 = th[m - 2] ** 2 * th[m - 1] ** 2 * (zz[m - 2] + zz[m - 1]) / (tz[m - 2] + tz[m - 1])
+    term2 = 0.0
+    for j in range(m - 2):  # 1-based j in 1..m-2
+        term2 += (
+            th[j] ** 2 * np.sum(tz[j + 1:]) * np.sum(zz[j:])
+            / (np.sum(tz[j:]) * np.sum(zz[j + 1:]))
+        )
+    term3 = 0.0
+    for j in range(m - 2):
+        for i in range(j + 1, m - 1):  # 1-based i in j+1..m-1
+            num = zz[i] * zz[j] * float(np.sum((th[i] ** 2 - th[i + 1:] ** 2) * zz[i + 1:])) ** 2
+            den = (
+                np.sum(tz[j + 1:]) * np.sum(tz[j:]) * np.sum(zz[i + 1:]) * np.sum(zz[i:])
+            )
+            term3 += num / den
+    return float(2.0 * (term1 + term2 + term3) / x2)

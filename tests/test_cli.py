@@ -294,23 +294,47 @@ def test_one_transverse_tensor_per_evaluation(monkeypatch):
 
 def test_one_dual_evaluation_per_point(monkeypatch):
     # per point the frame seeds the point once and evaluates X and the q
-    # horizontal fields once; mean_curvature seeds once more for X/|X|
-    seeds, fields = [], []
-    real_seed, real_field = hopf.seed_point, hopf._field
+    # horizontal fields together; mean_curvature reads X and DX from the frame
+    seeds = []
+    real_seed = hopf.seed_point
 
     def counting_seed(*args):
         seeds.append(1)
         return real_seed(*args)
 
-    def counting_field(*args):
-        fields.append(1)
-        return real_field(*args)
-
     monkeypatch.setattr(hopf, "seed_point", counting_seed)
-    monkeypatch.setattr(hopf, "_field", counting_field)
-    assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert len(seeds) == 4          # 2 per point
-    assert len(fields) == 12        # q + 2 per point, q = 4
+    for weights in ([], ["--theta", "1,1,0.5"]):
+        seeds.clear()
+        assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"] + weights) == 0
+        assert len(seeds) == 2          # 1 per point
+
+
+def test_sample_streams_are_spawned_lazily(capsys, monkeypatch):
+    # 200000 samples would hold about 74 MB of spawned seed sequences ahead of
+    # the first point; spawning one child per point holds none
+    import tracemalloc
+
+    def first_point(*args, **kwargs):
+        raise hopf.DegeneratePointError("stop at the first point")
+
+    monkeypatch.setattr(cli, "sample_point", first_point)
+    for argv in (["hopf", "--m", "3", "--theta", "1,1,0.5"],
+                 ["bounds", "--theorem", "3.1", "--m", "3", "--p", "2"]):
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--samples", "200000", "--quiet"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (argv[0], peak)
+        assert "stop at the first point" in capsys.readouterr().err
+
+
+def test_lazy_streams_match_one_eager_spawn():
+    children = np.random.SeedSequence(7).spawn(5)
+    eager = [np.random.default_rng(c).standard_normal(3) for c in children]
+    lazy = [rng.standard_normal(3) for rng in cli._point_streams(7, 5)]
+    assert np.array_equal(np.array(eager), np.array(lazy))
 
 
 @pytest.fixture

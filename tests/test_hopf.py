@@ -16,7 +16,6 @@ from folcurv.hopf import (
     SpherePoint,
     WeightedHopfModel,
     adapted_frame,
-    field_X,
     field_labels,
     fields_YW,
     kahler_form,
@@ -29,7 +28,21 @@ from folcurv.hopf import (
 )
 from folcurv.oneill import bminus_norm, bplus_norm, prop31_value, prop41_check
 
-from oracles import fd_lie_bracket
+from oracles import fd_directional, fd_lie_bracket, oneill_closed_form_loop
+
+
+def field_x(model, point):
+    """The generating field X, read from the one field evaluation; X never
+    degenerates, so the degeneracy floor is off."""
+    return fields_YW(model, point, eps_deg=0.0)[0]
+
+
+def at(model, x):
+    """The point of realified coordinates x, unnormalized (for finite
+    differences off the sphere)."""
+    zpt = SpherePoint.__new__(SpherePoint)
+    object.__setattr__(zpt, "z", x[0::2] + 1j * x[1::2])
+    return zpt
 
 
 def displayed_pairing(model, point, label_y, label_w):
@@ -105,23 +118,23 @@ def test_sample_point_coordinate_distribution():
 def test_field_x_examples():
     hopf = WeightedHopfModel(2, (1.0, 1.0))
     pt = sample_point(hopf, 3)
-    x = field_X(hopf, pt)
+    x = field_x(hopf, pt)
     assert x @ x == pytest.approx(1.0, abs=1e-12)
 
     weighted = WeightedHopfModel(2, (1.0, 0.5))
     p10 = SpherePoint(np.array([1.0 + 0j, 0.0 + 0j]))
-    x10 = field_X(weighted, p10)
+    x10 = field_x(weighted, p10)
     assert np.allclose(x10, realify(np.array([1j, 0.0 + 0j])))
     assert x10 @ x10 == pytest.approx(1.0)
     p01 = SpherePoint(np.array([0.0 + 0j, 1.0 + 0j]))
-    x01 = field_X(weighted, p01)
+    x01 = field_x(weighted, p01)
     assert x01 @ x01 == pytest.approx(0.25)
 
 
 def test_m2_half_half_point_norms():
     model = WeightedHopfModel(2, (1.0, 1.0))
     pt = SpherePoint(np.array([1.0 + 0j, 1.0 + 0j]) / np.sqrt(2.0))
-    _, (y1, w1), _ = fields_YW(model, pt)
+    _, _, (y1, w1), _ = fields_YW(model, pt)
     assert y1 @ y1 == pytest.approx(0.25, abs=1e-14)
     assert w1 @ w1 == pytest.approx(0.25, abs=1e-14)
 
@@ -136,9 +149,45 @@ def test_frame_orthonormality_and_tangency():
         assert frame.gram_residual < 1e-10
         assert frame.tangency_residual < 1e-10
         # vertical spans the same line as X
-        x = field_X(model, pt)
+        x = field_x(model, pt)
         cosine = abs(frame.vertical @ x) / np.linalg.norm(x)
         assert cosine == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_every_field_jacobian_against_finite_differences(m):
+    # X and every row of Y and W, the literal W_{m-1} included, at random
+    # weights; each Jacobian column against a central difference
+    rng = np.random.default_rng(100 + m)
+    model = WeightedHopfModel(m, (1.0, *rng.uniform(0.2, 1.0, m - 1)))
+    pt = sample_point(model, rng)
+    x0 = realify(pt.z)
+    x, x_jacobian, fields, jacobians = fields_YW(model, pt)
+    assert fields.shape == (model.q, 2 * m) and jacobians.shape == (model.q, 2 * m, 2 * m)
+    assert x.shape == (2 * m,) and x_jacobian.shape == (2 * m, 2 * m)
+
+    def row(i):
+        return lambda y: np.vstack(fields_YW(model, at(model, y), eps_deg=0.0)[::2])[i]
+
+    values, jac = np.vstack([x, fields]), np.concatenate([x_jacobian[None], jacobians])
+    labels = ("X",) + field_labels(model)
+    for i, label in enumerate(labels):
+        assert np.array_equal(row(i)(x0), values[i])
+        for d in range(2 * m):
+            fd = fd_directional(row(i), x0, np.eye(2 * m)[d])
+            assert np.max(np.abs(jac[i][:, d] - fd)) < 1e-8, (label, d)
+
+
+def test_last_w_row_is_its_literal_definition():
+    # W_{m-1} = (0, ..., -theta_m |z_m|^2 i z_{m-1}, theta_{m-1} |z_{m-1}|^2 i z_m)
+    for m, theta in [(2, (1.0, 0.7)), (4, (1.0, 0.9, 0.6, 0.3))]:
+        model = WeightedHopfModel(m, theta)
+        pt = sample_point(model, 71)
+        z, zz = pt.z, pt.moduli_sq
+        expect = np.zeros(m, dtype=complex)
+        expect[m - 2] = -theta[m - 1] * zz[m - 1] * 1j * z[m - 2]
+        expect[m - 1] = theta[m - 2] * zz[m - 2] * 1j * z[m - 1]
+        assert np.allclose(fields_YW(model, pt)[2][-1], realify(expect), rtol=0, atol=1e-15)
 
 
 def test_degenerate_point_rejected():
@@ -159,7 +208,7 @@ def test_bracket_pairings_match_displays_and_vanish_otherwise():
                      (4, (1.0, 1.0, 1.0, 1.0))]:
         model = WeightedHopfModel(m, theta)
         pt = sample_point(model, rng)
-        x, fields, jacobians = fields_YW(model, pt)
+        x, _, fields, jacobians = fields_YW(model, pt)
         brackets = lie_bracket(fields, jacobians)
         assert np.array_equal(brackets, -brackets.transpose(1, 0, 2))
         pairing = brackets @ x
@@ -181,7 +230,7 @@ def test_equal_weights_kill_the_mixed_pairings():
     # the (theta_l^2 - theta_k^2) factor vanishes for equal weights
     model = WeightedHopfModel(4, (1.0, 1.0, 1.0, 1.0))
     pt = sample_point(model, 17)
-    x, fields, jacobians = fields_YW(model, pt)
+    x, _, fields, jacobians = fields_YW(model, pt)
     pairing = lie_bracket(fields, jacobians) @ x
     labels = field_labels(model)
     for l, p in [(2, 1), (3, 1), (3, 2)]:
@@ -195,14 +244,10 @@ def test_brackets_against_finite_differences():
     pt = sample_point(model, rng)
 
     def as_field(i):
-        def f(x):
-            zpt = SpherePoint.__new__(SpherePoint)
-            object.__setattr__(zpt, "z", x[0::2] + 1j * x[1::2])
-            return fields_YW(model, zpt, eps_deg=0.0)[1][i]
-        return f
+        return lambda x: fields_YW(model, at(model, x), eps_deg=0.0)[2][i]
 
     x0 = realify(pt.z)
-    _, fields, jacobians = fields_YW(model, pt)
+    _, _, fields, jacobians = fields_YW(model, pt)
     brackets = lie_bracket(fields, jacobians)
     q = model.q
     for i in range(q):
@@ -269,6 +314,20 @@ def test_m2_closed_form_single_term():
         values.append(A.norm_sq)
     # any sub-unit weight already makes the norm non-constant
     assert np.var(values) > 0.0
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_closed_form_matches_the_term_by_term_oracle(m):
+    rng = np.random.default_rng(200 + m)
+    unit = WeightedHopfModel(m, (1.0,) * m)
+    weighted = WeightedHopfModel(m, (1.0, *rng.uniform(0.1, 1.0, m - 1)))
+    for model in (unit, weighted):
+        for _ in range(3):
+            pt = sample_point(model, rng)
+            fast, loop = oneill_closed_form(model, pt), oneill_closed_form_loop(model, pt)
+            assert abs(fast - loop) <= 1e-13 * abs(loop), (model.theta, fast, loop)
+            if model is unit:
+                assert abs(fast - 2.0 * (m - 1)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +405,27 @@ def test_mean_curvature_weighted_is_nonzero_and_orthogonal():
     pt = sample_point(model, rng)
     kappa = mean_curvature(model, pt)
     assert np.linalg.norm(kappa) > 1e-3
-    x = field_X(model, pt)
+    x = field_x(model, pt)
     v = x / np.linalg.norm(x)
     assert abs(kappa @ v) < 1e-10
     assert abs(kappa @ realify(pt.z)) < 1e-10
+
+
+def test_mean_curvature_against_finite_differences():
+    # kappa is the horizontal, sphere-tangent part of D_V V, V = X/|X|; the
+    # frame keyword reads X and DX from the frame's own evaluation
+    model = WeightedHopfModel(3, (1.0, 0.8, 0.4))
+    pt = sample_point(model, 67)
+    x0 = realify(pt.z)
+
+    def unit_x(y):
+        x = field_x(model, at(model, y))
+        return x / np.linalg.norm(x)
+
+    v = unit_x(x0)
+    dvv = fd_directional(unit_x, x0, v)
+    dvv -= (dvv @ x0) * x0
+    dvv -= (dvv @ v) * v
+    kappa = mean_curvature(model, pt, frame=adapted_frame(model, pt))
+    assert np.max(np.abs(kappa - dvv)) < 1e-8
+    assert np.array_equal(kappa, mean_curvature(model, pt))
