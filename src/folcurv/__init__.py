@@ -6,7 +6,6 @@ odd-dimensional spheres as executable models."""
 
 from .exterior import (
     AlternatingForm,
-    FiberVector,
     flat,
     hodge,
     inner,
@@ -18,7 +17,6 @@ from .exterior import (
 from .curvature import (
     RiemannTensor,
     curvature_action_on_form,
-    curvature_operator_extremes,
     curvature_term,
     space_form,
     transverse_ricci,
@@ -26,7 +24,6 @@ from .curvature import (
 )
 from .oneill import (
     BoundReport,
-    MasterIdentityError,
     ONeillTensor,
     bminus_norm,
     bminus_norm_closed,
@@ -56,7 +53,6 @@ from .hopf import (
     adapted_frame,
     fields_YW,
     kahler_form,
-    lie_bracket,
     mean_curvature,
     oneill_closed_form,
     oneill_from_brackets,

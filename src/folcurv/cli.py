@@ -202,8 +202,7 @@ def cmd_verify(args) -> int:
             bound_margin = chain1 = chain2 = wedge_margin = np.inf
             for k in range(args.trials):
                 RM, A, a = random_instance(rng, q, p, vdim=1 + k % 3)
-                master = max(master, abs(master_identity_residual(
-                    RM, A, a, raise_on_violation=False)))
+                master = max(master, abs(master_identity_residual(RM, A, a)))
                 bplus = max(bplus, abs(bplus_norm(A, a) - bplus_norm_closed(A, a)))
                 bminus = max(bminus, abs(bminus_norm(A, a) - bminus_norm_closed(A, a)))
                 Rn = transverse_riemann(RM, A)

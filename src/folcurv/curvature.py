@@ -1,4 +1,4 @@
-"""Curvature tensors, their curvature-operator extremes, the transverse
+"""Curvature tensors, their curvature-operator matrix, the transverse
 curvature induced by the integrability tensor, and the Bochner curvature
 term on forms.
 
@@ -29,7 +29,6 @@ __all__ = [
     "RiemannTensor",
     "space_form",
     "curvature_operator_matrix",
-    "curvature_operator_extremes",
     "transverse_riemann",
     "transverse_ricci",
     "curvature_action_on_form",
@@ -95,12 +94,6 @@ def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
     orthonormal bivector basis {e_i ^ e_j : i < j}."""
     i, j = np.triu_indices(R.dimension, 1)         # the order of multi_indices(q, 2)
     return R.components[i[:, None], j[:, None], i, j]
-
-
-def curvature_operator_extremes(R: RiemannTensor) -> tuple[float, float]:
-    """Extreme eigenvalues (rho0, rho1) of the curvature operator."""
-    w = np.linalg.eigvalsh(curvature_operator_matrix(R))
-    return float(w[0]), float(w[-1])
 
 
 # -- transverse curvature from the integrability tensor -----------------------

@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "AlternatingForm",
-    "FiberVector",
     "multi_indices",
     "multi_index_rank",
     "wedge",
@@ -84,37 +83,9 @@ def _wedge_table(q: int, p: int, r: int) -> tuple[np.ndarray, ...]:
     return k, ia, ib, sign.astype(float)
 
 
-class FiberVector:
-    """A vector in the fiber, held as components in the orthonormal frame."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = np.asarray(components, dtype=float)
-        if self.components.ndim != 1:
-            raise ValueError("fiber vector components must be one-dimensional")
-
-    @classmethod
-    def basis(cls, q: int, i: int) -> "FiberVector":
-        v = np.zeros(q)
-        v[i] = 1.0
-        return cls(v)
-
-    @property
-    def dimension(self) -> int:
-        return self.components.shape[0]
-
-    @property
-    def norm_sq(self) -> float:
-        return float(self.components @ self.components)
-
-    def __repr__(self):
-        return f"FiberVector({self.components!r})"
-
-
 def _components(v, q: int) -> np.ndarray:
-    """Coerce a FiberVector or array-like to a length-q component array."""
-    c = v.components if isinstance(v, FiberVector) else np.asarray(v, dtype=float)
+    """Coerce an array-like of frame components to a length-q array."""
+    c = np.asarray(v, dtype=float)
     if c.shape != (q,):
         raise ValueError(f"expected a vector of dimension {q}, got shape {c.shape}")
     return c
@@ -211,10 +182,6 @@ class AlternatingForm:
 
     def __neg__(self) -> "AlternatingForm":
         return AlternatingForm(self.degree, self.dimension, -self.coeffs)
-
-    def allclose(self, other: "AlternatingForm", tol: float = 1e-10) -> bool:
-        self._check_compatible(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs), initial=0.0) <= tol)
 
     def __repr__(self):
         return (

@@ -42,7 +42,6 @@ __all__ = [
     "complexify",
     "field_labels",
     "fields_YW",
-    "lie_bracket",
     "adapted_frame",
     "oneill_from_brackets",
     "oneill_closed_form",
@@ -175,13 +174,6 @@ def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float = 
     return x.value, x.grad, fields, np.concatenate([y.grad, w.grad])
 
 
-def lie_bracket(fields: np.ndarray, jacobians: np.ndarray) -> np.ndarray:
-    """Every bracket of a family of fields, B[i, j] = [Z_i, Z_j] =
-    DZ_j Z_i - DZ_i Z_j, from their values (k, n) and Jacobians (k, n, n)."""
-    D = np.einsum("jab,ib->ija", jacobians, fields)      # D[i, j] = DZ_j Z_i
-    return D - D.transpose(1, 0, 2)
-
-
 @dataclass
 class AdaptedFrame:
     """Orthonormal frame adapted to the foliation at a point: the normalized
@@ -233,13 +225,17 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
         |A|^2 = 1/(2|X|^2) sum_{i<j} <[Z_i, Z_j], X>^2 / (|Z_i|^2 |Z_j|^2),
 
     checked against the tensor norm; a disagreement raises
-    ``BracketRouteError``.  The brackets come from the frame's own field
-    values and Jacobians.
+    ``BracketRouteError``.  Only the vertical pairing of each bracket is
+    formed, from the frame's own field values and Jacobians: with
+    [Z_i, Z_j] = DZ_j Z_i - DZ_i Z_j and u_j = DZ_j^T X, the pairing is
+    <Z_i, u_j> - <Z_j, u_i>.
     """
     if frame is None:
         frame = adapted_frame(model, point)
     q = len(frame.labels)
-    pairing = lie_bracket(frame.fields, frame.jacobians) @ (frame.vertical * frame.vertical_norm)
+    u = frame.jacobians.transpose(0, 2, 1) @ (frame.vertical * frame.vertical_norm)
+    zu = frame.fields @ u.T                              # zu[i, j] = <Z_i, u_j>
+    pairing = zu - zu.T
     i, j = np.triu_indices(q, 1)
     denom = frame.field_norms[i] * frame.field_norms[j]
     upper = pairing[i, j] / (2.0 * denom * frame.vertical_norm)

@@ -14,7 +14,7 @@ ambient-curvature contractions and integrability-tensor terms, where
     M  = sum_s |(sum_i A_i V_s ^ e_i) . a|^2  (mixed bivector term).
 
 It holds exactly for every skew A, every algebraic curvature tensor, and
-every form; ``master_identity_residual`` enforces it.
+every form; ``master_identity_residual`` measures it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .exterior import (
 __all__ = [
     "ONeillTensor",
     "BoundReport",
-    "MasterIdentityError",
     "sandwich_check",
     "bplus_norm",
     "bplus_norm_closed",
@@ -133,16 +132,6 @@ def _report(theorem_id, lhs, rhs, tol, inputs, note="") -> BoundReport:
     gap = lhs - rhs
     return BoundReport(theorem_id, float(lhs), float(rhs), float(gap), tol,
                        bool(gap >= -tol), inputs, note)
-
-
-class MasterIdentityError(ValueError):
-    """Raised when the master identity residual exceeds tolerance; carries
-    the full input digest."""
-
-    def __init__(self, residual: float, digest: dict):
-        self.residual = residual
-        self.digest = digest
-        super().__init__(f"master identity residual {residual:.3e} on {digest}")
 
 
 # -- elementary quantities -----------------------------------------------------
@@ -274,30 +263,14 @@ def master_identity_residual(
     RM: RiemannTensor,
     A: ONeillTensor,
     a: AlternatingForm,
-    *,
-    tol: float = 1e-10,
-    raise_on_violation: bool = True,
 ) -> float:
     """Residual of the module's central identity (see module docstring),
-    with the Bochner pairing computed from the transverse curvature data.
-
-    Must vanish (|residual| <= tol) on all inputs; a violation raises
-    ``MasterIdentityError`` carrying the input digest.
+    with the Bochner pairing computed from the transverse curvature data;
+    it vanishes on all inputs.
     """
     # S1 - 1/2 S2 + 2 V - M is -E(a), so the residual is <R(a), a> - |B+|^2 + E(a)
     Rn = transverse_riemann(RM, A)
-    residual = curvature_term(Rn, a) - bplus_norm(A, a) + prop31_value(RM, A, a)
-    if raise_on_violation and abs(residual) > tol:
-        digest = {
-            "q": a.dimension,
-            "p": a.degree,
-            "vdim": A.vdim,
-            "space_form_c": RM.space_form_curvature,
-            "form_norm_sq": a.norm_sq,
-            "oneill_norm_sq": A.norm_sq,
-        }
-        raise MasterIdentityError(residual, digest)
-    return residual
+    return curvature_term(Rn, a) - bplus_norm(A, a) + prop31_value(RM, A, a)
 
 
 def sandwich_check(

@@ -24,16 +24,16 @@ __all__ = [
 ]
 
 
-def random_space_form(rng: np.random.Generator, q: int, c_range=(-1.5, 1.5)) -> RiemannTensor:
-    return space_form(q, float(rng.uniform(*c_range)))
+def random_space_form(rng: np.random.Generator, q: int) -> RiemannTensor:
+    return space_form(q, float(rng.uniform(-1.5, 1.5)))
 
 
-def random_curvature(rng: np.random.Generator, q: int, terms: int = 2) -> RiemannTensor:
-    """Random algebraic curvature tensor: a sum of Kulkarni-Nomizu squares
+def random_curvature(rng: np.random.Generator, q: int) -> RiemannTensor:
+    """Random algebraic curvature tensor: a sum of two Kulkarni-Nomizu squares
     of random symmetric matrices (each summand satisfies all the curvature
     symmetries including first Bianchi)."""
     R = np.zeros((q, q, q, q))
-    for _ in range(terms):
+    for _ in range(2):
         h = rng.standard_normal((q, q))
         h = (h + h.T) / (2.0 * np.sqrt(q))
         R += (
@@ -48,13 +48,13 @@ def random_skew_oneill(rng: np.random.Generator, q: int, vdim: int) -> ONeillTen
     return ONeillTensor((m - m.transpose(1, 0, 2)) / 2.0)
 
 
-def random_form(rng: np.random.Generator, q: int, p: int, unit: bool = True) -> AlternatingForm:
+def random_form(rng: np.random.Generator, q: int, p: int) -> AlternatingForm:
+    """Random unit p-form."""
     a = AlternatingForm(p, q)
     a.coeffs[:] = rng.standard_normal(a.coeffs.shape)
-    if unit:
-        n = np.linalg.norm(a.coeffs)
-        if n > 0:
-            a.coeffs /= n
+    n = np.linalg.norm(a.coeffs)
+    if n > 0:
+        a.coeffs /= n
     return a
 
 

@@ -1,5 +1,5 @@
-"""Curvature tensors, curvature-operator extremes, transverse curvature,
-and the Bochner curvature term."""
+"""Curvature tensors, the curvature operator and its extremes, transverse
+curvature, and the Bochner curvature term."""
 
 import tracemalloc
 from math import comb
@@ -10,7 +10,6 @@ import pytest
 from folcurv.curvature import (
     RiemannTensor,
     curvature_action_on_form,
-    curvature_operator_extremes,
     curvature_operator_matrix,
     curvature_term,
     space_form,
@@ -68,6 +67,12 @@ def test_bianchi_violation_raises():
 # ---------------------------------------------------------------------------
 # curvature operator extremes
 # ---------------------------------------------------------------------------
+
+
+def curvature_operator_extremes(R):
+    """Extreme eigenvalues (rho0, rho1) of the curvature operator matrix."""
+    w = np.linalg.eigvalsh(curvature_operator_matrix(R))
+    return w[0], w[-1]
 
 
 def test_operator_extremes_on_space_forms():

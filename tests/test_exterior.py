@@ -8,7 +8,6 @@ import pytest
 
 from folcurv.exterior import (
     AlternatingForm,
-    FiberVector,
     contractions,
     flat,
     hodge,
@@ -48,12 +47,6 @@ def test_multi_index_rank_rejects_non_increasing():
         multi_index_rank(4, (1, 0))
     with pytest.raises(ValueError):
         multi_index_rank(4, (0, 4))
-
-
-def test_fiber_vector_norm():
-    v = FiberVector([3.0, 4.0])
-    assert v.norm_sq == 25.0
-    assert FiberVector.basis(5, 2).components[2] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +135,19 @@ def test_wedge_associativity():
 
 def test_interior_vector_basis_cases():
     w = wedge(AlternatingForm.basis(3, (0,)), AlternatingForm.basis(3, (1,)))
-    r1 = interior_vector(FiberVector.basis(3, 0), w)
+    r1 = interior_vector(np.eye(3)[0], w)
     assert np.allclose(r1.coeffs, AlternatingForm.basis(3, (1,)).coeffs)
-    r2 = interior_vector(FiberVector.basis(3, 1), w)
+    r2 = interior_vector(np.eye(3)[1], w)
     assert np.allclose(r2.coeffs, -AlternatingForm.basis(3, (0,)).coeffs)
+
+
+def test_vectors_of_the_wrong_length_are_refused():
+    a = AlternatingForm.basis(4, (0, 1))
+    for v in (np.ones(3), np.ones(5), np.ones((4, 1)), 1.0):
+        with pytest.raises(ValueError):
+            interior_vector(v, a)
+        with pytest.raises(ValueError):
+            flat(v, 4)
 
 
 def test_interior_vector_definition_and_nilpotence():

@@ -19,7 +19,6 @@ from folcurv.hopf import (
     field_labels,
     fields_YW,
     kahler_form,
-    lie_bracket,
     mean_curvature,
     oneill_closed_form,
     oneill_from_brackets,
@@ -202,16 +201,22 @@ def test_degenerate_point_rejected():
 # ---------------------------------------------------------------------------
 
 
+def route_pairing(model, point):
+    """The pairings <[Z_i, Z_j], X>, read back from the bracket route's
+    a[i, j] = <[Z_i, Z_j], X> / (2 |Z_i| |Z_j| |X|)."""
+    frame = adapted_frame(model, point)
+    A, _ = oneill_from_brackets(model, point, frame=frame)
+    norms = np.outer(frame.field_norms, frame.field_norms)
+    return 2.0 * A.a[:, :, 0] * norms * frame.vertical_norm
+
+
 def test_bracket_pairings_match_displays_and_vanish_otherwise():
     rng = np.random.default_rng(13)
     for m, theta in [(3, (1.0, 0.8, 0.5)), (4, (1.0, 0.9, 0.7, 0.4)),
                      (4, (1.0, 1.0, 1.0, 1.0))]:
         model = WeightedHopfModel(m, theta)
         pt = sample_point(model, rng)
-        x, _, fields, jacobians = fields_YW(model, pt)
-        brackets = lie_bracket(fields, jacobians)
-        assert np.array_equal(brackets, -brackets.transpose(1, 0, 2))
-        pairing = brackets @ x
+        pairing = route_pairing(model, pt)
         labels = field_labels(model)
         for a, la in enumerate(labels):
             for b, lb in enumerate(labels):
@@ -230,8 +235,7 @@ def test_equal_weights_kill_the_mixed_pairings():
     # the (theta_l^2 - theta_k^2) factor vanishes for equal weights
     model = WeightedHopfModel(4, (1.0, 1.0, 1.0, 1.0))
     pt = sample_point(model, 17)
-    x, _, fields, jacobians = fields_YW(model, pt)
-    pairing = lie_bracket(fields, jacobians) @ x
+    pairing = route_pairing(model, pt)
     labels = field_labels(model)
     for l, p in [(2, 1), (3, 1), (3, 2)]:
         assert pairing[labels.index(f"Y{l}"), labels.index(f"W{p}")] == pytest.approx(
@@ -247,13 +251,15 @@ def test_brackets_against_finite_differences():
         return lambda x: fields_YW(model, at(model, x), eps_deg=0.0)[2][i]
 
     x0 = realify(pt.z)
-    _, _, fields, jacobians = fields_YW(model, pt)
-    brackets = lie_bracket(fields, jacobians)
+    x, _, fields, _ = fields_YW(model, pt)
+    norms = np.linalg.norm(fields, axis=1)
+    A, _ = oneill_from_brackets(model, pt)
     q = model.q
     for i in range(q):
         for j in range(q):
-            fd = fd_lie_bracket(as_field(i), as_field(j), x0)
-            assert np.max(np.abs(brackets[i, j] - fd)) < 1e-8, (i, j)
+            fd = fd_lie_bracket(as_field(i), as_field(j), x0) @ x
+            fd /= 2.0 * norms[i] * norms[j] * np.linalg.norm(x)
+            assert abs(A.a[i, j, 0] - fd) < 1e-8, (i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from folcurv.curvature import space_form, transverse_ricci, transverse_riemann
 from folcurv.exterior import AlternatingForm, contractions, interior_vector
 from folcurv.oneill import (
     BoundReport,
-    MasterIdentityError,
     ONeillTensor,
     bminus_norm,
     bminus_norm_closed,
@@ -208,15 +207,6 @@ def test_master_identity_reduces_to_weitzenbock_for_zero_tensor():
 
     assert curvature_term(RM, a) == pytest.approx(c * p * (q - p) * a.norm_sq,
                                                   abs=1e-12)
-
-
-def test_master_identity_violation_raises_with_digest():
-    rng = np.random.default_rng(31)
-    RM, A, a = random_instance(rng, 4, 2, vdim=1)
-    with pytest.raises(MasterIdentityError) as err:
-        master_identity_residual(RM, A, a, tol=0.0)
-    assert err.value.digest["q"] == 4
-    assert err.value.digest["p"] == 2
 
 
 def test_prop31_zero_form_and_zero_tensor_space_form_value():
@@ -434,15 +424,15 @@ def test_duality_assembled_bound():
     # E(a) + E(*a) <= -(sum R[l,i,l,i]) |a|^2
     #                + (p(p-1) + (q-p)(q-p-1)) rho1 |a|^2 + (q-2)|A|^2 |a|^2,
     # the estimate chain behind the parallel-form bound, with the advertised
-    # p <-> q-p symmetry of the degree constant
-    from folcurv.curvature import curvature_operator_extremes
+    # p <-> q-p symmetry of the degree constant; on the space forms of
+    # random_instance the curvature operator is c times the identity, rho1 = c
     from folcurv.exterior import hodge
 
     rng = np.random.default_rng(67)
     for q, p in [(4, 2), (5, 2), (5, 3), (6, 2)]:
         for k in range(10):
             RM, A, a = random_instance(rng, q, p, vdim=1 + k % 2)
-            _, rho1 = curvature_operator_extremes(RM)
+            rho1 = RM.space_form_curvature
             lhs = prop31_value(RM, A, a) + prop31_value(RM, A, hodge(a))
             const = p * (p - 1) + (q - p) * (q - p - 1)
             rhs = (-RM.scalar() + const * rho1 + (q - 2) * A.norm_sq) * a.norm_sq
