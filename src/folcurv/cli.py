@@ -65,13 +65,16 @@ from .oneill import (
     thm41_report,
     two_form_rewrite,
 )
-from .synthetic import random_curvature, random_form, random_instance
+from .synthetic import random_form, random_trials
 
 # the cached wedge and contraction tables for every degree at q = 12 take
 # about 457 MiB, and each further dimension multiplies that by about 4
 VERIFY_Q_RANGE = (2, 12)
 # a dense q^4 curvature array is refused above this size (q > 76)
 DENSE_CURVATURE_BYTES = 256 * 2**20
+# verify draws and evaluates the trials of a (q, p) cell in chunks whose three
+# stacks of dense curvature arrays (R_M, R_t, R_K) take at most this many bytes
+VERIFY_CHUNK_BYTES = 2**19
 
 
 def _parse_theta(text: str | None, m: int) -> tuple[float, ...]:
@@ -143,6 +146,36 @@ def _emit(args, builder, summary: dict):
 # -- verify ---------------------------------------------------------------------
 
 
+def _verify_stack(trials) -> tuple[dict, dict]:
+    """The largest residual of each identity and the least margin of each
+    bound (and of the wedge reading) over one stack of trials, keyed by
+    check name in report order.  Its stacks are freed on return, before the
+    next stack is built."""
+    RM, A, a, RK = trials.build()
+    Rt = transverse_riemann(RM, A)
+    d = two_form_rewrite(RK, a)
+    ch = contraction_chain(A, a)
+    residuals = {
+        "oneill.master_identity": master_identity_residual(RM, A, a, Rt=Rt),
+        "oneill.bplus_identity": bplus_norm(A, a) - bplus_norm_closed(A, a),
+        "oneill.bminus_identity": bminus_norm(A, a) - bminus_norm_closed(A, a),
+        "curvature.term_vs_action":
+            curvature_term(Rt, a) - inner(curvature_action_on_form(Rt, a), a),
+        "oneill.ricci_hodge_trace": hodge_trace_residual(RK, a),
+        "oneill.two_form_rewrite": d["half_s2"] - d["theta_route"],
+    }
+    margins = {
+        "oneill.two_form_bound": d["bound"] - d["half_s2"],
+        "oneill.contraction_chain_step1":
+            ch["q_sum_bivector_per_s"] - ch["mixed_term_per_s"],
+        "oneill.contraction_chain_step2":
+            ch["q_sum_contraction_per_s"] - ch["q_sum_bivector_per_s"],
+        "wedge": ch["q_sum_wedge_per_s"] - ch["mixed_term_per_s"],
+    }
+    return ({k: float(np.max(np.abs(v))) for k, v in residuals.items()},
+            {k: float(np.min(v)) for k, v in margins.items()})
+
+
 def cmd_verify(args) -> int:
     _refuse_below_one(args, "trials")
     lo, hi = VERIFY_Q_RANGE
@@ -194,50 +227,33 @@ def cmd_verify(args) -> int:
         builder.residual_check(f"exterior.contraction_sum.q{q}", contr, 1e-12)
         builder.residual_check(f"exterior.graded_anticommutativity.q{q}", anticomm, 1e-12)
 
-    # curvature and integrability identities over seeded random instances
+    # curvature and integrability identities over seeded random instances,
+    # drawn and evaluated a chunk of trials at a time, one stack per vdim
     for q in qs:
+        chunk = max(1, VERIFY_CHUNK_BYTES // (3 * 8 * q**4))
         for p in range(1, min(4, q)):
             rng = np.random.default_rng(next(streams))
-            master = bplus = bminus = action = trace = rewrite = 0.0
-            bound_margin = chain1 = chain2 = wedge_margin = np.inf
-            for k in range(args.trials):
-                RM, A, a = random_instance(rng, q, p, vdim=1 + k % 3)
-                master = max(master, abs(master_identity_residual(RM, A, a)))
-                bplus = max(bplus, abs(bplus_norm(A, a) - bplus_norm_closed(A, a)))
-                bminus = max(bminus, abs(bminus_norm(A, a) - bminus_norm_closed(A, a)))
-                Rn = transverse_riemann(RM, A)
-                action = max(action, abs(
-                    curvature_term(Rn, a)
-                    - inner(curvature_action_on_form(Rn, a), a)))
-                RK = random_curvature(rng, q)
-                trace = max(trace, abs(hodge_trace_residual(RK, a)))
-                d = two_form_rewrite(RK, a)
-                rewrite = max(rewrite, abs(d["half_s2"] - d["theta_route"]))
-                bound_margin = min(bound_margin, d["bound"] - d["half_s2"])
-                ch = contraction_chain(A, a)
-                for s in range(A.vdim):
-                    chain1 = min(chain1, ch["q_sum_bivector_per_s"][s]
-                                 - ch["mixed_term_per_s"][s])
-                    chain2 = min(chain2, ch["q_sum_contraction_per_s"][s]
-                                 - ch["q_sum_bivector_per_s"][s])
-                    wedge_margin = min(wedge_margin, ch["q_sum_wedge_per_s"][s]
-                                       - ch["mixed_term_per_s"][s])
+            worst, least = {}, {}
+            for k0 in range(0, args.trials, chunk):
+                vdims = [1 + k % 3 for k in range(k0, min(args.trials, k0 + chunk))]
+                for trials in random_trials(rng, q, p, vdims):
+                    residuals, margins = _verify_stack(trials)
+                    for name, r in residuals.items():
+                        worst[name] = max(worst.get(name, 0.0), r)
+                    for name, m in margins.items():
+                        least[name] = min(least.get(name, np.inf), m)
             sfx = f"q{q}.p{p}"
-            builder.residual_check(f"oneill.master_identity.{sfx}", master, tol)
-            builder.residual_check(f"oneill.bplus_identity.{sfx}", bplus, tol)
-            builder.residual_check(f"oneill.bminus_identity.{sfx}", bminus, tol)
-            builder.residual_check(f"curvature.term_vs_action.{sfx}", action, tol)
-            builder.residual_check(f"oneill.ricci_hodge_trace.{sfx}", trace, tol)
-            builder.residual_check(f"oneill.two_form_rewrite.{sfx}", rewrite, tol)
-            builder.bound_check(f"oneill.two_form_bound.{sfx}", bound_margin, 0.0, 1e-10)
-            builder.bound_check(f"oneill.contraction_chain_step1.{sfx}", chain1, 0.0, 1e-10)
-            builder.bound_check(f"oneill.contraction_chain_step2.{sfx}", chain2, 0.0, 1e-10)
+            for name, r in worst.items():
+                builder.residual_check(f"{name}.{sfx}", r, tol)
+            wedge_margin = least.pop("wedge")
+            for name, m in least.items():
+                builder.bound_check(f"{name}.{sfx}", m, 0.0, 1e-10)
             if wedge_margin < -1e-10:
                 builder.finding(
                     "wedge-reading-chain", "the wedge reading of the middle "
                     "contraction-chain term fails on some instance; the asserted "
                     "chain uses the bivector reading",
-                    {"q": q, "p": p, "min_margin": float(wedge_margin)})
+                    {"q": q, "p": p, "min_margin": wedge_margin})
 
     _emit(args, builder, {"all_passed": builder.all_passed})
     return 0 if builder.all_passed else 1

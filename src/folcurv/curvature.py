@@ -12,6 +12,9 @@ the integrability tensor:
 
 whose symmetries and first Bianchi identity follow from the skewness of A
 (asserted at construction, not assumed).
+
+Tensors and forms may carry one leading stack axis; every function here then
+acts row by row and returns one value per row.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import numpy as np
 
 from .exterior import (
     AlternatingForm,
+    _pair,
+    _value,
+    _zeros,
     contractions,
     interior_matrices,
     wedge_matrices,
@@ -39,30 +45,31 @@ __all__ = [
 
 
 class RiemannTensor:
-    """A 4-index curvature array R[i,j,k,l] on an orthonormal frame.
+    """A 4-index curvature array R[i,j,k,l] on an orthonormal frame, or a
+    stack of them, R[n, i, j, k, l].
 
     Construction enforces the pair/antisymmetry relations exactly up to
-    ``tol`` and the first Bianchi identity; violations raise.
+    ``tol`` and the first Bianchi identity on every row; violations raise.
     """
 
     __slots__ = ("components", "dimension", "space_form_curvature")
 
     def __init__(self, components, *, tol: float = 1e-10, space_form_curvature=None):
         R = np.asarray(components, dtype=float)
-        q = R.shape[0]
-        if R.shape != (q, q, q, q):
-            raise ValueError(f"curvature array must be (q,q,q,q), got {R.shape}")
-        skew_ij = np.max(np.abs(R + np.einsum("jikl->ijkl", R)))
-        skew_kl = np.max(np.abs(R + np.einsum("ijlk->ijkl", R)))
-        pair = np.max(np.abs(R - np.einsum("klij->ijkl", R)))
+        q = R.shape[-1]
+        if R.ndim not in (4, 5) or R.shape[-4:] != (q, q, q, q):
+            raise ValueError(f"curvature array must be ([n,] q,q,q,q), got {R.shape}")
+        skew_ij = _max_abs(R + np.einsum("...jikl->...ijkl", R))
+        skew_kl = _max_abs(R + np.einsum("...ijlk->...ijkl", R))
+        pair = _max_abs(R - np.einsum("...klij->...ijkl", R))
         if max(skew_ij, skew_kl, pair) > tol:
             raise ValueError(
                 "curvature symmetries violated: "
                 f"skew(i,j)={skew_ij:.3e}, skew(k,l)={skew_kl:.3e}, pair={pair:.3e}"
             )
-        bianchi = np.max(
-            np.abs(R + np.einsum("jkil->ijkl", R) + np.einsum("kijl->ijkl", R))
-        )
+        cyclic = R + np.einsum("...jkil->...ijkl", R)
+        cyclic += np.einsum("...kijl->...ijkl", R)
+        bianchi = _max_abs(cyclic)
         if bianchi > tol:
             raise ValueError(f"first Bianchi identity violated: residual {bianchi:.3e}")
         self.components = R
@@ -71,29 +78,36 @@ class RiemannTensor:
 
     def ricci(self) -> np.ndarray:
         """Ric[i,j] = sum_l R[l,i,l,j]."""
-        return np.einsum("lilj->ij", self.components)
+        return np.einsum("...lilj->...ij", self.components)
 
-    def scalar(self) -> float:
-        return float(np.einsum("lili->", self.components))
+    def scalar(self):
+        return _value(np.einsum("...lili->...", self.components))
 
     def __repr__(self):
         return f"RiemannTensor(q={self.dimension}, space_form={self.space_form_curvature})"
 
 
-def space_form(q: int, c: float) -> RiemannTensor:
-    """Constant-curvature tensor R[i,j,k,l] = c (d_ik d_jl - d_il d_jk)."""
+def _max_abs(d: np.ndarray) -> float:
+    """max |d| of a temporary, which is overwritten."""
+    return float(np.max(np.abs(d, out=d)))
+
+
+def space_form(q: int, c) -> RiemannTensor:
+    """Constant-curvature tensor R[i,j,k,l] = c (d_ik d_jl - d_il d_jk); an
+    array of curvatures c gives the stack of their space forms."""
     if q < 2:
         raise ValueError("space form needs dimension >= 2")
     eye = np.eye(q)
-    R = c * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    return RiemannTensor(R, space_form_curvature=float(c))
+    c = _value(c)
+    unit = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+    return RiemannTensor(np.multiply.outer(c, unit), space_form_curvature=c)
 
 
 def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
     """The symmetric C(q,2) x C(q,2) matrix of the curvature operator on the
-    orthonormal bivector basis {e_i ^ e_j : i < j}."""
+    orthonormal bivector basis {e_i ^ e_j : i < j}, one per stacked row."""
     i, j = np.triu_indices(R.dimension, 1)         # the order of multi_indices(q, 2)
-    return R.components[i[:, None], j[:, None], i, j]
+    return R.components[..., i[:, None], j[:, None], i, j]
 
 
 # -- transverse curvature from the integrability tensor -----------------------
@@ -110,17 +124,16 @@ def transverse_riemann(RM: RiemannTensor, A, *, tol: float = 1e-9) -> RiemannTen
     (the skew-diagonal term g(A_l e_l, .) vanishes identically).
     """
     a = A.a
-    if a.shape[0] != RM.dimension:
+    if A.q != RM.dimension:
         raise ValueError("integrability tensor dimension does not match curvature")
-    G = np.einsum("ijs,kls->ijkl", a, a)
-    Rt = RiemannTensor(
-        RM.components
-        + 2.0 * G
-        - np.einsum("jks,ils->ijkl", a, a)
-        - np.einsum("kis,jls->ijkl", a, a),
-        tol=tol,
-    )
-    ric = RM.ricci() + 3.0 * np.einsum("lis,ljs->ij", a, a)
+    # summed in one buffer: R + 2 G(ij, kl) - G(jk, il) - G(ki, jl)
+    Rt = np.einsum("...ijs,...kls->...ijkl", a, a)
+    Rt *= 2.0
+    Rt += RM.components
+    Rt -= np.einsum("...jks,...ils->...ijkl", a, a)
+    Rt -= np.einsum("...kis,...jls->...ijkl", a, a)
+    Rt = RiemannTensor(Rt, tol=tol)
+    ric = RM.ricci() + 3.0 * np.einsum("...lis,...ljs->...ij", a, a)
     err = np.max(np.abs(ric - Rt.ricci()))
     if err > 1e-10:
         raise ValueError(f"transverse Ricci disagrees with Riemann trace by {err:.3e}")
@@ -149,35 +162,35 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     if Rnabla.dimension != q:
         raise ValueError("dimension mismatch between curvature and form")
     if p == 0:
-        return AlternatingForm.zero(0, q)
+        return AlternatingForm(0, q, np.zeros(a.coeffs.shape))
     W = wedge_matrices(q, p - 1)
     L = interior_matrices(q, p)
     # two operands per step, so no step loops over the full index product
-    La = np.einsum("lBC,C->lB", L, a.coeffs)              # e_l . a
-    T = np.einsum("kAB,lB->klA", W, La)                   # e^k ^ (e_l . a)
-    phi = np.einsum("ijkl,klA->ijA", Rnabla.components, T)
-    Y = np.einsum("iBC,ijC->jB", L, phi)                  # sum_i e_i . phi_ij
-    out = np.einsum("jAB,jB->A", W, Y)                    # sum_j e^j ^ Y_j
+    La = np.einsum("lBC,...C->...lB", L, a.coeffs)              # e_l . a
+    T = np.einsum("kAB,...lB->...klA", W, La)                   # e^k ^ (e_l . a)
+    phi = np.einsum("...ijkl,...klA->...ijA", Rnabla.components, T)
+    Y = np.einsum("iBC,...ijC->...jB", L, phi)                  # sum_i e_i . phi_ij
+    out = np.einsum("jAB,...jB->...A", W, Y)                    # sum_j e^j ^ Y_j
     return AlternatingForm(p, q, out)
 
 
-def ricci_contraction(R: RiemannTensor, a: AlternatingForm) -> float:
+def ricci_contraction(R: RiemannTensor, a: AlternatingForm):
     """S1 = sum R[l,i,l,j] <e_i.a, e_j.a>."""
     if a.degree == 0:
-        return 0.0
+        return _zeros(a)
     V = contractions(a, 1)
-    return float(np.einsum("ij,iA,jA->", R.ricci(), V, V))
+    return _pair(np.einsum("...ij,...jA->...iA", R.ricci(), V), V, 2)
 
 
-def bivector_curvature_sum(R: RiemannTensor, a: AlternatingForm) -> float:
+def bivector_curvature_sum(R: RiemannTensor, a: AlternatingForm):
     """S2 = sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a>; zero below degree 2."""
     if a.degree < 2:
-        return 0.0
+        return _zeros(a)
     P = contractions(a, 2)
-    return float(np.einsum("ijkl,ijA,klA->", R.components, P, P))
+    return _pair(np.einsum("...ijkl,...klA->...ijA", R.components, P), P, 3)
 
 
-def curvature_term(R: RiemannTensor, a: AlternatingForm) -> float:
+def curvature_term(R: RiemannTensor, a: AlternatingForm):
     """The Bochner curvature pairing <R(a), a> through its Ricci/Riemann
     contraction expansion, S1(a) - 1/2 S2(a).
 

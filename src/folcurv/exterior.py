@@ -6,6 +6,9 @@ antisymmetry is resolved on access, never stored.  The p-form inner product
 carries the 1/p! normalization, under which the stored coefficient vector is
 orthonormal and <a, b> collapses to a plain dot product.
 
+A form may carry one leading stack axis: ``coeffs`` of shape (n, C(q, p))
+holds n forms of one degree, and every product below acts row by row.
+
 Orientation is the ordered frame itself.  The Hodge star sign is pinned by
 a ^ (*a) = |a|^2 vol, which also yields the contraction rule
 X . (*a) = (-1)^p * (X^flat ^ a).
@@ -65,10 +68,11 @@ def multi_index_rank(q: int, indices: tuple[int, ...]) -> int:
 def _wedge_table(q: int, p: int, r: int) -> tuple[np.ndarray, ...]:
     """Signed index table of the wedge of a degree-p and a degree-r form.
 
-    One row per disjoint pair (I, J) of increasing multi-indices, I outer and
-    J inner in lexicographic order: (rank of I u J, rank of I, rank of J,
-    sign of the shuffle sorting I + J), so that
-    e_I ^ e_J = sign * e_{I u J}.
+    One row per disjoint pair (I, J) of increasing multi-indices: (rank of
+    I u J, rank of I, rank of J, sign of the shuffle sorting I + J), so that
+    e_I ^ e_J = sign * e_{I u J}.  Rows are grouped by the rank of I u J,
+    each union arising from comb(p + r, p) pairs, and within a group I runs
+    outer and J inner in lexicographic order.
     """
     if p + r > q:
         raise ValueError(f"degree overflow: {p} + {r} > {q}")
@@ -79,8 +83,35 @@ def _wedge_table(q: int, p: int, r: int) -> tuple[np.ndarray, ...]:
         for J in itertools.combinations(rest, r):
             crossings = sum(x > y for x in I for y in J)
             rows.append((union[tuple(sorted(I + J))], ia, right[J], -1 if crossings % 2 else 1))
+    rows.sort(key=lambda row: row[0])  # stable: keeps I outer, J inner per union
     k, ia, ib, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
     return k, ia, ib, sign.astype(float)
+
+
+def _wedge_coeffs(x: np.ndarray, y: np.ndarray, q: int, p: int, r: int) -> np.ndarray:
+    """Coefficients of the wedge of degree-p coefficients x with degree-r
+    coefficients y; any leading axes broadcast."""
+    _, ia, ib, sign = _wedge_table(q, p, r)
+    terms = sign * x[..., ia] * y[..., ib]
+    return terms.reshape(terms.shape[:-1] + (comb(q, p + r), comb(p + r, p))).sum(-1)
+
+
+def _value(x):
+    """A float for one instance, the array itself for a stack."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
+def _zeros(a: "AlternatingForm"):
+    """0.0 for one form, one zero per row for a stack."""
+    return _value(np.zeros(a.stack))
+
+
+def _pair(T: np.ndarray, U: np.ndarray, axes: int):
+    """The sum of T * U over the last ``axes`` axes, one value per stacked
+    row; leading axes broadcast."""
+    return _value(np.vecdot(T.reshape(T.shape[:T.ndim - axes] + (-1,)),
+                            U.reshape(U.shape[:U.ndim - axes] + (-1,))))
 
 
 def _components(v, q: int) -> np.ndarray:
@@ -94,8 +125,9 @@ def _components(v, q: int) -> np.ndarray:
 class AlternatingForm:
     """A degree-p alternating multilinear form on the q-dimensional fiber.
 
-    ``coeffs[r]`` is the value on the frame vectors of the rank-r increasing
-    multi-index.
+    ``coeffs[..., r]`` is the value on the frame vectors of the rank-r
+    increasing multi-index; a two-dimensional ``coeffs`` is a stack of forms,
+    one per row.
     """
 
     __slots__ = ("degree", "dimension", "coeffs")
@@ -108,14 +140,11 @@ class AlternatingForm:
         n = comb(dimension, degree)
         if coeffs is None:
             self.coeffs = np.zeros(n)
-        else:
-            self.coeffs = np.array(coeffs, dtype=float).reshape(n)
+            return
+        c = np.array(coeffs, dtype=float)
+        self.coeffs = c if c.ndim == 2 and c.shape[1] == n else c.reshape(n)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, degree: int, dimension: int) -> "AlternatingForm":
-        return cls(degree, dimension)
 
     @classmethod
     def basis(cls, dimension: int, indices) -> "AlternatingForm":
@@ -130,10 +159,6 @@ class AlternatingForm:
         a = cls(1, dimension)
         a.coeffs[:] = np.asarray(components, dtype=float)
         return a
-
-    @classmethod
-    def volume(cls, dimension: int) -> "AlternatingForm":
-        return cls.basis(dimension, tuple(range(dimension)))
 
     # -- access -------------------------------------------------------------
 
@@ -155,8 +180,13 @@ class AlternatingForm:
         return float(c[0])
 
     @property
-    def norm_sq(self) -> float:
-        return float(self.coeffs @ self.coeffs)
+    def stack(self) -> tuple[int, ...]:
+        """The leading stack shape: () for one form, (n,) for n forms."""
+        return self.coeffs.shape[:-1]
+
+    @property
+    def norm_sq(self):
+        return _value(np.vecdot(self.coeffs, self.coeffs))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -198,9 +228,7 @@ def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
     if a.dimension != b.dimension:
         raise ValueError("wedge of forms on fibers of different dimension")
     q, p, r = a.dimension, a.degree, b.degree
-    k, ia, ib, sign = _wedge_table(q, p, r)
-    out = np.bincount(k, weights=sign * a.coeffs[ia] * b.coeffs[ib], minlength=comb(q, p + r))
-    return AlternatingForm(p + r, q, out)
+    return AlternatingForm(p + r, q, _wedge_coeffs(a.coeffs, b.coeffs, q, p, r))
 
 
 def interior_vector(v, a: AlternatingForm) -> AlternatingForm:
@@ -213,11 +241,11 @@ def interior_vector(v, a: AlternatingForm) -> AlternatingForm:
     return AlternatingForm(a.degree - 1, q, np.einsum("i,iAB,B->A", c, mats, a.coeffs))
 
 
-def inner(a: AlternatingForm, b: AlternatingForm) -> float:
+def inner(a: AlternatingForm, b: AlternatingForm):
     """The p-form inner product with the 1/p! normalization: a dot product
-    of coefficients over increasing multi-indices."""
+    of coefficients over increasing multi-indices (one per stacked row)."""
     a._check_compatible(b)
-    return float(a.coeffs @ b.coeffs)
+    return _value(np.vecdot(a.coeffs, b.coeffs))
 
 
 def hodge(a: AlternatingForm) -> AlternatingForm:
@@ -227,8 +255,8 @@ def hodge(a: AlternatingForm) -> AlternatingForm:
     """
     q, p = a.dimension, a.degree
     _, ia, ib, sign = _wedge_table(q, p, q - p)
-    out = np.zeros(comb(q, q - p))
-    out[ib] = sign * a.coeffs[ia]
+    out = np.zeros(a.stack + (comb(q, q - p),))
+    out[..., ib] = sign * a.coeffs[..., ia]
     return AlternatingForm(q - p, q, out)
 
 
@@ -268,7 +296,7 @@ def interior_matrices(q: int, p: int) -> np.ndarray:
 
 def contractions(a: AlternatingForm, k: int) -> np.ndarray:
     """Table C with C[i_1, ..., i_k] = coeffs(a(e_i1, ..., e_ik, .)), the
-    first k slots filled in order; shape (q,) * k + (C(q, p-k),)."""
+    first k slots filled in order; shape a.stack + (q,) * k + (C(q, p-k),)."""
     q, p = a.dimension, a.degree
     if not 0 <= k <= p:
         raise ValueError(f"cannot contract {k} slots of a degree-{p} form")

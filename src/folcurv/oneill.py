@@ -15,6 +15,11 @@ ambient-curvature contractions and integrability-tensor terms, where
 
 It holds exactly for every skew A, every algebraic curvature tensor, and
 every form; ``master_identity_residual`` measures it.
+
+Every evaluator takes instances with one leading stack axis (tensors, forms
+or both, broadcast row by row) and then returns an array with one value per
+row; on one instance it returns a float.  Each contraction step has two
+operands.
 """
 
 from __future__ import annotations
@@ -34,10 +39,12 @@ from .curvature import (
 )
 from .exterior import (
     AlternatingForm,
+    _pair,
+    _value,
+    _wedge_coeffs,
+    _zeros,
     contractions,
     hodge,
-    interior_vector,
-    wedge,
 )
 
 __all__ = [
@@ -66,7 +73,8 @@ __all__ = [
 
 class ONeillTensor:
     """Integrability tensor components a[i, j, s] = g(A_{e_i} e_j, V_s) for a
-    rank-q horizontal frame and a (n-q)-dimensional vertical frame.
+    rank-q horizontal frame and a (n-q)-dimensional vertical frame; a
+    four-dimensional ``a`` is a stack of them, a[n, i, j, s].
 
     Skewness in (i, j) is exact and enforced; the action on vertical vectors
     is derived, not stored: g(A_{e_i} V_s, e_j) = -a[i, j, s].
@@ -76,27 +84,23 @@ class ONeillTensor:
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
-        if a.ndim != 3 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected shape (q, q, vdim), got {a.shape}")
-        if not np.array_equal(a, -a.transpose(1, 0, 2)):
+        if a.ndim not in (3, 4) or a.shape[-3] != a.shape[-2]:
+            raise ValueError(f"expected shape ([n,] q, q, vdim), got {a.shape}")
+        if not np.array_equal(a, -np.swapaxes(a, -3, -2)):
             raise ValueError("integrability tensor must be exactly skew in (i, j)")
         self.a = a
-        self.q = a.shape[0]
-        self.vdim = a.shape[2]
-
-    @classmethod
-    def zero(cls, q: int, vdim: int = 1) -> "ONeillTensor":
-        return cls(np.zeros((q, q, vdim)))
+        self.q = a.shape[-2]
+        self.vdim = a.shape[-1]
 
     def horizontal_action(self, i: int, s: int) -> np.ndarray:
         """Components of the horizontal vector A_{e_i} V_s."""
-        return -self.a[i, :, s]
+        return -self.a[..., i, :, s]
 
     @property
-    def norm_sq(self) -> float:
+    def norm_sq(self):
         """|A|^2 = sum a[i,j,s]^2; coincides with sum_{i,s} |A_{e_i} V_s|^2 by
         the derived vertical action."""
-        return float(np.sum(self.a * self.a))
+        return _value(np.sum(self.a * self.a, axis=(-3, -2, -1)))
 
     def __repr__(self):
         return f"ONeillTensor(q={self.q}, vdim={self.vdim}, |A|^2={self.norm_sq:.6g})"
@@ -137,20 +141,24 @@ def _report(theorem_id, lhs, rhs, tol, inputs, note="") -> BoundReport:
 # -- elementary quantities -----------------------------------------------------
 
 
-def vertical_contraction_term(A: ONeillTensor, a: AlternatingForm) -> float:
+def _gram(X: np.ndarray, k: int) -> np.ndarray:
+    """Pairings of the contraction table X = contractions(a, k):
+    <X[i_1..i_k], X[j_1..j_k]>, indexed (i_1..i_k, j_1..j_k)."""
+    i, j = "ijkl"[:k], "ijkl"[k:2 * k]
+    return np.einsum(f"...{i}A,...{j}A->...{i}{j}", X, X)
+
+
+def vertical_contraction_term(A: ONeillTensor, a: AlternatingForm):
     """V = sum_{l,s} |A_{e_l} V_s . a|^2, evaluated literally; equals
     sum g(A_l e_i, A_l e_j) <e_i.a, e_j.a>."""
     if a.degree == 0:
-        return 0.0
-    total = 0.0
-    for l in range(A.q):
-        for s in range(A.vdim):
-            w = interior_vector(A.horizontal_action(l, s), a)
-            total += w.norm_sq
-    return total
+        return _zeros(a)
+    # W[l, s] = (A_{e_l} V_s) . a = -sum_j a[l, j, s] (e_j . a)
+    W = np.einsum("...ljs,...jA->...lsA", A.a, contractions(a, 1))
+    return _pair(W, W, 3)
 
 
-def mixed_bivector_term(A: ONeillTensor, a: AlternatingForm) -> float:
+def mixed_bivector_term(A: ONeillTensor, a: AlternatingForm):
     """M = sum_s |(sum_i A_{e_i} V_s ^ e_i) . a|^2, evaluated as the
     quadruple contraction sum
 
@@ -159,33 +167,29 @@ def mixed_bivector_term(A: ONeillTensor, a: AlternatingForm) -> float:
     zero below degree 2 (the bivector contraction underflows).
     """
     if a.degree < 2:
-        return 0.0
-    P = contractions(a, 2)
-    return float(np.einsum("ijs,kls,ijA,klA->", A.a, A.a, P, P))
+        return _zeros(a)
+    Y = np.einsum("...ijs,...ijA->...sA", A.a, contractions(a, 2))
+    return _pair(Y, Y, 2)
 
 
 # -- the B+ tensor --------------------------------------------------------------
 
 
-def bplus_norm(A: ONeillTensor, a: AlternatingForm) -> float:
+def bplus_norm(A: ONeillTensor, a: AlternatingForm):
     """|B+(a)|^2 from the definition: B+(a) is the vertical-valued p-tensor
     sum_i (e_i.a) ^ A_{e_i}, with A_{e_i} the vertical-valued 1-form of
     components a[i, j, s]."""
     if a.degree < 1:
         raise ValueError("B+ needs a form of degree >= 1")
-    q = a.dimension
-    total = 0.0
-    for s in range(A.vdim):
-        acc = AlternatingForm.zero(a.degree, q)
-        for i in range(q):
-            ei = np.zeros(q)
-            ei[i] = 1.0
-            acc = acc + wedge(interior_vector(ei, a), AlternatingForm.one_form(q, A.a[i, :, s]))
-        total += acc.norm_sq
-    return total
+    q, p = a.dimension, a.degree
+    # one wedge per (i, s): (e_i . a) ^ A_{e_i}^s, then the sum over i
+    V = contractions(a, 1)[..., :, None, :]
+    terms = _wedge_coeffs(V, np.swapaxes(A.a, -2, -1), q, p - 1, 1)
+    B = terms.sum(axis=-3)
+    return _pair(B, B, 2)
 
 
-def bplus_norm_closed(A: ONeillTensor, a: AlternatingForm) -> float:
+def bplus_norm_closed(A: ONeillTensor, a: AlternatingForm):
     """Closed form of |B+(a)|^2:
 
         sum g(A_k e_i, A_k e_j) <e_i.a, e_j.a>
@@ -195,18 +199,18 @@ def bplus_norm_closed(A: ONeillTensor, a: AlternatingForm) -> float:
     """
     if a.degree < 1:
         raise ValueError("B+ needs a form of degree >= 1")
-    V = contractions(a, 1)
-    out = float(np.einsum("kis,kjs,iA,jA->", A.a, A.a, V, V))
+    G = np.einsum("...kis,...kjs->...ij", A.a, A.a)
+    out = _pair(G, _gram(contractions(a, 1), 1), 2)
     if a.degree >= 2:
-        P = contractions(a, 2)
-        out += float(np.einsum("ils,jks,ijA,klA->", A.a, A.a, P, P))
+        H = np.einsum("...ils,...jks->...ijkl", A.a, A.a)
+        out = out + _pair(H, _gram(contractions(a, 2), 2), 4)
     return out
 
 
 # -- the B- tensor --------------------------------------------------------------
 
 
-def bminus_norm(A: ONeillTensor, a: AlternatingForm) -> float:
+def bminus_norm(A: ONeillTensor, a: AlternatingForm):
     """|B-(a)|^2 from the definition.
 
     B-(a) contracts a by (p-1)-vectors e_i ^ e_I and wedges with A_{e_i}; the
@@ -215,16 +219,16 @@ def bminus_norm(A: ONeillTensor, a: AlternatingForm) -> float:
     """
     p, q = a.degree, a.dimension
     if p < 2:
-        return 0.0
+        return _zeros(a)
     # omega[i, I, k] = a(e_i, e_I, e_k), the 1-form (e_i ^ e_I) . a up to a
     # reindexing sign that squares away; one row per (p-2)-tuple I
-    omega = contractions(a, p - 1).reshape(q, -1, q)
-    X = np.einsum("iIk,ils->sIkl", omega, A.a)  # sum_i omega_i(e_k) A_i(e_l)
-    B = X - X.transpose(0, 1, 3, 2)
-    return float(np.sum(B * B)) / factorial(p - 2)
+    omega = contractions(a, p - 1).reshape(a.stack + (q, -1, q))
+    X = np.einsum("...iIk,...ils->...sIkl", omega, A.a)  # sum_i omega_i(e_k) A_i(e_l)
+    B = X - np.swapaxes(X, -2, -1)
+    return _pair(B, B, 4) / factorial(p - 2)
 
 
-def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm) -> float:
+def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm):
     """Closed form of |B-(a)|^2:
 
         1/2 |B-(a)|^2 = (p-1) sum <e_i.a, e_j.a> g(A_i e_l, A_j e_l)
@@ -232,18 +236,18 @@ def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm) -> float:
     """
     p = a.degree
     if p < 2:
-        return 0.0
-    V = contractions(a, 1)
-    half = (p - 1) * float(np.einsum("ils,jls,iA,jA->", A.a, A.a, V, V))
-    P = contractions(a, 2)
-    half -= float(np.einsum("ils,kjs,ijA,klA->", A.a, A.a, P, P))
+        return _zeros(a)
+    G = np.einsum("...ils,...jls->...ij", A.a, A.a)
+    half = (p - 1) * _pair(G, _gram(contractions(a, 1), 1), 2)
+    H = np.einsum("...ils,...kjs->...ijkl", A.a, A.a)
+    half = half - _pair(H, _gram(contractions(a, 2), 2), 4)
     return 2.0 * half
 
 
 # -- identity and bound evaluators ----------------------------------------------
 
 
-def prop31_value(RM: RiemannTensor, A: ONeillTensor, a: AlternatingForm) -> float:
+def prop31_value(RM: RiemannTensor, A: ONeillTensor, a: AlternatingForm):
     """The parallel-form obstruction quantity
 
         E(a) = -S1 + 1/2 S2 + M - 2 V,
@@ -263,14 +267,18 @@ def master_identity_residual(
     RM: RiemannTensor,
     A: ONeillTensor,
     a: AlternatingForm,
-) -> float:
+    *,
+    Rt: RiemannTensor | None = None,
+):
     """Residual of the module's central identity (see module docstring),
     with the Bochner pairing computed from the transverse curvature data;
-    it vanishes on all inputs.
+    it vanishes on all inputs.  ``Rt`` is ``transverse_riemann(RM, A)`` when
+    the caller has already built it.
     """
     # S1 - 1/2 S2 + 2 V - M is -E(a), so the residual is <R(a), a> - |B+|^2 + E(a)
-    Rn = transverse_riemann(RM, A)
-    return curvature_term(Rn, a) - bplus_norm(A, a) + prop31_value(RM, A, a)
+    if Rt is None:
+        Rt = transverse_riemann(RM, A)
+    return curvature_term(Rt, a) - bplus_norm(A, a) + prop31_value(RM, A, a)
 
 
 def sandwich_check(
@@ -382,12 +390,9 @@ def cor31_scan(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed) -> flo
     """
     rng = np.random.default_rng(rng_seed)  # a Generator is returned unaltered
     q = RM.dimension
-    best = -np.inf
-    for _ in range(trials):
-        v = rng.standard_normal(q)
-        v /= np.linalg.norm(v)
-        best = max(best, prop31_value(RM, A, AlternatingForm.one_form(q, v)))
-    return float(best)
+    v = rng.standard_normal((trials, q))  # the numbers of ``trials`` draws of q
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    return float(np.max(prop31_value(RM, A, AlternatingForm(1, q, v))))
 
 
 def cor31_report(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed,
@@ -418,13 +423,14 @@ def two_form_rewrite(RM: RiemannTensor, a: AlternatingForm) -> dict:
     half_s2 = 0.5 * bivector_curvature_sum(RM, a)
     M = curvature_operator_matrix(RM)
     if p < 2:
-        theta_route = 0.0
+        theta_route = _zeros(a)
     else:
         # v[r, I] = a(e_i, e_j, e_I) for the rank-r pair i < j
-        v = contractions(a, 2)[np.triu_indices(q, 1)]
-        theta_route = 2.0 * float(np.sum(v * (M @ v)))
-    rho1 = float(np.linalg.eigvalsh(M)[-1])
-    bound = p * (p - 1) * rho1 * a.norm_sq
+        i, j = np.triu_indices(q, 1)
+        v = contractions(a, 2)[..., i, j, :]
+        theta_route = 2.0 * _pair(v, M @ v, 2)
+    rho1 = np.linalg.eigvalsh(M)[..., -1]
+    bound = _value(p * (p - 1) * rho1 * a.norm_sq)
     return {"half_s2": half_s2, "theta_route": theta_route, "bound": bound}
 
 
@@ -437,36 +443,35 @@ def contraction_chain(A: ONeillTensor, a: AlternatingForm) -> dict:
     steps then hold, the second because A_i V_s is orthogonal to e_i.  The
     wedge reading of the middle term, q sum_i |A_i V_s ^ (e_i . a)|^2, is
     evaluated and returned for comparison only; it does not enter the
-    asserted chain.
+    asserted chain.  Each value is a list over s for one instance and an
+    (n, vdim) array for a stack.
     """
     if a.degree < 1:
         raise ValueError("contraction chain needs a form of degree >= 1")
     p, q = a.degree, a.dimension
     V = contractions(a, 1)
-    P = contractions(a, 2) if p >= 2 else None
-    out = {"mixed_term_per_s": [], "q_sum_bivector_per_s": [],
-           "q_sum_wedge_per_s": [], "q_sum_contraction_per_s": []}
-    for s in range(A.vdim):
-        mid = midw = end = 0.0
-        acc = None
-        for i in range(q):
-            u = A.horizontal_action(i, s)
-            if P is not None:
-                w = np.einsum("j,jA->A", u, P[i])  # (u ^ e_i) . a = u . (e_i . a)
-                mid += float(w @ w)
-                acc = w if acc is None else acc + w
-            ua = u @ V  # u . a
-            end += float(ua @ ua)
-            midw += wedge(AlternatingForm.one_form(q, u),
-                          AlternatingForm(p - 1, q, V[i])).norm_sq
-        out["mixed_term_per_s"].append(float(acc @ acc) if acc is not None else 0.0)
-        out["q_sum_bivector_per_s"].append(q * mid)
-        out["q_sum_wedge_per_s"].append(q * midw)
-        out["q_sum_contraction_per_s"].append(q * end)
+    u = -A.a  # u[..., i, :, s] = A_{e_i} V_s
+
+    def q_sum(X):  # q sum_i |X[i, s]|^2, one value per s
+        return q * np.sum(X * X, axis=(-3, -1))
+
+    end = q_sum(np.einsum("...ijs,...jA->...isA", u, V))  # u . a
+    midw = q_sum(_wedge_coeffs(np.swapaxes(u, -2, -1), V[..., :, None, :], q, 1, p - 1))
+    if p >= 2:
+        # w[i, s] = (u ^ e_i) . a = u . (e_i . a)
+        w = np.einsum("...ijs,...ijA->...isA", u, contractions(a, 2))
+        acc = w.sum(axis=-3)
+        mixed, mid = np.sum(acc * acc, axis=-1), q_sum(w)
+    else:
+        mixed = mid = np.zeros_like(end)
+    out = {"mixed_term_per_s": mixed, "q_sum_bivector_per_s": mid,
+           "q_sum_wedge_per_s": midw, "q_sum_contraction_per_s": end}
+    if end.ndim == 1:  # one instance: a list of floats, one per s
+        out = {k: v.tolist() for k, v in out.items()}
     return out
 
 
-def hodge_trace_residual(RM: RiemannTensor, a: AlternatingForm) -> float:
+def hodge_trace_residual(RM: RiemannTensor, a: AlternatingForm):
     """Residual of the duality trace identity
 
         S1(a) + S1(*a) = (sum_{l,i} R[l,i,l,i]) |a|^2,
@@ -474,4 +479,4 @@ def hodge_trace_residual(RM: RiemannTensor, a: AlternatingForm) -> float:
     which pairs the Ricci contraction of a form with that of its Hodge dual.
     """
     lhs = ricci_contraction(RM, a) + ricci_contraction(RM, hodge(a))
-    return lhs - RM.scalar() * a.norm_sq
+    return _value(lhs - RM.scalar() * a.norm_sq)

@@ -5,9 +5,17 @@ transverse curvature data (the correction term preserves the curvature
 symmetries and the first Bianchi identity for any skew A); sums of
 Kulkarni-Nomizu squares of random symmetric matrices give generic algebraic
 curvature tensors.
+
+Each distribution is one draw (the generator calls) and one build (array
+operations that act row by row on a leading stack axis), so a stack of
+trials built from ``random_trials`` equals, row by row, the instances drawn
+one at a time from the same generator.
 """
 
 from __future__ import annotations
+
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,41 +29,61 @@ __all__ = [
     "random_skew_oneill",
     "random_form",
     "random_instance",
+    "random_trials",
+    "Trials",
 ]
 
 
+def _draw_curvature_constant(rng: np.random.Generator) -> float:
+    return float(rng.uniform(-1.5, 1.5))
+
+
+def _build_skew(m: np.ndarray) -> np.ndarray:
+    m = m / np.sqrt(m.shape[-2])
+    return (m - np.swapaxes(m, -3, -2)) / 2.0
+
+
+def _build_unit(x: np.ndarray) -> np.ndarray:
+    n = np.sqrt(np.vecdot(x, x))[..., None]
+    return x / np.where(n > 0, n, 1.0)
+
+
+def _draw_matrix_pair(rng: np.random.Generator, q: int) -> np.ndarray:
+    return np.array([rng.standard_normal((q, q)) for _ in range(2)])
+
+
+def _build_kulkarni_nomizu(h: np.ndarray) -> np.ndarray:
+    """The sum of the Kulkarni-Nomizu squares of the two symmetrized
+    matrices h[..., 0, :, :] and h[..., 1, :, :]."""
+    q = h.shape[-1]
+    h = (h + np.swapaxes(h, -2, -1)) / (2.0 * np.sqrt(q))
+    R = 0.0
+    for t in range(2):
+        g = h[..., t, :, :]
+        square = np.einsum("...ik,...jl->...ijkl", g, g)
+        square -= np.einsum("...il,...jk->...ijkl", g, g)
+        R = R + square
+    return R
+
+
 def random_space_form(rng: np.random.Generator, q: int) -> RiemannTensor:
-    return space_form(q, float(rng.uniform(-1.5, 1.5)))
+    return space_form(q, _draw_curvature_constant(rng))
 
 
 def random_curvature(rng: np.random.Generator, q: int) -> RiemannTensor:
     """Random algebraic curvature tensor: a sum of two Kulkarni-Nomizu squares
     of random symmetric matrices (each summand satisfies all the curvature
     symmetries including first Bianchi)."""
-    R = np.zeros((q, q, q, q))
-    for _ in range(2):
-        h = rng.standard_normal((q, q))
-        h = (h + h.T) / (2.0 * np.sqrt(q))
-        R += (
-            np.einsum("ik,jl->ijkl", h, h)
-            - np.einsum("il,jk->ijkl", h, h)
-        )
-    return RiemannTensor(R)
+    return RiemannTensor(_build_kulkarni_nomizu(_draw_matrix_pair(rng, q)))
 
 
 def random_skew_oneill(rng: np.random.Generator, q: int, vdim: int) -> ONeillTensor:
-    m = rng.standard_normal((q, q, vdim)) / np.sqrt(q)
-    return ONeillTensor((m - m.transpose(1, 0, 2)) / 2.0)
+    return ONeillTensor(_build_skew(rng.standard_normal((q, q, vdim))))
 
 
 def random_form(rng: np.random.Generator, q: int, p: int) -> AlternatingForm:
     """Random unit p-form."""
-    a = AlternatingForm(p, q)
-    a.coeffs[:] = rng.standard_normal(a.coeffs.shape)
-    n = np.linalg.norm(a.coeffs)
-    if n > 0:
-        a.coeffs /= n
-    return a
+    return AlternatingForm(p, q, _build_unit(rng.standard_normal(comb(q, p))))
 
 
 def random_instance(
@@ -68,3 +96,38 @@ def random_instance(
         random_skew_oneill(rng, q, vdim),
         random_form(rng, q, p),
     )
+
+
+class Trials(NamedTuple):
+    """The generator draws of n trials of one vdim, stacked in draw order;
+    ``build`` turns them into the stacked instances."""
+
+    q: int
+    p: int
+    c: np.ndarray  # (n,) space-form curvatures
+    m: np.ndarray  # (n, q, q, vdim) normal draws of A
+    x: np.ndarray  # (n, C(q, p)) normal draws of the form
+    h: np.ndarray  # (n, 2, q, q) normal draws of R_K
+
+    def build(self) -> tuple[RiemannTensor, ONeillTensor, AlternatingForm, RiemannTensor]:
+        """(R_M, A, a, R_K), each stacked on a leading axis."""
+        return (space_form(self.q, self.c), ONeillTensor(_build_skew(self.m)),
+                AlternatingForm(self.p, self.q, _build_unit(self.x)),
+                RiemannTensor(_build_kulkarni_nomizu(self.h)))
+
+
+def random_trials(rng: np.random.Generator, q: int, p: int, vdims) -> list[Trials]:
+    """Trials drawn in order, trial k being ``random_instance(rng, q, p,
+    vdims[k])`` followed by ``random_curvature(rng, q)``, with the same
+    generator calls; one ``Trials`` per vdim, in order of first appearance.
+    Only the draws are held: each stack of dense curvature arrays is made
+    by its ``build``."""
+    draws: dict[int, list] = {}
+    for vdim in vdims:
+        draws.setdefault(vdim, []).append((
+            _draw_curvature_constant(rng),
+            rng.standard_normal((q, q, vdim)),
+            rng.standard_normal(comb(q, p)),
+            _draw_matrix_pair(rng, q),
+        ))
+    return [Trials(q, p, *map(np.array, zip(*rows))) for rows in draws.values()]

@@ -240,7 +240,7 @@ def test_bad_tol_is_refused_before_any_instance(capsys, monkeypatch, argv):
     def drawn(*args, **kwargs):
         raise AssertionError("an instance was drawn before --tol was checked")
 
-    for name in ("random_form", "random_instance", "sample_point"):
+    for name in ("random_form", "random_trials", "sample_point"):
         monkeypatch.setattr(cli, name, drawn)
     assert run(argv + ["--quiet"]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
@@ -273,23 +273,25 @@ def test_verify_smallest_fiber_dimension_runs(tmp_path):
 
 
 def test_one_transverse_tensor_per_evaluation(monkeypatch):
-    # verify builds one tensor for the master identity and one for the
-    # term-vs-action check per instance (6 instances per trial); hopf with
-    # unit weights builds one per point
+    # verify builds one stacked tensor per stack of trials, covering each
+    # instance once (6 instances per trial) for the master identity and the
+    # term-vs-action check together; hopf with unit weights builds one per point
     real = curvature.transverse_riemann
     builds = []
 
     def counting(*args, **kwargs):
-        builds.append(1)
-        return real(*args, **kwargs)
+        Rt = real(*args, **kwargs)
+        builds.append(len(Rt.components) if Rt.components.ndim == 5 else 1)
+        return Rt
 
     for module in (curvature, oneill, cli):
         monkeypatch.setattr(module, "transverse_riemann", counting)
-    assert run(["verify", "--trials", "2", "--quiet"]) == 0
-    assert len(builds) == 24
+    assert run(["verify", "--trials", "7", "--quiet"]) == 0
+    assert sum(builds) == 6 * 7
+    assert len(builds) < 6 * 7
     builds.clear()
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert len(builds) == 2
+    assert builds == [1, 1]
 
 
 def test_one_dual_evaluation_per_point(monkeypatch):

@@ -112,7 +112,7 @@ def test_perturbed_space_form_chain():
 
 def test_transverse_riemann_zero_tensor_is_identity():
     RM = space_form(4, 1.0)
-    Rt = transverse_riemann(RM, ONeillTensor.zero(4))
+    Rt = transverse_riemann(RM, ONeillTensor(np.zeros((4, 4, 1))))
     assert np.allclose(Rt.components, RM.components)
 
 
@@ -157,7 +157,7 @@ def test_transverse_ricci_properties():
     rng = np.random.default_rng(23)
     q = 4
     RM = space_form(q, 0.7)
-    ric, scal = transverse_ricci(RM, ONeillTensor.zero(q))
+    ric, scal = transverse_ricci(RM, ONeillTensor(np.zeros((q, q, 1))))
     assert np.allclose(ric, (q - 1) * 0.7 * np.eye(q))
     assert scal == pytest.approx(q * (q - 1) * 0.7)
     # trace equality against an independent double loop

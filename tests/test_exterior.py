@@ -76,7 +76,7 @@ def test_component_antisymmetry_and_repeats():
 def test_scalar_and_volume_edge_degrees():
     c = AlternatingForm(0, 4, [2.5])
     assert c.coeffs.shape == (1,)
-    vol = AlternatingForm.volume(3)
+    vol = AlternatingForm.basis(3, range(3))
     assert vol.component(0, 1, 2) == 1.0
     assert vol.component(1, 0, 2) == -1.0
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from folcurv.curvature import space_form, transverse_ricci, transverse_riemann
-from folcurv.exterior import AlternatingForm, contractions, interior_vector
+from folcurv.exterior import AlternatingForm, contractions, interior_vector, wedge
 from folcurv.oneill import (
     BoundReport,
     ONeillTensor,
@@ -65,7 +65,7 @@ def test_norm_routes_agree():
         float(A.horizontal_action(i, s) @ A.horizontal_action(i, s))
         for i in range(5) for s in range(3))
     assert A.norm_sq == pytest.approx(other, abs=1e-12)
-    assert ONeillTensor.zero(4, 2).norm_sq == 0.0
+    assert ONeillTensor(np.zeros((4, 4, 2))).norm_sq == 0.0
     assert hopf_like_oneill().norm_sq == 4.0
 
 
@@ -99,7 +99,7 @@ def test_vertical_contraction_matches_gram_route():
         a = random_form(rng, q, p)
         closed = float(np.einsum("lis,ljs,ij->", A.a, A.a, _gram(a)))
         assert vertical_contraction_term(A, a) == pytest.approx(closed, abs=1e-12)
-    assert vertical_contraction_term(ONeillTensor.zero(4, 1),
+    assert vertical_contraction_term(ONeillTensor(np.zeros((4, 4, 1))),
                                      random_form(rng, 4, 2)) == 0.0
 
 
@@ -110,7 +110,7 @@ def test_mixed_bivector_term_against_assembled_bivector():
         a = random_form(rng, q, p)
         expect = 0.0
         for s in range(A.vdim):
-            acc = AlternatingForm.zero(p - 2, q)
+            acc = AlternatingForm(p - 2, q)
             for i in range(q):
                 u = A.horizontal_action(i, s)
                 ei = np.zeros(q)
@@ -124,7 +124,7 @@ def test_mixed_bivector_degree_underflow_and_zero():
     rng = np.random.default_rng(7)
     A = random_skew_oneill(rng, 4, 2)
     assert mixed_bivector_term(A, random_form(rng, 4, 1)) == 0.0
-    assert mixed_bivector_term(ONeillTensor.zero(4, 2), random_form(rng, 4, 2)) == 0.0
+    assert mixed_bivector_term(ONeillTensor(np.zeros((4, 4, 2))), random_form(rng, 4, 2)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_bplus_identities_random():
                 a = random_form(rng, q, p)
                 assert bplus_norm(A, a) == pytest.approx(
                     bplus_norm_closed(A, a), abs=1e-10)
-    assert bplus_norm(ONeillTensor.zero(4), random_form(rng, 4, 2)) == 0.0
+    assert bplus_norm(ONeillTensor(np.zeros((4, 4, 1))), random_form(rng, 4, 2)) == 0.0
 
 
 def test_bplus_p1_reduces_to_first_sum():
@@ -199,7 +199,7 @@ def test_master_identity_reduces_to_weitzenbock_for_zero_tensor():
     rng = np.random.default_rng(29)
     q, p, c = 5, 2, 0.8
     RM = space_form(q, c)
-    A = ONeillTensor.zero(q)
+    A = ONeillTensor(np.zeros((q, q, 1)))
     a = random_form(rng, q, p)
     assert abs(master_identity_residual(RM, A, a)) < 1e-12
     # with A = 0 the right side is the two ambient contractions alone
@@ -213,7 +213,7 @@ def test_prop31_zero_form_and_zero_tensor_space_form_value():
     rng = np.random.default_rng(37)
     q, c = 5, 0.9
     RM = space_form(q, c)
-    A = ONeillTensor.zero(q)
+    A = ONeillTensor(np.zeros((q, q, 1)))
     zero = AlternatingForm(2, q)
     assert prop31_value(RM, A, zero) == 0.0
     # for a unit 1-form with A = 0 the value is -(q-1)c = -<R(a), a>:
@@ -246,7 +246,7 @@ def test_sandwich_equality_on_space_forms():
     assert upper.gap == pytest.approx(0.0, abs=1e-12)
     assert lower.satisfied and upper.satisfied
     # A = 0 on a space form
-    z = ONeillTensor.zero(5)
+    z = ONeillTensor(np.zeros((5, 5, 1)))
     _, scal0 = transverse_ricci(space_form(5, 0.3), z)
     low0, up0 = sandwich_check(scal0, 0.3, 0.3, 5, z)
     assert low0.gap == pytest.approx(0.0, abs=1e-12)
@@ -265,7 +265,7 @@ def test_sandwich_random_instances_hold():
 
 
 def test_sandwich_violation_is_flagged_not_raised():
-    A = ONeillTensor.zero(4)
+    A = ONeillTensor(np.zeros((4, 4, 1)))
     lower, upper = sandwich_check(100.0, 1.0, 1.0, 4, A)
     assert not lower.satisfied          # 0 >= 100 - 12 fails
     assert isinstance(lower, BoundReport)
@@ -289,7 +289,7 @@ def test_thm31_s7_and_flat():
     A7 = ONeillTensor(a)                      # |A|^2 = 6 = 2(m-1), m = 4
     rep = thm31_report(1.0, 1.0, 6, 2, A7)
     assert (rep.lhs, rep.rhs, rep.gap) == (24.0, 16.0, 8.0)
-    flat = thm31_report(0.0, 0.0, 4, 2, ONeillTensor.zero(4))
+    flat = thm31_report(0.0, 0.0, 4, 2, ONeillTensor(np.zeros((4, 4, 1))))
     assert flat.lhs == flat.rhs == 0.0
 
 
@@ -298,7 +298,7 @@ def test_thm31_hypothesis_violations():
     with pytest.raises(ValueError, match="hypothesis"):
         thm31_report(1.0, 1.0, 4, 1, A)
     with pytest.raises(ValueError, match="hypothesis"):
-        thm31_report(1.0, 1.0, 3, 2, ONeillTensor.zero(3))
+        thm31_report(1.0, 1.0, 3, 2, ONeillTensor(np.zeros((3, 3, 1))))
 
 
 def test_thm32_numbers():
@@ -309,7 +309,7 @@ def test_thm32_numbers():
         a[i, j, 0], a[j, i, 0] = 1.0, -1.0
     rep7 = thm32_report(42.0, 1.0, 1.0, 7, 6, 2, ONeillTensor(a))
     assert (rep7.lhs, rep7.rhs, rep7.gap) == (24.0, 16.0, 8.0)
-    flat = thm32_report(0.0, 0.0, 0.0, 5, 4, 2, ONeillTensor.zero(4))
+    flat = thm32_report(0.0, 0.0, 0.0, 5, 4, 2, ONeillTensor(np.zeros((4, 4, 1))))
     assert flat.gap == 0.0
 
 
@@ -325,7 +325,7 @@ def test_thm41_numbers():
     rep7 = thm41_report(48.0, 1.0, 1.0, 6, 2, ONeillTensor(a))
     assert rep7.lhs == pytest.approx(78.0)
     assert rep7.rhs == pytest.approx(62.0)
-    flat = thm41_report(0.0, 0.0, 0.0, 4, 2, ONeillTensor.zero(4))
+    flat = thm41_report(0.0, 0.0, 0.0, 4, 2, ONeillTensor(np.zeros((4, 4, 1))))
     assert flat.lhs == flat.rhs == 0.0
 
 
@@ -354,7 +354,7 @@ def test_prop41_holds_and_slack_is_b_tensor_norms():
 def test_prop41_p1_space_form_zero_tensor():
     rng = np.random.default_rng(47)
     RM = space_form(4, 1.0)
-    A = ONeillTensor.zero(4)
+    A = ONeillTensor(np.zeros((4, 4, 1)))
     a = random_form(rng, 4, 1)
     rep = prop41_check(RM, A, a)
     assert rep.satisfied
@@ -372,9 +372,9 @@ def test_cor31_scan_signs():
     RM = space_form(4, 1.0)
     best = cor31_scan(RM, A, trials=500, rng_seed=3)
     assert best < -(4 - 1) / 2.0          # comfortably negative
-    flat = cor31_scan(space_form(4, 0.0), ONeillTensor.zero(4), 100, 3)
+    flat = cor31_scan(space_form(4, 0.0), ONeillTensor(np.zeros((4, 4, 1))), 100, 3)
     assert flat == 0.0
-    neg = cor31_scan(space_form(4, -0.5), ONeillTensor.zero(4), 100, 3)
+    neg = cor31_scan(space_form(4, -0.5), ONeillTensor(np.zeros((4, 4, 1))), 100, 3)
     assert neg > 0.0
 
 
@@ -409,6 +409,59 @@ def test_contraction_chain_bivector_reading_holds():
                         ch["q_sum_bivector_per_s"][s] + 1e-10
                     assert ch["q_sum_bivector_per_s"][s] <= \
                         ch["q_sum_contraction_per_s"][s] + 1e-10
+
+
+def _bplus_norm_loop(A, a):
+    """|B+(a)|^2 as one wedge per (i, s), summed in Python loops."""
+    q = a.dimension
+    total = 0.0
+    for s in range(A.vdim):
+        acc = AlternatingForm(a.degree, q)
+        for i in range(q):
+            acc = acc + wedge(interior_vector(np.eye(q)[i], a),
+                              AlternatingForm.one_form(q, A.a[i, :, s]))
+        total += acc.norm_sq
+    return total
+
+
+def _contraction_chain_loop(A, a):
+    """The contraction chain term by term, one (i, s) at a time."""
+    p, q = a.degree, a.dimension
+    V = contractions(a, 1)
+    P = contractions(a, 2) if p >= 2 else None
+    out = {"mixed_term_per_s": [], "q_sum_bivector_per_s": [],
+           "q_sum_wedge_per_s": [], "q_sum_contraction_per_s": []}
+    for s in range(A.vdim):
+        mid = midw = end = 0.0
+        acc = np.zeros(V.shape[-1] if P is None else P.shape[-1])
+        for i in range(q):
+            u = A.horizontal_action(i, s)
+            if P is not None:
+                w = u @ P[i]
+                mid += float(w @ w)
+                acc = acc + w
+            ua = u @ V
+            end += float(ua @ ua)
+            midw += wedge(AlternatingForm.one_form(q, u),
+                          AlternatingForm(p - 1, q, V[i])).norm_sq
+        out["mixed_term_per_s"].append(float(acc @ acc) if P is not None else 0.0)
+        out["q_sum_bivector_per_s"].append(q * mid)
+        out["q_sum_wedge_per_s"].append(q * midw)
+        out["q_sum_contraction_per_s"].append(q * end)
+    return out
+
+
+def test_vectorized_bplus_and_chain_match_their_loops():
+    rng = np.random.default_rng(71)
+    for q, p in [(4, 1), (4, 2), (5, 3), (6, 4)]:
+        for vdim in (1, 2, 3):
+            A = random_skew_oneill(rng, q, vdim)
+            a = random_form(rng, q, p)
+            assert bplus_norm(A, a) == pytest.approx(_bplus_norm_loop(A, a), abs=1e-12)
+            ch, loop = contraction_chain(A, a), _contraction_chain_loop(A, a)
+            assert ch.keys() == loop.keys()
+            for k in ch:
+                assert np.allclose(ch[k], loop[k], rtol=0, atol=1e-12), k
 
 
 def test_hodge_trace_identity():

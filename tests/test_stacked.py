@@ -1,0 +1,206 @@
+"""Stacked evaluation: instances on a leading axis give, row by row, what
+the same instances give one at a time, and the stacked draws of ``verify``
+are the instances drawn one at a time."""
+
+import json
+
+import numpy as np
+import pytest
+
+import folcurv.cli as cli
+from folcurv import oneill
+from folcurv.curvature import (
+    RiemannTensor,
+    curvature_action_on_form,
+    curvature_term,
+    transverse_riemann,
+)
+from folcurv.exterior import AlternatingForm
+from folcurv.oneill import (
+    ONeillTensor,
+    bminus_norm,
+    bminus_norm_closed,
+    bplus_norm,
+    bplus_norm_closed,
+    contraction_chain,
+    cor31_scan,
+    hodge_trace_residual,
+    master_identity_residual,
+    prop31_value,
+    two_form_rewrite,
+)
+from folcurv.synthetic import random_curvature, random_instance, random_trials
+
+# every stacked evaluator, as a function of one (R_M, A, a, R_K) stack or instance
+EVALUATORS = {
+    "master_identity_residual": lambda RM, A, a, RK: master_identity_residual(RM, A, a),
+    "bplus_norm": lambda RM, A, a, RK: bplus_norm(A, a),
+    "bplus_norm_closed": lambda RM, A, a, RK: bplus_norm_closed(A, a),
+    "bminus_norm": lambda RM, A, a, RK: bminus_norm(A, a),
+    "bminus_norm_closed": lambda RM, A, a, RK: bminus_norm_closed(A, a),
+    "curvature_term": lambda RM, A, a, RK: curvature_term(RK, a),
+    "curvature_action_on_form": lambda RM, A, a, RK: curvature_action_on_form(RK, a).coeffs,
+    "transverse_riemann": lambda RM, A, a, RK: transverse_riemann(RM, A).components,
+    "hodge_trace_residual": lambda RM, A, a, RK: hodge_trace_residual(RK, a),
+    "two_form_rewrite": lambda RM, A, a, RK: two_form_rewrite(RK, a),
+    "contraction_chain": lambda RM, A, a, RK: contraction_chain(A, a),
+    "prop31_value": lambda RM, A, a, RK: prop31_value(RM, A, a),
+}
+
+
+def _stack(q, p, vdim, n, seed):
+    """A stack of n trials of one vdim whose row 1 has an all-zero A."""
+    (trials,) = random_trials(np.random.default_rng(seed), q, p, [vdim] * n)
+    RM, A, a, RK = trials.build()
+    zeroed = A.a.copy()
+    zeroed[1] = 0.0
+    return RM, ONeillTensor(zeroed), a, RK
+
+
+def _row(RM, A, a, RK, i):
+    return (RiemannTensor(RM.components[i]), ONeillTensor(A.a[i]),
+            AlternatingForm(a.degree, a.dimension, a.coeffs[i]), RiemannTensor(RK.components[i]))
+
+
+def _rows(out, n):
+    """The per-row values of a stacked evaluation, each as an array."""
+    if isinstance(out, dict):
+        return [{k: np.asarray(v)[i] for k, v in out.items()} for i in range(n)]
+    assert isinstance(out, np.ndarray) and out.shape[0] == n
+    return list(out)
+
+
+def _single(out):
+    """A one-instance evaluation as an array (a float, a list or an array)."""
+    if isinstance(out, dict):
+        return {k: np.asarray(v) for k, v in out.items()}
+    return np.asarray(out)
+
+
+def _close(x, y):
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_close(x[k], y[k]) for k in x)
+    return x.shape == y.shape and np.allclose(x, y, rtol=1e-12, atol=1e-12)
+
+
+def _equal(x, y):
+    if isinstance(x, dict):
+        return all(np.array_equal(x[k], y[k]) for k in x)
+    return np.array_equal(x, y)
+
+
+CELLS = [(q, p, vdim) for q, p in [(4, 1), (4, 2), (5, 3)] for vdim in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS))
+@pytest.mark.parametrize("q,p,vdim", CELLS)
+def test_stacked_rows_equal_one_instance(name, q, p, vdim):
+    evaluate, n = EVALUATORS[name], 4
+    stack = _stack(q, p, vdim, n, seed=100 * q + 10 * p + vdim)
+    rows = _rows(evaluate(*stack), n)
+    for i in range(n):
+        one = evaluate(*_row(*stack, i))
+        if not isinstance(one, (dict, np.ndarray)):
+            assert isinstance(one, float), (name, type(one))
+        assert _close(rows[i], _single(one)), (name, i)
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS))
+@pytest.mark.parametrize("q,p,vdim", CELLS)
+def test_changing_one_row_changes_only_that_row(name, q, p, vdim):
+    evaluate, n, j = EVALUATORS[name], 4, 2
+    RM, A, a, RK = _stack(q, p, vdim, n, seed=7 * q + p + vdim)
+    before = _rows(evaluate(RM, A, a, RK), n)
+    RM2, A2, a2, RK2 = _stack(q, p, vdim, n, seed=999)
+    mixed = []
+    for old, new in ((RM.components, RM2.components), (A.a, A2.a), (a.coeffs, a2.coeffs),
+                     (RK.components, RK2.components)):
+        x = old.copy()
+        x[j] = new[0]
+        mixed.append(x)
+    after = _rows(evaluate(RiemannTensor(mixed[0]), ONeillTensor(mixed[1]),
+                           AlternatingForm(p, q, mixed[2]), RiemannTensor(mixed[3])), n)
+    for i in range(n):
+        if i != j:
+            assert _equal(before[i], after[i]), (name, i)
+    one = evaluate(RiemannTensor(RM2.components[0]), ONeillTensor(A2.a[0]),
+                   AlternatingForm(p, q, a2.coeffs[0]), RiemannTensor(RK2.components[0]))
+    assert _close(after[j], _single(one)), name
+
+
+@pytest.mark.parametrize("q,p", [(4, 1), (4, 3), (5, 2), (6, 3)])
+def test_stacked_draws_are_the_one_at_a_time_draws(q, p):
+    # a chunk of trials with every vdim, drawn stacked and one at a time
+    vdims = [1 + k % 3 for k in range(8)]
+    stacked_rng, single_rng = np.random.default_rng(q + p), np.random.default_rng(q + p)
+    groups = random_trials(stacked_rng, q, p, vdims)
+    assert [g.m.shape[-1] for g in groups] == [1, 2, 3]
+    built = {g.m.shape[-1]: g.build() for g in groups}
+    seen = dict.fromkeys(built, 0)
+    for vdim in vdims:
+        RM, A, a = random_instance(single_rng, q, p, vdim)
+        RK = random_curvature(single_rng, q)
+        sRM, sA, sa, sRK = built[vdim]
+        i = seen[vdim]
+        seen[vdim] += 1
+        assert sRM.space_form_curvature[i] == RM.space_form_curvature
+        assert np.array_equal(sRM.components[i], RM.components)
+        assert np.array_equal(sA.a[i], A.a)
+        assert np.array_equal(sa.coeffs[i], a.coeffs)
+        assert np.array_equal(sRK.components[i], RK.components)
+    assert all(seen[v] == len(built[v][2].coeffs) for v in seen)
+    # the generator is left where the one-at-a-time draws leave it
+    assert stacked_rng.standard_normal() == single_rng.standard_normal()
+
+
+def test_verify_reports_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch):
+    # the chunks change where the stacks split, not the draws or the checks
+    reports = []
+    for nbytes in (cli.VERIFY_CHUNK_BYTES, 1):
+        monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", nbytes)
+        out = tmp_path / f"r{nbytes}.json"
+        assert cli.main(["verify", "--trials", "7", "--q", "4", "--seed", "2",
+                         "--out", str(out), "--quiet"]) == 0
+        reports.append(json.loads(out.read_text()))
+    a, b = reports
+    assert [c["name"] for c in a["checks"]] == [c["name"] for c in b["checks"]]
+    assert [c["pass"] for c in a["checks"]] == [c["pass"] for c in b["checks"]]
+    for x, y in zip(a["checks"], b["checks"]):
+        assert abs(x["lhs"] - y["lhs"]) <= 1e-13
+
+
+def test_cor31_scan_is_one_stacked_evaluation(monkeypatch):
+    # the trials' unit 1-forms are one (trials, q) draw, evaluated at once,
+    # and their maximum is the maximum of the per-draw loop
+    rng = np.random.default_rng(5)
+    RM, A, _ = random_instance(rng, 5, 1, vdim=2)
+    loop_rng = np.random.default_rng(11)
+    loop = []
+    for _ in range(300):
+        v = loop_rng.standard_normal(5)
+        loop.append(prop31_value(RM, A, AlternatingForm.one_form(5, v / np.linalg.norm(v))))
+    calls = []
+    real = oneill.prop31_value
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oneill, "prop31_value", counting)
+    best = cor31_scan(RM, A, 300, 11)
+    assert calls == [1]
+    assert abs(best - max(loop)) <= 1e-12
+
+
+def test_bounds_cor31_makes_one_evaluation_per_point(monkeypatch):
+    calls = []
+    real = oneill.prop31_value
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oneill, "prop31_value", counting)
+    assert cli.main(["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "1000",
+                     "--samples", "5", "--quiet"]) == 0
+    assert len(calls) == 5
