@@ -13,11 +13,18 @@ the integrability tensor:
 whose symmetries and first Bianchi identity follow from the skewness of A
 (asserted at construction, not assumed).
 
+A tensor built by ``space_form`` or, from a space form, by
+``transverse_riemann`` also carries the pair (c, a) it is made from: the
+space-form curvature and the O'Neill components.  The Bochner action on
+forms reads only that pair, never the q^4 array.
+
 Tensors and forms may carry one leading stack axis; every function here then
 acts row by row and returns one value per row.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
@@ -25,10 +32,10 @@ from .exterior import (
     AlternatingForm,
     _pair,
     _value,
+    _wedge_coeffs,
+    _wedge_table,
     _zeros,
     contractions,
-    interior_matrices,
-    wedge_matrices,
 )
 
 __all__ = [
@@ -50,11 +57,16 @@ class RiemannTensor:
 
     Construction enforces the pair/antisymmetry relations exactly up to
     ``tol`` and the first Bianchi identity on every row; violations raise.
+
+    ``structure`` is the pair (c, a) the tensor is made from: a space form of
+    curvature c plus the O'Neill terms of the components a, with a = None
+    for the space form itself.  It is None for a tensor given only by its
+    components.
     """
 
-    __slots__ = ("components", "dimension", "space_form_curvature")
+    __slots__ = ("components", "dimension", "structure")
 
-    def __init__(self, components, *, tol: float = 1e-10, space_form_curvature=None):
+    def __init__(self, components, *, tol: float = 1e-10, structure=None):
         R = np.asarray(components, dtype=float)
         q = R.shape[-1]
         if R.ndim not in (4, 5) or R.shape[-4:] != (q, q, q, q):
@@ -74,7 +86,14 @@ class RiemannTensor:
             raise ValueError(f"first Bianchi identity violated: residual {bianchi:.3e}")
         self.components = R
         self.dimension = q
-        self.space_form_curvature = space_form_curvature
+        self.structure = structure
+
+    @property
+    def space_form_curvature(self):
+        """c for a space form (one per stacked row), else None."""
+        if self.structure is None or self.structure[1] is not None:
+            return None
+        return self.structure[0]
 
     def ricci(self) -> np.ndarray:
         """Ric[i,j] = sum_l R[l,i,l,j]."""
@@ -100,7 +119,7 @@ def space_form(q: int, c) -> RiemannTensor:
     eye = np.eye(q)
     c = _value(c)
     unit = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    return RiemannTensor(np.multiply.outer(c, unit), space_form_curvature=c)
+    return RiemannTensor(np.multiply.outer(c, unit), structure=(c, None))
 
 
 def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
@@ -121,7 +140,8 @@ def transverse_riemann(RM: RiemannTensor, A, *, tol: float = 1e-9) -> RiemannTen
 
         Ric_t[i,j] = sum_l { R[l,i,l,j] + 3 g(A_l e_i, A_l e_j) }
 
-    (the skew-diagonal term g(A_l e_l, .) vanishes identically).
+    (the skew-diagonal term g(A_l e_l, .) vanishes identically).  When RM
+    is a space form of curvature c, the result carries the pair (c, A.a).
     """
     a = A.a
     if A.q != RM.dimension:
@@ -132,7 +152,8 @@ def transverse_riemann(RM: RiemannTensor, A, *, tol: float = 1e-9) -> RiemannTen
     Rt += RM.components
     Rt -= np.einsum("...jks,...ils->...ijkl", a, a)
     Rt -= np.einsum("...kis,...jls->...ijkl", a, a)
-    Rt = RiemannTensor(Rt, tol=tol)
+    c = RM.space_form_curvature
+    Rt = RiemannTensor(Rt, tol=tol, structure=None if c is None else (c, a))
     ric = RM.ricci() + 3.0 * np.einsum("...lis,...ljs->...ij", a, a)
     err = np.max(np.abs(ric - Rt.ricci()))
     if err > 1e-10:
@@ -157,21 +178,56 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
 
     where R(e_i, e_j) acts on forms as the negative derivation of the frame
     endomorphism e_k -> sum_l R[i,j,k,l] e_l.  Linear in a; zero on scalars.
+
+    It is evaluated from the pair (c, A) that R is made from, a space form
+    of curvature c plus the O'Neill terms of A, in its Weitzenbock form
+
+        R(a) = c p (q-p) a - sum_s [ D_s D_s a + 2 D_{w_s w_s} a + 4 w_s ^ i_s a ]
+
+    with w_s = A[:, :, s] a skew endomorphism, D_E a = sum_kl E[k,l]
+    e^k ^ (e_l . a) its derivation (D_s = D_{w_s}), i_s a =
+    1/2 sum_kl w_s[k,l] a(e_k, e_l, .), and w_s ^ the wedge with the 2-form
+    of coefficients w_s[i,j], i < j.  Only the signed index rows of the
+    wedge table are read, never the q^4 components; a tensor without the
+    pair is refused.
     """
     q, p = a.dimension, a.degree
     if Rnabla.dimension != q:
         raise ValueError("dimension mismatch between curvature and form")
-    if p == 0:
-        return AlternatingForm(0, q, np.zeros(a.coeffs.shape))
-    W = wedge_matrices(q, p - 1)
-    L = interior_matrices(q, p)
-    # two operands per step, so no step loops over the full index product
-    La = np.einsum("lBC,...C->...lB", L, a.coeffs)              # e_l . a
-    T = np.einsum("kAB,...lB->...klA", W, La)                   # e^k ^ (e_l . a)
-    phi = np.einsum("...ijkl,...klA->...ijA", Rnabla.components, T)
-    Y = np.einsum("iBC,...ijC->...jB", L, phi)                  # sum_i e_i . phi_ij
-    out = np.einsum("jAB,...jB->...A", W, Y)                    # sum_j e^j ^ Y_j
-    return AlternatingForm(p, q, out)
+    if Rnabla.structure is None:
+        raise ValueError("the curvature action needs a space form or a transverse tensor "
+                         "built from one; this tensor carries only its components")
+    c, A = Rnabla.structure
+    out = (p * (q - p)) * np.asarray(c)[..., None] * a.coeffs
+    if A is None or p == 0:
+        return AlternatingForm(p, q, out)
+    k, l, r, sign = _wedge_table(q, 1, p - 1)
+    shape = (comb(q, p), p)
+
+    def contract(x):  # y[..., l, R] = coeffs(e_l . x)[R]
+        y = np.zeros(x.shape[:-1] + (q, comb(q, p - 1)))
+        y[..., l, r] = sign * x[..., k]
+        return y
+
+    def derive(E, y):  # D_E x from y = contract(x), each leading axis broadcast
+        z = np.einsum("...kl,...lR->...kR", E, y)
+        terms = sign * z[..., l, r]
+        return terms.reshape(terms.shape[:-1] + shape).sum(-1)
+
+    w = np.moveaxis(A, -1, -3)                                  # (..., s, k, l)
+    y = contract(a.coeffs)
+    Dx = derive(w, y[..., None, :, :])                          # D_s a, one row per s
+    total = derive(w, contract(Dx)).sum(-2)
+    total += 2.0 * derive(np.einsum("...kms,...mls->...kl", A, A), y)
+    if p >= 2:
+        K, I, J, sign2 = _wedge_table(q, 2, p - 2)
+        X2 = np.zeros(a.stack + (comb(q, 2), comb(q, p - 2)))   # a(e_i, e_j, .), i < j
+        X2[..., I, J] = sign2 * a.coeffs[..., K]
+        iu, ju = np.triu_indices(q, 1)                          # the order of rank I
+        W2 = A[..., iu, ju, :]                                  # (..., I, s)
+        contracted = np.einsum("...Is,...IJ->...sJ", W2, X2)    # i_s a
+        total += 4.0 * _wedge_coeffs(np.swapaxes(W2, -1, -2), contracted, q, 2, p - 2).sum(-2)
+    return AlternatingForm(p, q, out - total)
 
 
 def ricci_contraction(R: RiemannTensor, a: AlternatingForm):

@@ -92,10 +92,6 @@ class ONeillTensor:
         self.q = a.shape[-2]
         self.vdim = a.shape[-1]
 
-    def horizontal_action(self, i: int, s: int) -> np.ndarray:
-        """Components of the horizontal vector A_{e_i} V_s."""
-        return -self.a[..., i, :, s]
-
     @property
     def norm_sq(self):
         """|A|^2 = sum a[i,j,s]^2; coincides with sum_{i,s} |A_{e_i} V_s|^2 by

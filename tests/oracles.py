@@ -4,12 +4,17 @@ Everything here recomputes quantities from first principles (full index
 tuples, determinant minors, shuffle sums, nested slot loops, finite
 differences) without going through the package's coefficient tables, so the
 fast implementations are checked against genuinely different code paths.
+The one exception is ``dense_curvature_action``, the Bochner action
+contracted through the dense q^4 tensor and the dense frame tables: it
+reads none of the (c, A) structure the package's action is computed from.
 """
 
 import itertools
 from math import factorial
 
 import numpy as np
+
+from folcurv.exterior import AlternatingForm, interior_matrices, wedge_matrices
 
 
 def perm_sign(perm) -> int:
@@ -144,3 +149,25 @@ def oneill_closed_form_loop(model, point) -> float:
             )
             term3 += num / den
     return float(2.0 * (term1 + term2 + term3) / x2)
+
+
+def dense_curvature_action(R, a):
+    """The Bochner curvature operator on a p-form contracted through the
+    dense q^4 tensor and the dense frame wedge/contraction matrices,
+
+        R(a) = - sum_{i,j} e^j ^ (e_i . (R(e_i, e_j) a)),
+
+    for any algebraic curvature tensor, stacks broadcast row by row; the
+    reference for the structured action, which reads only (c, A)."""
+    q, p = a.dimension, a.degree
+    if p == 0:
+        return AlternatingForm(0, q, np.zeros(a.coeffs.shape))
+    W = wedge_matrices(q, p - 1)
+    L = interior_matrices(q, p)
+    # two operands per step, so no step loops over the full index product
+    La = np.einsum("lBC,...C->...lB", L, a.coeffs)              # e_l . a
+    T = np.einsum("kAB,...lB->...klA", W, La)                   # e^k ^ (e_l . a)
+    phi = np.einsum("...ijkl,...klA->...ijA", R.components, T)
+    Y = np.einsum("iBC,...ijC->...jB", L, phi)                  # sum_i e_i . phi_ij
+    out = np.einsum("jAB,...jB->...A", W, Y)                    # sum_j e^j ^ Y_j
+    return AlternatingForm(p, q, out)

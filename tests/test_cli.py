@@ -100,6 +100,21 @@ def test_hopf_unit_weights_m20(tmp_path):
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_hopf_unit_weights_m30(tmp_path):
+    # q = 58: the structured action certifies the Kahler form in 1653
+    # coordinates, and every other check of the point still runs on the dense
+    # transverse tensor
+    out = tmp_path / "hopf30.json"
+    assert run(["hopf", "--m", "30", "--samples", "1", "--seed", "0",
+                "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    names = {c["name"] for c in rep["checks"]}
+    assert {"hopf.transverse_scalar.point0", "hopf.kahler_parallel.point0",
+            "hopf.kahler_curvature_pairing.point0"} <= names
+    assert all(c["pass"] for c in rep["checks"])
+    assert rep["findings"] == []
+
+
 def test_hopf_m2(tmp_path):
     out = tmp_path / "hopf2.json"
     assert run(["hopf", "--m", "2", "--samples", "5", "--seed", "7",

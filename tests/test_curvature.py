@@ -6,7 +6,9 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from folcurv import exterior
 from folcurv.curvature import (
     RiemannTensor,
     curvature_action_on_form,
@@ -16,7 +18,7 @@ from folcurv.curvature import (
     transverse_ricci,
     transverse_riemann,
 )
-from folcurv.exterior import AlternatingForm, inner, multi_indices
+from folcurv.exterior import AlternatingForm, hodge, inner, multi_indices
 from folcurv.oneill import ONeillTensor
 from folcurv.synthetic import (
     random_curvature,
@@ -25,7 +27,7 @@ from folcurv.synthetic import (
     random_skew_oneill,
 )
 
-from oracles import naive_curvature_action_value
+from oracles import dense_curvature_action, naive_curvature_action_value
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,7 @@ def test_action_matches_naive_slot_oracle():
     for q, p in [(3, 1), (4, 2), (4, 3), (5, 2), (4, 4), (5, 4), (6, 3)]:
         R = random_curvature(rng, q)
         a = random_form(rng, q, p)
-        out = curvature_action_on_form(R, a)
+        out = dense_curvature_action(R, a)
         for I in multi_indices(q, p):
             assert out.component(*I) == pytest.approx(
                 naive_curvature_action_value(R, a, I), abs=1e-10)
@@ -197,13 +199,14 @@ def test_action_matches_naive_slot_oracle():
 
 def test_action_at_large_fiber_dimension():
     # (q, p) = (18, 3) is far beyond the slot oracle; two identities that
-    # do not read the action's code pin it there: the pairing expansion
-    # S1 - 1/2 S2 on a generic tensor, and c p (q - p) |a|^2 on a space form
+    # do not read the actions' code pin them there: the pairing expansion
+    # S1 - 1/2 S2 of the dense oracle on a generic tensor, and c p (q - p) |a|^2
+    # of the structured action on a space form
     rng = np.random.default_rng(47)
     q, p = 18, 3
     R = random_curvature(rng, q)
     a = random_form(rng, q, p)
-    assert inner(curvature_action_on_form(R, a), a) == pytest.approx(
+    assert inner(dense_curvature_action(R, a), a) == pytest.approx(
         curvature_term(R, a), abs=1e-10)
     c = 0.6
     val = inner(curvature_action_on_form(space_form(q, c), a), a)
@@ -218,14 +221,132 @@ def test_action_allocates_no_large_temporaries():
     rng = np.random.default_rng(53)
     R = random_curvature(rng, q)
     a = random_form(rng, q, p)
-    curvature_action_on_form(R, a)  # build the cached tables first
+    dense_curvature_action(R, a)  # build the cached tables first
+    tracemalloc.start()
+    try:
+        dense_curvature_action(R, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * q * q * comb(q, p) * 8
+
+
+def _transverse(rng, q, vdim, n=None):
+    """A transverse tensor built from a random space form and a random skew A,
+    one instance or a stack of n."""
+    if n is None:
+        return transverse_riemann(space_form(q, float(rng.uniform(-1.5, 1.5))),
+                                  random_skew_oneill(rng, q, vdim))
+    A = np.array([random_skew_oneill(rng, q, vdim).a for _ in range(n)])
+    return transverse_riemann(space_form(q, rng.uniform(-1.5, 1.5, n)), ONeillTensor(A))
+
+
+def _agrees_with_oracle(R, a, rel=1e-12):
+    """Row by row, relative to the oracle's norm, or to the form's where the
+    action cancels to round-off (as on top forms at q = 2)."""
+    got = curvature_action_on_form(R, a).coeffs
+    want = dense_curvature_action(R, a).coeffs
+    scale = np.maximum(np.linalg.norm(want, axis=-1), np.linalg.norm(a.coeffs, axis=-1))
+    return got.shape == want.shape and np.all(
+        np.linalg.norm(got - want, axis=-1) <= rel * scale)
+
+
+def test_structured_action_matches_dense_oracle():
+    rng = np.random.default_rng(59)
+    for q in range(2, 8):
+        for p in range(0, q + 1):
+            for vdim in (1, 3):
+                a = random_form(rng, q, p)
+                assert _agrees_with_oracle(_transverse(rng, q, vdim), a), (q, p, vdim)
+                stack = AlternatingForm(p, q, rng.standard_normal((4, comb(q, p))))
+                assert _agrees_with_oracle(_transverse(rng, q, vdim, n=4), stack), (q, p, vdim)
+
+
+def test_structured_action_at_large_fiber_dimension():
+    rng = np.random.default_rng(61)
+    q, p = 18, 3
+    assert _agrees_with_oracle(_transverse(rng, q, 2), random_form(rng, q, p))
+
+
+def test_structured_action_reads_no_dense_table():
+    # at (q, p) = (58, 2), the fiber of hopf --m 30, the action reads the
+    # index rows only: no dense wedge or contraction table is asked for, and
+    # no temporary reaches the size of q dense p-forms
+    q, p = 58, 2
+    rng = np.random.default_rng(67)
+    R = _transverse(rng, q, 1)
+    a = random_form(rng, q, p)
+    tables = (exterior.wedge_matrices, exterior.interior_matrices)
+    before = [t.cache_info() for t in tables]
+    curvature_action_on_form(R, a)  # build the cached index rows first
     tracemalloc.start()
     try:
         curvature_action_on_form(R, a)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * q * q * comb(q, p) * 8
+    assert [t.cache_info() for t in tables] == before
+    assert peak < q * comb(q, p) * 8
+
+
+def test_action_refuses_a_tensor_without_its_pair():
+    rng = np.random.default_rng(71)
+    with pytest.raises(ValueError, match="space form"):
+        curvature_action_on_form(random_curvature(rng, 4), random_form(rng, 4, 2))
+
+
+@st.composite
+def _action_cases(draw, stacks=(None, 3)):
+    """(R, x, y): a transverse tensor from a random c and skew A, and two
+    forms of one degree; all three single (n = None) or stacks of n."""
+    q = draw(st.integers(2, 7))
+    p = draw(st.integers(0, q))
+    vdim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from(stacks))
+    curvature = st.floats(-2.0, 2.0)
+    c = draw(curvature if n is None else st.lists(curvature, min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (comb(q, p),) if n is None else (n, comb(q, p))
+    A = ONeillTensor(random_skew_oneill(rng, q, vdim).a if n is None else
+                     np.array([random_skew_oneill(rng, q, vdim).a for _ in range(n)]))
+    R = transverse_riemann(space_form(q, np.asarray(c)), A)
+    return (R, AlternatingForm(p, q, rng.standard_normal(shape)),
+            AlternatingForm(p, q, rng.standard_normal(shape)))
+
+
+def _tol(*forms):
+    return 1e-11 * max(1.0, *(float(np.max(np.abs(f.coeffs))) for f in forms))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_action_cases())
+def test_action_is_self_adjoint(case):
+    R, x, y = case
+    Rx, Ry = curvature_action_on_form(R, x), curvature_action_on_form(R, y)
+    assert np.all(np.abs(np.asarray(inner(Rx, y)) - np.asarray(inner(x, Ry)))
+                  <= _tol(Rx, Ry) * x.dimension ** 2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_action_cases())
+def test_action_commutes_with_the_hodge_star(case):
+    R, x, _ = case
+    lhs = curvature_action_on_form(R, hodge(x))
+    rhs = hodge(curvature_action_on_form(R, x))
+    assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= _tol(lhs, rhs)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_action_cases(stacks=(3,)))
+def test_stacked_action_rows_equal_one_instance(case):
+    R, x, _ = case
+    out = curvature_action_on_form(R, x).coeffs
+    c, a = R.structure
+    q, p = x.dimension, x.degree
+    for i in range(len(out)):
+        one = curvature_action_on_form(transverse_riemann(space_form(q, c[i]), ONeillTensor(a[i])),
+                                       AlternatingForm(p, q, x.coeffs[i])).coeffs
+        assert np.allclose(out[i], one, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(one))))
 
 
 def test_space_form_weitzenbock_constant():

@@ -54,7 +54,8 @@ def test_derived_vertical_action():
     A = random_skew_oneill(np.random.default_rng(1), 4, 2)
     for i in range(4):
         for s in range(2):
-            assert np.all(A.horizontal_action(i, s) == -A.a[i, :, s])
+            # A_{e_i} V_s read as -a[i, :, s] or, by skewness, as a[:, i, s]
+            assert np.all(-A.a[..., i, :, s] == A.a[:, i, s])
 
 
 def test_norm_routes_agree():
@@ -62,7 +63,7 @@ def test_norm_routes_agree():
     A = random_skew_oneill(rng, 5, 3)
     # independent double loop through the derived vertical action
     other = sum(
-        float(A.horizontal_action(i, s) @ A.horizontal_action(i, s))
+        float(-A.a[..., i, :, s] @ -A.a[..., i, :, s])
         for i in range(5) for s in range(3))
     assert A.norm_sq == pytest.approx(other, abs=1e-12)
     assert ONeillTensor(np.zeros((4, 4, 2))).norm_sq == 0.0
@@ -112,7 +113,7 @@ def test_mixed_bivector_term_against_assembled_bivector():
         for s in range(A.vdim):
             acc = AlternatingForm(p - 2, q)
             for i in range(q):
-                u = A.horizontal_action(i, s)
+                u = -A.a[..., i, :, s]
                 ei = np.zeros(q)
                 ei[i] = 1.0
                 acc = acc + interior_vector(u, interior_vector(ei, a))
@@ -435,7 +436,7 @@ def _contraction_chain_loop(A, a):
         mid = midw = end = 0.0
         acc = np.zeros(V.shape[-1] if P is None else P.shape[-1])
         for i in range(q):
-            u = A.horizontal_action(i, s)
+            u = -A.a[..., i, :, s]
             if P is not None:
                 w = u @ P[i]
                 mid += float(w @ w)

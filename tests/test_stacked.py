@@ -13,6 +13,7 @@ from folcurv.curvature import (
     RiemannTensor,
     curvature_action_on_form,
     curvature_term,
+    space_form,
     transverse_riemann,
 )
 from folcurv.exterior import AlternatingForm
@@ -31,6 +32,8 @@ from folcurv.oneill import (
 )
 from folcurv.synthetic import random_curvature, random_instance, random_trials
 
+from oracles import dense_curvature_action
+
 # every stacked evaluator, as a function of one (R_M, A, a, R_K) stack or instance
 EVALUATORS = {
     "master_identity_residual": lambda RM, A, a, RK: master_identity_residual(RM, A, a),
@@ -39,7 +42,9 @@ EVALUATORS = {
     "bminus_norm": lambda RM, A, a, RK: bminus_norm(A, a),
     "bminus_norm_closed": lambda RM, A, a, RK: bminus_norm_closed(A, a),
     "curvature_term": lambda RM, A, a, RK: curvature_term(RK, a),
-    "curvature_action_on_form": lambda RM, A, a, RK: curvature_action_on_form(RK, a).coeffs,
+    "curvature_action_on_form":
+        lambda RM, A, a, RK: curvature_action_on_form(transverse_riemann(RM, A), a).coeffs,
+    "dense_curvature_action": lambda RM, A, a, RK: dense_curvature_action(RK, a).coeffs,
     "transverse_riemann": lambda RM, A, a, RK: transverse_riemann(RM, A).components,
     "hodge_trace_residual": lambda RM, A, a, RK: hodge_trace_residual(RK, a),
     "two_form_rewrite": lambda RM, A, a, RK: two_form_rewrite(RK, a),
@@ -58,7 +63,8 @@ def _stack(q, p, vdim, n, seed):
 
 
 def _row(RM, A, a, RK, i):
-    return (RiemannTensor(RM.components[i]), ONeillTensor(A.a[i]),
+    """Row i of a stack; R_M as the space form it is, so it keeps its pair."""
+    return (space_form(a.dimension, RM.space_form_curvature[i]), ONeillTensor(A.a[i]),
             AlternatingForm(a.degree, a.dimension, a.coeffs[i]), RiemannTensor(RK.components[i]))
 
 
@@ -113,17 +119,17 @@ def test_changing_one_row_changes_only_that_row(name, q, p, vdim):
     before = _rows(evaluate(RM, A, a, RK), n)
     RM2, A2, a2, RK2 = _stack(q, p, vdim, n, seed=999)
     mixed = []
-    for old, new in ((RM.components, RM2.components), (A.a, A2.a), (a.coeffs, a2.coeffs),
-                     (RK.components, RK2.components)):
+    for old, new in ((RM.space_form_curvature, RM2.space_form_curvature), (A.a, A2.a),
+                     (a.coeffs, a2.coeffs), (RK.components, RK2.components)):
         x = old.copy()
         x[j] = new[0]
         mixed.append(x)
-    after = _rows(evaluate(RiemannTensor(mixed[0]), ONeillTensor(mixed[1]),
+    after = _rows(evaluate(space_form(q, mixed[0]), ONeillTensor(mixed[1]),
                            AlternatingForm(p, q, mixed[2]), RiemannTensor(mixed[3])), n)
     for i in range(n):
         if i != j:
             assert _equal(before[i], after[i]), (name, i)
-    one = evaluate(RiemannTensor(RM2.components[0]), ONeillTensor(A2.a[0]),
+    one = evaluate(space_form(q, RM2.space_form_curvature[0]), ONeillTensor(A2.a[0]),
                    AlternatingForm(p, q, a2.coeffs[0]), RiemannTensor(RK2.components[0]))
     assert _close(after[j], _single(one)), name
 
