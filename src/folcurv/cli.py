@@ -25,10 +25,10 @@ import numpy as np
 
 from . import report as report_mod
 from .curvature import (
+    RiemannTensor,
     curvature_action_on_form,
     curvature_term,
     space_form,
-    transverse_ricci,
     transverse_riemann,
 )
 from .exterior import (
@@ -70,18 +70,13 @@ from .synthetic import random_form, random_trials
 # the cached wedge and contraction tables for every degree at q = 12 take
 # about 457 MiB, and each further dimension multiplies that by about 4
 VERIFY_Q_RANGE = (2, 12)
-# a dense q^4 curvature array is refused above this size (q > 76)
-DENSE_CURVATURE_BYTES = 256 * 2**20
+# the frame's dual pass (hopf.fields_YW) holds about ten Dual intermediates
+# of value shape (m-1, m), each with a gradient of 16 (m-1) m^2 bytes; a model
+# whose gradient would pass this size is refused before any point (m <= 128)
+DUAL_PASS_BYTES = 32 * 2**20
 # verify draws and evaluates the trials of a (q, p) cell in chunks whose three
 # stacks of dense curvature arrays (R_M, R_t, R_K) take at most this many bytes
 VERIFY_CHUNK_BYTES = 2**19
-
-
-def _parse_theta(text: str | None, m: int) -> tuple[float, ...]:
-    if text is None:
-        return (1.0,) * m
-    theta = tuple(float(t) for t in text.split(","))
-    return theta
 
 
 def _refuse_below_one(args, *flags):
@@ -101,15 +96,17 @@ def _tolerance(args, default: float) -> float:
     return args.tol
 
 
-def _unit_sphere(args, q: int):
-    """The dense curvature of the unit round sphere in fiber dimension q; a q
-    whose q^4 array would exceed ``DENSE_CURVATURE_BYTES`` is refused as an
-    input error (exit 2) before anything is allocated."""
-    nbytes = 8 * q**4
-    if nbytes > DENSE_CURVATURE_BYTES:
-        raise ValueError(f"{args.command}: the dense curvature array at q={q} takes {nbytes} "
-                         f"bytes, over the {DENSE_CURVATURE_BYTES}-byte limit (q <= 76)")
-    return space_form(q, 1.0)
+def _model(args) -> WeightedHopfModel:
+    """The model of --m and --theta; one whose frame's dual pass would hold
+    gradients over ``DUAL_PASS_BYTES`` is refused as an input error (exit 2)
+    before anything is allocated."""
+    m = args.m
+    nbytes = 16 * (m - 1) * m * m
+    if nbytes > DUAL_PASS_BYTES:
+        raise ValueError(f"{args.command}: the dual pass at m={m} holds gradients of {nbytes} "
+                         f"bytes, over the {DUAL_PASS_BYTES}-byte limit (m <= 128)")
+    theta = (1.0,) * m if args.theta is None else tuple(float(t) for t in args.theta.split(","))
+    return WeightedHopfModel(m, theta)
 
 
 def _point_streams(seed: int, n: int):
@@ -261,19 +258,25 @@ def cmd_verify(args) -> int:
 
 # -- hopf -----------------------------------------------------------------------
 
+# exact curvature data of the unit round sphere that carries every model
+K0 = K1 = RHO1 = 1.0
+
+
+def _transverse(A) -> RiemannTensor:
+    """The transverse curvature of a model at a point, by its structure: the
+    unit sphere plus the O'Neill terms of A.  No q^4 array is built."""
+    return RiemannTensor(structure=(K0, A.a))
+
 
 def cmd_hopf(args) -> int:
     _refuse_below_one(args, "samples")
-    theta = _parse_theta(args.theta, args.m)
-    model = WeightedHopfModel(args.m, theta)
+    model = _model(args)
     builder = report_mod.ReportBuilder({
-        "command": "hopf", "m": args.m, "theta": list(theta),
+        "command": "hopf", "m": args.m, "theta": list(model.theta),
         "samples": args.samples, "seed": args.seed,
     })
     q = model.q
     norms_bracket, norms_closed, kappa_norms = [], [], []
-    # only the unit-weight checks read the ambient curvature (a dense q^4 array)
-    RM = _unit_sphere(args, q) if model.is_hopf else None
     for k, rng in enumerate(_point_streams(args.seed, args.samples)):
         pt = sample_point(model, rng)
         frame = adapted_frame(model, pt)
@@ -296,7 +299,7 @@ def cmd_hopf(args) -> int:
                 f"hopf.oneill_norm_value.point{k}",
                 A.norm_sq - 2.0 * (model.m - 1), 1e-9)
             builder.residual_check(f"hopf.mean_curvature_zero.point{k}", kappa, 1e-10)
-            Rn = transverse_riemann(RM, A)
+            Rn = _transverse(A)
             builder.residual_check(
                 f"hopf.transverse_scalar.point{k}",
                 Rn.scalar() - (q * (q - 1) + 3.0 * A.norm_sq), 1e-9)
@@ -327,16 +330,11 @@ def cmd_hopf(args) -> int:
 
 # -- bounds ---------------------------------------------------------------------
 
-# exact curvature data of the unit round sphere that carries every model
-K0 = K1 = RHO1 = 1.0
-
-
 class Bound(NamedTuple):
     """A row of the theorem table."""
 
     evaluate: Callable  # (ctx, A, rng) -> the row's BoundReports at a sampled point
     needs_p: bool = False  # takes --p under the q >= 4, 2 <= p <= q-2 hypothesis
-    reads_ambient: bool = False  # reads the dense ambient curvature ctx.RM
     finding: tuple[str, str] = ("negative-gap", "bound violated at a sampled point")
 
 
@@ -345,13 +343,12 @@ BOUNDS = {
                  needs_p=True),
     "3.2": Bound(lambda c, A, rng: [thm32_report(float(c.n * (c.n - 1)), K1, RHO1, c.n,
                                                  c.q, c.p, A, tol=c.tol)], needs_p=True),
-    "4.1": Bound(lambda c, A, rng: [thm41_report(transverse_ricci(c.RM, A)[1], K0, RHO1,
-                                                 c.q, c.p, A, tol=c.tol)],
-                 needs_p=True, reads_ambient=True),
-    "sandwich": Bound(lambda c, A, rng: sandwich_check(transverse_ricci(c.RM, A)[1], K0, K1,
-                                                       c.q, A, tol=c.tol), reads_ambient=True),
-    "cor3.1": Bound(lambda c, A, rng: [cor31_report(c.RM, A, c.trials, rng, tol=c.tol)],
-                    reads_ambient=True,
+    "4.1": Bound(lambda c, A, rng: [thm41_report(_transverse(A).scalar(), K0, RHO1,
+                                                 c.q, c.p, A, tol=c.tol)], needs_p=True),
+    "sandwich": Bound(lambda c, A, rng: sandwich_check(_transverse(A).scalar(), K0, K1,
+                                                       c.q, A, tol=c.tol)),
+    "cor3.1": Bound(lambda c, A, rng: [cor31_report(space_form(c.q, K0), A, c.trials, rng,
+                                                    tol=c.tol)],
                     finding=("obstruction-not-certified", "sampled maximum of the "
                              "obstruction quantity exceeded the certification threshold")),
 }
@@ -361,8 +358,7 @@ def cmd_bounds(args) -> int:
     _refuse_below_one(args, "samples", "trials")
     row = BOUNDS[args.theorem]
     tol = _tolerance(args, 1e-9)
-    theta = _parse_theta(args.theta, args.m)
-    model = WeightedHopfModel(args.m, theta)
+    model = _model(args)
     q = model.q
     if row.needs_p:
         if args.p is None:
@@ -370,11 +366,10 @@ def cmd_bounds(args) -> int:
         _check_pq(q, args.p)
     builder = report_mod.ReportBuilder({
         "command": "bounds", "theorem": args.theorem, "m": args.m,
-        "theta": list(theta), "p": args.p, "samples": args.samples,
+        "theta": list(model.theta), "p": args.p, "samples": args.samples,
         "trials": args.trials, "seed": args.seed,
     })
-    ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p, tol=tol, trials=args.trials,
-                          RM=_unit_sphere(args, q) if row.reads_ambient else None)
+    ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p, tol=tol, trials=args.trials)
     gaps = []
     for k, rng in enumerate(_point_streams(args.seed, args.samples)):
         A, _ = oneill_from_brackets(model, sample_point(model, rng))

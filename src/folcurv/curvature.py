@@ -13,10 +13,12 @@ the integrability tensor:
 whose symmetries and first Bianchi identity follow from the skewness of A
 (asserted at construction, not assumed).
 
-A tensor built by ``space_form`` or, from a space form, by
-``transverse_riemann`` also carries the pair (c, a) it is made from: the
-space-form curvature and the O'Neill components.  The Bochner action on
-forms reads only that pair, never the q^4 array.
+A tensor built by ``space_form``, or by ``transverse_riemann`` from a space
+form, carries the pair (c, a) it is made from: the space-form curvature and
+the O'Neill components.  A tensor may also be given by that pair alone; its
+q^4 components are then built only when something reads them.  The Bochner
+action on forms, the scalar curvature of a structured tensor and the Ricci
+contraction of a space form read the pair only.
 
 Tensors and forms may carry one leading stack axis; every function here then
 acts row by row and returns one value per row.
@@ -55,38 +57,47 @@ class RiemannTensor:
     """A 4-index curvature array R[i,j,k,l] on an orthonormal frame, or a
     stack of them, R[n, i, j, k, l].
 
-    Construction enforces the pair/antisymmetry relations exactly up to
-    ``tol`` and the first Bianchi identity on every row; violations raise.
+    It is given by its components, or by its ``structure`` alone: the pair
+    (c, a) of a space form of curvature c plus the O'Neill terms of the
+    components a, with a = None (and ``dimension`` = q) for the space form
+    itself.  The structure is None for a tensor given only by its
+    components.  A structured tensor builds its components on first read.
 
-    ``structure`` is the pair (c, a) the tensor is made from: a space form of
-    curvature c plus the O'Neill terms of the components a, with a = None
-    for the space form itself.  It is None for a tensor given only by its
-    components.
+    Every array of components, given or built, is checked for the
+    pair/antisymmetry relations exactly up to ``tol`` and for the first
+    Bianchi identity on every row; violations raise.  A given ``a`` must be
+    exactly skew in its first two indices.
     """
 
-    __slots__ = ("components", "dimension", "structure")
+    __slots__ = ("_components", "_tol", "dimension", "structure")
 
-    def __init__(self, components, *, tol: float = 1e-10, structure=None):
-        R = np.asarray(components, dtype=float)
-        q = R.shape[-1]
-        if R.ndim not in (4, 5) or R.shape[-4:] != (q, q, q, q):
-            raise ValueError(f"curvature array must be ([n,] q,q,q,q), got {R.shape}")
-        skew_ij = _max_abs(R + np.einsum("...jikl->...ijkl", R))
-        skew_kl = _max_abs(R + np.einsum("...ijlk->...ijkl", R))
-        pair = _max_abs(R - np.einsum("...klij->...ijkl", R))
-        if max(skew_ij, skew_kl, pair) > tol:
-            raise ValueError(
-                "curvature symmetries violated: "
-                f"skew(i,j)={skew_ij:.3e}, skew(k,l)={skew_kl:.3e}, pair={pair:.3e}"
-            )
-        cyclic = R + np.einsum("...jkil->...ijkl", R)
-        cyclic += np.einsum("...kijl->...ijkl", R)
-        bianchi = _max_abs(cyclic)
-        if bianchi > tol:
-            raise ValueError(f"first Bianchi identity violated: residual {bianchi:.3e}")
-        self.components = R
-        self.dimension = q
+    def __init__(self, components=None, *, tol: float = 1e-10, structure=None,
+                 dimension=None):
+        if components is not None:
+            self._components = _checked(components, tol)
+            self.dimension = self._components.shape[-1]
+        elif structure is None:
+            raise ValueError("a curvature tensor needs its components or its structure (c, a)")
+        else:
+            a = structure[1]
+            if a is None:
+                self.dimension = int(dimension)
+            elif not np.array_equal(a, -np.swapaxes(a, -3, -2)):
+                raise ValueError("O'Neill components must be exactly skew in (i, j)")
+            else:
+                self.dimension = a.shape[-2]
+            self._components = None
+        self._tol = tol
         self.structure = structure
+
+    @property
+    def components(self) -> np.ndarray:
+        """The q^4 array; a structured tensor builds and checks it here, once."""
+        if self._components is None:
+            c, a = self.structure
+            R = np.multiply.outer(c, _unit_components(self.dimension))
+            self._components = _checked(R if a is None else _add_oneill_terms(R, a), self._tol)
+        return self._components
 
     @property
     def space_form_curvature(self):
@@ -100,10 +111,37 @@ class RiemannTensor:
         return np.einsum("...lilj->...ij", self.components)
 
     def scalar(self):
-        return _value(np.einsum("...lili->...", self.components))
+        """Scal = sum_{l,i} R[l,i,l,i].  A structured tensor sums the entries
+        of ``_diagonal``, O(q^2), and never builds its components."""
+        if self.structure is None:
+            return _value(np.einsum("...lili->...", self._components))
+        return _value(np.sum(_diagonal(self.dimension, *self.structure), axis=(-2, -1)))
 
     def __repr__(self):
         return f"RiemannTensor(q={self.dimension}, space_form={self.space_form_curvature})"
+
+
+def _checked(components, tol: float) -> np.ndarray:
+    """The curvature array, after its symmetries and first Bianchi identity
+    are checked at ``tol`` on every row; a violation raises."""
+    R = np.asarray(components, dtype=float)
+    q = R.shape[-1]
+    if R.ndim not in (4, 5) or R.shape[-4:] != (q, q, q, q):
+        raise ValueError(f"curvature array must be ([n,] q,q,q,q), got {R.shape}")
+    skew_ij = _max_abs(R + np.einsum("...jikl->...ijkl", R))
+    skew_kl = _max_abs(R + np.einsum("...ijlk->...ijkl", R))
+    pair = _max_abs(R - np.einsum("...klij->...ijkl", R))
+    if max(skew_ij, skew_kl, pair) > tol:
+        raise ValueError(
+            "curvature symmetries violated: "
+            f"skew(i,j)={skew_ij:.3e}, skew(k,l)={skew_kl:.3e}, pair={pair:.3e}"
+        )
+    cyclic = R + np.einsum("...jkil->...ijkl", R)
+    cyclic += np.einsum("...kijl->...ijkl", R)
+    bianchi = _max_abs(cyclic)
+    if bianchi > tol:
+        raise ValueError(f"first Bianchi identity violated: residual {bianchi:.3e}")
+    return R
 
 
 def _max_abs(d: np.ndarray) -> float:
@@ -111,15 +149,46 @@ def _max_abs(d: np.ndarray) -> float:
     return float(np.max(np.abs(d, out=d)))
 
 
+def _unit_components(q: int) -> np.ndarray:
+    """d_ik d_jl - d_il d_jk, the unit space form."""
+    eye = np.eye(q)
+    return np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+
+
+def _add_oneill_terms(R: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """R + 2 G(ij, kl) - G(jk, il) - G(ki, jl), G(ij, kl) = sum_s a[i,j,s]
+    a[k,l,s], summed in one new buffer."""
+    Rt = np.einsum("...ijs,...kls->...ijkl", a, a)
+    Rt *= 2.0
+    Rt += R
+    Rt -= np.einsum("...jks,...ils->...ijkl", a, a)
+    Rt -= np.einsum("...kis,...jls->...ijkl", a, a)
+    return Rt
+
+
+def _diagonal(q: int, c, a) -> np.ndarray:
+    """The entries R[l, i, l, i] of the tensor of structure (c, a), each
+    from the three O'Neill terms of the defining formula,
+
+        c (1 - d_li) + 2 G(li, li) - G(il, li) - G(ll, ii),
+
+    summed separately, never through the closed-form Ricci."""
+    K = np.multiply.outer(c, 1.0 - np.eye(q))
+    if a is None:
+        return K
+    d = np.einsum("...lls->...ls", a)
+    return (K + 2.0 * np.einsum("...lis,...lis->...li", a, a)
+            - np.einsum("...ils,...lis->...li", a, a)
+            - np.einsum("...ls,...is->...li", d, d))
+
+
 def space_form(q: int, c) -> RiemannTensor:
-    """Constant-curvature tensor R[i,j,k,l] = c (d_ik d_jl - d_il d_jk); an
-    array of curvatures c gives the stack of their space forms."""
+    """The space form of curvature c, R[i,j,k,l] = c (d_ik d_jl - d_il d_jk),
+    given by its structure (c, None); an array of curvatures c gives the
+    stack of their space forms.  The components are built on first read."""
     if q < 2:
         raise ValueError("space form needs dimension >= 2")
-    eye = np.eye(q)
-    c = _value(c)
-    unit = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    return RiemannTensor(np.multiply.outer(c, unit), structure=(c, None))
+    return RiemannTensor(structure=(_value(c), None), dimension=q)
 
 
 def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
@@ -146,14 +215,9 @@ def transverse_riemann(RM: RiemannTensor, A, *, tol: float = 1e-9) -> RiemannTen
     a = A.a
     if A.q != RM.dimension:
         raise ValueError("integrability tensor dimension does not match curvature")
-    # summed in one buffer: R + 2 G(ij, kl) - G(jk, il) - G(ki, jl)
-    Rt = np.einsum("...ijs,...kls->...ijkl", a, a)
-    Rt *= 2.0
-    Rt += RM.components
-    Rt -= np.einsum("...jks,...ils->...ijkl", a, a)
-    Rt -= np.einsum("...kis,...jls->...ijkl", a, a)
     c = RM.space_form_curvature
-    Rt = RiemannTensor(Rt, tol=tol, structure=None if c is None else (c, a))
+    Rt = RiemannTensor(_add_oneill_terms(RM.components, a), tol=tol,
+                       structure=None if c is None else (c, a))
     ric = RM.ricci() + 3.0 * np.einsum("...lis,...ljs->...ij", a, a)
     err = np.max(np.abs(ric - Rt.ricci()))
     if err > 1e-10:
@@ -231,9 +295,13 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
 
 
 def ricci_contraction(R: RiemannTensor, a: AlternatingForm):
-    """S1 = sum R[l,i,l,j] <e_i.a, e_j.a>."""
+    """S1 = sum R[l,i,l,j] <e_i.a, e_j.a>.  A space form of curvature c has
+    Ric = c (q-1) I, so its S1 = c (q-1) p |a|^2 is read from c."""
     if a.degree == 0:
         return _zeros(a)
+    c = R.space_form_curvature
+    if c is not None:
+        return _value(c * ((R.dimension - 1) * a.degree) * a.norm_sq)
     V = contractions(a, 1)
     return _pair(np.einsum("...ij,...jA->...iA", R.ricci(), V), V, 2)
 

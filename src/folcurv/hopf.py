@@ -19,7 +19,8 @@ for l in 1..m-1 and p in 1..m-2.  Lie brackets are computed with exact
 forward-mode Jacobians of these definitions; the integrability tensor follows
 from the vertical projection of half the bracket.  The frame degenerates
 where coordinates vanish, so points are rejection-sampled away from the
-degenerate strata.
+degenerate strata, by a margin on |z_k|^2 that shrinks with 1/m^2 above
+m = 16.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "realify",
     "complexify",
     "field_labels",
+    "degeneracy_margin",
     "fields_YW",
     "adapted_frame",
     "oneill_from_brackets",
@@ -134,7 +136,15 @@ def field_labels(model: WeightedHopfModel) -> tuple[str, ...]:
     return tuple(f"Y{l}" for l in range(1, m)) + tuple(f"W{p}" for p in range(1, m))
 
 
-def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float = 1e-3):
+def degeneracy_margin(m: int) -> float:
+    """The least |z_k|^2 a sample point may have: 1e-3 up to m = 16, then
+    1e-3 (16/m)^2.  A uniform draw clears it with probability about
+    exp(-m^2 margin), so acceptance stays near exp(-0.256) at every large m
+    where a fixed margin would reject almost every draw."""
+    return 1e-3 * min(1.0, (16 / m) ** 2)
+
+
+def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float | None = None):
     """The generating field X and the 2m-2 horizontal frame fields, ordered as
     ``field_labels``, with their exact Jacobians, all from one dual-number
     evaluation at the point: ``(x, x_jacobian, fields, jacobians)`` of shapes
@@ -145,8 +155,11 @@ def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float = 
     for W), the entries right of it are |z_l|^2 (times theta_l theta_k for W).
     The last row of W is W_{m-1} as defined, not the general row.
 
-    Raises ``DegeneratePointError`` when any field norm falls below the floor
-    implied by the degeneracy margin (resample the point)."""
+    Raises ``DegeneratePointError`` when a coordinate modulus falls below the
+    degeneracy margin (``degeneracy_margin(m)`` unless ``eps_deg`` is given)
+    or a squared field norm below the floor margin^3 min(theta)^4 that it
+    implies (resample the point)."""
+    eps_deg = degeneracy_margin(model.m) if eps_deg is None else eps_deg
     if np.min(point.moduli_sq) < eps_deg:
         raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
     m = model.m
@@ -193,7 +206,7 @@ class AdaptedFrame:
 
 
 def adapted_frame(model: WeightedHopfModel, point: SpherePoint, *,
-                  eps_deg: float = 1e-3, tol: float = 1e-10) -> AdaptedFrame:
+                  eps_deg: float | None = None, tol: float = 1e-10) -> AdaptedFrame:
     x_amb, x_jacobian, fields, jacobians = fields_YW(model, point, eps_deg=eps_deg)
     nx = np.linalg.norm(x_amb)
     norms = np.array([np.linalg.norm(f) for f in fields])
@@ -224,9 +237,11 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
 
         |A|^2 = 1/(2|X|^2) sum_{i<j} <[Z_i, Z_j], X>^2 / (|Z_i|^2 |Z_j|^2),
 
-    checked against the tensor norm; a disagreement raises
-    ``BracketRouteError``.  Only the vertical pairing of each bracket is
-    formed, from the frame's own field values and Jacobians: with
+    checked against the tensor norm.  With unit weights the tensor is also
+    checked against minus the complex structure, a[i, j] = -<J e_i, e_j>.
+    Either disagreement raises ``BracketRouteError``.  Only the vertical
+    pairing of each bracket is formed, from the frame's own field values and
+    Jacobians: with
     [Z_i, Z_j] = DZ_j Z_i - DZ_i Z_j and u_j = DZ_j^T X, the pairing is
     <Z_i, u_j> - <Z_j, u_i>.
     """
@@ -248,6 +263,12 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
         raise BracketRouteError(
             f"bracket-norm routes disagree: {A.norm_sq} vs {display}"
         )
+    if model.is_hopf:
+        jh = apply_complex_structure(frame.horizontal)
+        err = float(np.max(np.abs(A.a[:, :, 0] + jh @ frame.horizontal.T)))
+        if err > 1e-10:
+            raise BracketRouteError(
+                f"unit-weight tensor differs from minus the complex structure by {err:.3e}")
     return A, display
 
 
@@ -319,10 +340,13 @@ def mean_curvature(model: WeightedHopfModel, point: SpherePoint, *,
     return kappa
 
 
-def sample_point(model: WeightedHopfModel, rng_seed, eps_deg: float = 1e-3) -> SpherePoint:
+def sample_point(model: WeightedHopfModel, rng_seed,
+                 eps_deg: float | None = None) -> SpherePoint:
     """Uniform point of the sphere, rejection-resampled until every
-    coordinate modulus squared clears the degeneracy margin."""
+    coordinate modulus squared clears the degeneracy margin
+    (``degeneracy_margin(m)`` unless ``eps_deg`` is given)."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    eps_deg = degeneracy_margin(model.m) if eps_deg is None else eps_deg
     for _ in range(10_000):
         g = rng.standard_normal(2 * model.m)
         g /= np.linalg.norm(g)

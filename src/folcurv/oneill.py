@@ -382,7 +382,9 @@ def cor31_scan(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed) -> flo
 
     On a manifold with positive sectional curvature a parallel basic 1-form
     would force max E >= 0, so a strictly negative sampled maximum certifies
-    (on the sample) the nonexistence obstruction.
+    (on the sample) the nonexistence obstruction.  For a space form RM, as
+    on every model, S1 = c (q-1) |v|^2 is read from c and S2 vanishes in
+    degree 1, so no q^4 array is built.
     """
     rng = np.random.default_rng(rng_seed)  # a Generator is returned unaltered
     q = RM.dimension

@@ -102,8 +102,7 @@ def test_hopf_unit_weights_m20(tmp_path):
 
 def test_hopf_unit_weights_m30(tmp_path):
     # q = 58: the structured action certifies the Kahler form in 1653
-    # coordinates, and every other check of the point still runs on the dense
-    # transverse tensor
+    # coordinates, and the transverse scalar is summed from the structure
     out = tmp_path / "hopf30.json"
     assert run(["hopf", "--m", "30", "--samples", "1", "--seed", "0",
                 "--out", str(out), "--quiet"]) == 0
@@ -290,7 +289,8 @@ def test_verify_smallest_fiber_dimension_runs(tmp_path):
 def test_one_transverse_tensor_per_evaluation(monkeypatch):
     # verify builds one stacked tensor per stack of trials, covering each
     # instance once (6 instances per trial) for the master identity and the
-    # term-vs-action check together; hopf with unit weights builds one per point
+    # term-vs-action check together; hopf with unit weights builds none, its
+    # checks read the structure (1, A) only
     real = curvature.transverse_riemann
     builds = []
 
@@ -306,7 +306,7 @@ def test_one_transverse_tensor_per_evaluation(monkeypatch):
     assert len(builds) < 6 * 7
     builds.clear()
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert builds == [1, 1]
+    assert builds == []
 
 
 def test_one_dual_evaluation_per_point(monkeypatch):
@@ -355,34 +355,39 @@ def test_lazy_streams_match_one_eager_spawn():
 
 
 @pytest.fixture
-def space_form_builds(monkeypatch):
-    """The list that gains one entry per ambient space form the CLI builds."""
-    real = cli.space_form
+def dense_builds(monkeypatch):
+    """The list that gains the shape of every q^4 curvature array a run
+    builds: each one, given or built from a structure, is checked once."""
+    real = curvature._checked
     builds = []
 
     def counting(*args, **kwargs):
-        builds.append(args)
-        return real(*args, **kwargs)
+        R = real(*args, **kwargs)
+        builds.append(R.shape)
+        return R
 
-    monkeypatch.setattr(cli, "space_form", counting)
+    monkeypatch.setattr(curvature, "_checked", counting)
     return builds
 
 
-def test_weighted_hopf_builds_no_ambient_curvature(space_form_builds):
-    # only the unit-weight checks read the ambient space form
+def test_weighted_hopf_builds_no_ambient_curvature(dense_builds):
+    # no hopf run builds a q^4 curvature array, with or without unit weights:
+    # the unit-weight checks read the structure (1, A) of the transverse tensor
     assert run(["hopf", "--m", "3", "--theta", "1,1,0.5", "--samples", "2", "--quiet"]) == 0
-    assert space_form_builds == []
+    assert dense_builds == []
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert space_form_builds == [(4, 1.0)]
+    assert dense_builds == []
+    assert run(["verify", "--q", "4", "--trials", "1", "--quiet"]) == 0
+    assert dense_builds
 
 
 BOUND_ROWS = {
-    # theorem: (check names at each point, ambient space forms built)
-    "3.1": (["thm3.1"], 0),
-    "3.2": (["thm3.2"], 0),
-    "4.1": (["thm4.1"], 1),
-    "sandwich": (["sandwich.lower", "sandwich.upper"], 1),
-    "cor3.1": (["cor3.1"], 1),
+    # theorem: check names at each point
+    "3.1": ["thm3.1"],
+    "3.2": ["thm3.2"],
+    "4.1": ["thm4.1"],
+    "sandwich": ["sandwich.lower", "sandwich.upper"],
+    "cor3.1": ["cor3.1"],
 }
 
 
@@ -391,10 +396,11 @@ def test_bound_rows_cover_the_theorem_table():
 
 
 @pytest.mark.parametrize("theorem", list(BOUND_ROWS))
-def test_every_bound_row_runs(tmp_path, space_form_builds, theorem):
-    # one emission path for every row; only the rows that read the ambient
-    # curvature build it, once per run
-    ids, ambient = BOUND_ROWS[theorem]
+def test_every_bound_row_runs(tmp_path, dense_builds, theorem):
+    # one emission path for every row; no row builds a q^4 curvature array:
+    # 4.1 and sandwich sum Scal_t from the structure, cor3.1 reads the S1 of
+    # the unit sphere from its curvature
+    ids = BOUND_ROWS[theorem]
     out = tmp_path / "b.json"
     assert run(["bounds", "--theorem", theorem, "--m", "3", "--p", "2", "--samples", "2",
                 "--trials", "20", "--out", str(out), "--quiet"]) == 0
@@ -403,7 +409,42 @@ def test_every_bound_row_runs(tmp_path, space_form_builds, theorem):
         f"bounds.{i}.point{k}" for k in range(2) for i in ids]
     assert all(c["pass"] for c in rep["checks"])
     assert len(rep["summary"]["gap"]["per_check"]) == 2 * len(ids)
-    assert len(space_form_builds) == ambient
+    assert dense_builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--m", "30"],
+    ["bounds", "--theorem", "4.1", "--m", "30", "--p", "2"],
+    ["bounds", "--theorem", "sandwich", "--m", "30"],
+    ["bounds", "--theorem", "cor3.1", "--m", "30"],
+])
+def test_unit_sphere_runs_allocate_far_less_than_one_q4_array(tmp_path, argv):
+    # at q = 58 one q^4 array of floats takes 86 MiB; the whole run stays
+    # under an eighth of it (about 4 MiB traced)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--samples", "1", "--out", str(tmp_path / "r.json"),
+                           "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 58**4 / 8, peak
+
+
+@pytest.mark.parametrize("theta", ["1,0.2,0.1", "1,0.5,0.1", "1,0.3,0.3"])
+def test_cor31_passes_by_its_structural_margin(tmp_path, theta):
+    # in degree 1 the scanned E(v) = -Ric(v, v) - 2V of the unit sphere is at
+    # most -(q-1), below the threshold -(q-1)/2, at every point and weight
+    out = tmp_path / "c.json"
+    assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--theta", theta,
+                "--samples", "3", "--trials", "200", "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    q = 4
+    assert len(rep["checks"]) == 3 and rep["findings"] == []
+    for c in rep["checks"]:
+        assert c["pass"] and c["lhs"] <= -(q - 1) + c["tol"]
 
 
 def test_cor31_reads_tol(tmp_path):
@@ -446,24 +487,45 @@ class Reached(Exception):
     ["bounds", "--theorem", "sandwich", "--m", "40"],
     ["bounds", "--theorem", "cor3.1", "--m", "40"],
 ])
-def test_oversized_dense_curvature_is_refused(capsys, monkeypatch, argv):
-    # q = 2m - 2 > 76: the q^4 array of the ambient curvature would pass
-    # 256 MiB, so the run ends with one error line before allocating it
-    def allocated(*args, **kwargs):
-        raise AssertionError("a dense curvature array was allocated")
+def test_oversized_dense_curvature_is_refused(tmp_path, dense_builds, argv):
+    # These unit-sphere runs at q = 2m - 2 > 76 were once refused, because
+    # their dense q^4 ambient curvature would pass 256 MiB.  No such array is
+    # built any more, so they report, every check passing; hopf --m 100 also
+    # needs the margin of sample_point to shrink with m.
+    out = tmp_path / "big.json"
+    assert run(argv + ["--samples", "1", "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    assert rep["checks"] and all(c["pass"] for c in rep["checks"])
+    assert dense_builds == []
 
-    monkeypatch.setattr(cli, "space_form", allocated)
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--m", "129"],
+    ["hopf", "--m", "400", "--theta", ",".join(["1"] + ["0.5"] * 399)],
+    ["bounds", "--theorem", "3.1", "--m", "129", "--p", "2"],
+    ["bounds", "--theorem", "3.2", "--m", "129", "--p", "2"],
+    ["bounds", "--theorem", "cor3.1", "--m", "129"],
+])
+def test_oversized_dual_pass_is_refused(capsys, monkeypatch, argv):
+    # at m > 128 a gradient of the frame's dual pass, 16 (m-1) m^2 bytes,
+    # would pass 32 MiB, so the run ends with one error line before any point
+    def allocated(*args, **kwargs):
+        raise AssertionError("a point was drawn or its dual pass begun")
+
+    monkeypatch.setattr(cli, "sample_point", allocated)
+    monkeypatch.setattr(hopf, "fields_YW", allocated)
     assert run(argv + ["--samples", "1", "--quiet"]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert str(cli.DENSE_CURVATURE_BYTES) in lines[0]
+    assert str(cli.DUAL_PASS_BYTES) in lines[0]
 
 
 @pytest.mark.parametrize("argv,step", [
-    (["hopf", "--m", "39"], "space_form"),           # q = 76, the largest allowed
+    (["bounds", "--theorem", "cor3.1", "--m", "40"], "space_form"),  # q = 78 > 76
     (["hopf", "--m", "40", "--theta", ",".join(["1"] + ["0.5"] * 39)], "sample_point"),
     (["bounds", "--theorem", "3.1", "--m", "40", "--p", "2"], "sample_point"),
     (["bounds", "--theorem", "3.2", "--m", "40", "--p", "2"], "sample_point"),
+    (["hopf", "--m", "128"], "sample_point"),  # the largest m the dual pass allows
 ])
 def test_runs_without_a_large_dense_array_are_not_refused(monkeypatch, argv, step):
     def reached(*args, **kwargs):

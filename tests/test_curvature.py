@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from folcurv import exterior
 from folcurv.curvature import (
     RiemannTensor,
+    bivector_curvature_sum,
     curvature_action_on_form,
     curvature_operator_matrix,
     curvature_term,
+    ricci_contraction,
     space_form,
     transverse_ricci,
     transverse_riemann,
@@ -391,3 +393,72 @@ def test_curvature_term_equals_action_pairing_on_transverse_data():
                 rhs = inner(curvature_action_on_form(Rn, a), a)
                 assert lhs == pytest.approx(rhs, abs=1e-9, rel=1e-9)
                 count += 1
+
+
+# ---------------------------------------------------------------------------
+# tensors given by their structure (c, A) alone
+# ---------------------------------------------------------------------------
+
+
+def test_structured_scalar_is_the_dense_diagonal_without_building_it():
+    # Scal_t summed from the three O'Neill terms of each diagonal entry
+    # agrees with the trace of the dense R_t, and reads no q^4 array
+    rng = np.random.default_rng(61)
+    for q in range(2, 13):
+        for n in (None, 3):
+            c = float(rng.uniform(-1.5, 1.5)) if n is None else rng.uniform(-1.5, 1.5, n)
+            rows = [random_skew_oneill(rng, q, 2).a for _ in range(n or 1)]
+            A = ONeillTensor(rows[0] if n is None else np.array(rows))
+            R = RiemannTensor(structure=(c, A.a))
+            scal = R.scalar()
+            assert R._components is None
+            dense = np.einsum("...lili->...", transverse_riemann(space_form(q, c), A).components)
+            assert np.allclose(scal, dense, rtol=1e-13, atol=1e-12), (q, n)
+            assert np.allclose(space_form(q, c).scalar(), np.asarray(c) * q * (q - 1))
+
+
+def test_structured_components_are_built_once_on_first_read():
+    rng = np.random.default_rng(67)
+    q, c = 5, 0.4
+    A = random_skew_oneill(rng, q, 2)
+    R = RiemannTensor(structure=(c, A.a))
+    assert R.dimension == q and R._components is None
+    # the action reads the pair only
+    curvature_action_on_form(R, random_form(rng, q, 2))
+    assert R._components is None
+    built = R.components
+    assert R.components is built
+    assert np.array_equal(built, transverse_riemann(space_form(q, c), A).components)
+    S = space_form(q, c)
+    assert S.space_form_curvature == c and S._components is None
+    assert np.array_equal(S.components, c * space_form(q, 1.0).components)
+
+
+def test_structure_is_checked():
+    with pytest.raises(ValueError, match="components or its structure"):
+        RiemannTensor()
+    a = np.zeros((3, 3, 1))
+    a[0, 1, 0] = 1.0  # no skew partner
+    with pytest.raises(ValueError, match="skew"):
+        RiemannTensor(structure=(1.0, a))
+
+
+def test_space_form_contractions_read_from_c():
+    # S1 = c (q-1) p |a|^2 and S2 = 2 c p (p-1) |a|^2 (so 0 in degree 1)
+    # for a space form, against the dense contractions of the same tensor
+    # given by its components only
+    rng = np.random.default_rng(71)
+    for q in range(2, 13):
+        for p in range(1, q + 1) if q <= 7 else (1, 2):
+            c = float(rng.uniform(-1.5, 1.5))
+            R = space_form(q, c)
+            dense = RiemannTensor(R.components)
+            a = random_form(rng, q, p)
+            a.coeffs *= rng.uniform(0.5, 2.0)
+            s1 = ricci_contraction(space_form(q, c), a)
+            assert s1 == pytest.approx(c * (q - 1) * p * a.norm_sq, abs=1e-13)
+            assert s1 == pytest.approx(ricci_contraction(dense, a), abs=1e-12), (q, p)
+            assert bivector_curvature_sum(dense, a) == pytest.approx(
+                2.0 * c * p * (p - 1) * a.norm_sq, abs=1e-12), (q, p)
+        a = random_form(rng, q, 1)
+        assert bivector_curvature_sum(space_form(q, 1.0), a) == 0.0

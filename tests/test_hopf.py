@@ -11,11 +11,14 @@ from folcurv.curvature import (
     transverse_riemann,
 )
 from folcurv.exterior import inner, wedge
+from folcurv import hopf
 from folcurv.hopf import (
+    BracketRouteError,
     DegeneratePointError,
     SpherePoint,
     WeightedHopfModel,
     adapted_frame,
+    degeneracy_margin,
     field_labels,
     fields_YW,
     kahler_form,
@@ -97,6 +100,26 @@ def test_sample_point_determinism_and_margins():
         pt = sample_point(model, rng)
         assert np.min(pt.moduli_sq) >= 1e-3
         assert abs(np.linalg.norm(pt.z) - 1.0) < 1e-12
+
+
+def test_degeneracy_margin_shrinks_with_m_squared_above_16():
+    # the margin is exactly 1e-3 up to m = 16, so small-m draws are unchanged
+    assert all(degeneracy_margin(m) == 1e-3 for m in range(2, 17))
+    for m in (17, 40, 100, 128):
+        assert degeneracy_margin(m) == pytest.approx(1e-3 * (16 / m) ** 2, rel=1e-15)
+    # at m = 100 a fixed 1e-3 accepts about exp(-10) of the uniform draws;
+    # the scaled margin accepts most of them, and the frame's field floor
+    # follows it
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((400, 200))
+    moduli = (g[:, 0::2] ** 2 + g[:, 1::2] ** 2) / np.sum(g * g, axis=1)[:, None]
+    assert np.mean(np.min(moduli, axis=1) >= 1e-3) < 0.01
+    assert np.mean(np.min(moduli, axis=1) >= degeneracy_margin(100)) > 0.6
+    model = WeightedHopfModel(100, (1.0,) * 100)
+    for _ in range(3):
+        pt = sample_point(model, rng)
+        assert np.min(pt.moduli_sq) >= degeneracy_margin(100)
+        assert adapted_frame(model, pt).gram_residual < 1e-10
 
 
 def test_sample_point_coordinate_distribution():
@@ -358,6 +381,22 @@ def test_kahler_form_certificates():
         # nondegeneracy: w ^ w is a nonzero 4-form
         ww = wedge(w, w)
         assert np.max(np.abs(ww.coeffs)) > 1e-6
+
+
+def test_unit_weight_tensor_is_minus_the_complex_structure(monkeypatch):
+    # with unit weights a[i, j] = -<J e_i, e_j>; a tensor whose norm and
+    # pairing display still agree but which is not -J raises
+    rng = np.random.default_rng(37)
+    model = WeightedHopfModel(4, (1.0,) * 4)
+    pt = sample_point(model, rng)
+    oneill_from_brackets(model, pt)
+    real = hopf.ONeillTensor
+    monkeypatch.setattr(hopf, "ONeillTensor", lambda a: real(-a))
+    with pytest.raises(BracketRouteError, match="complex structure"):
+        oneill_from_brackets(model, pt)
+    # weighted models are not held to it
+    weighted = WeightedHopfModel(4, (1.0, 0.9, 0.6, 0.3))
+    oneill_from_brackets(weighted, sample_point(weighted, rng))
 
 
 def test_kahler_form_requires_unit_weights():
