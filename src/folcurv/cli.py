@@ -67,9 +67,9 @@ from .oneill import (
 )
 from .synthetic import random_form, random_trials
 
-# the cached wedge and contraction tables for every degree at q = 12 take
-# about 457 MiB, and each further dimension multiplies that by about 4
-VERIFY_Q_RANGE = (2, 12)
+# verify --q 16 --trials 3 takes 3-10 s and 90-160 MB by seed, nearly all in
+# the Python loop of exterior._wedge_table; vectorize it before going past 16
+VERIFY_Q_RANGE = (2, 16)
 # the frame's dual pass (hopf.fields_YW) holds about ten Dual intermediates
 # of value shape (m-1, m), each with a gradient of 16 (m-1) m^2 bytes; a model
 # whose gradient would pass this size is refused before any point (m <= 128)
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the seeded identity suites")
     pv.add_argument("--trials", type=int, default=200)
     pv.add_argument("--q", type=int, default=None,
-                    help="restrict the fiber dimension, 2 to 12 (default: 4 and 5)")
+                    help="restrict the fiber dimension, 2 to 16 (default: 4 and 5)")
     tolerance(pv)
     common(pv)
 

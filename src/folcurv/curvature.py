@@ -26,16 +26,15 @@ acts row by row and returns one value per row.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 from .exterior import (
     AlternatingForm,
+    _contract,
     _pair,
     _value,
     _wedge_coeffs,
-    _wedge_table,
+    _wedge_frame,
     _zeros,
     contractions,
 )
@@ -251,9 +250,9 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     with w_s = A[:, :, s] a skew endomorphism, D_E a = sum_kl E[k,l]
     e^k ^ (e_l . a) its derivation (D_s = D_{w_s}), i_s a =
     1/2 sum_kl w_s[k,l] a(e_k, e_l, .), and w_s ^ the wedge with the 2-form
-    of coefficients w_s[i,j], i < j.  Only the signed index rows of the
-    wedge table are read, never the q^4 components; a tensor without the
-    pair is refused.
+    of coefficients w_s[i,j], i < j.  D_E and i_s go through the frame
+    contraction of ``exterior``, never the q^4 components; a tensor
+    without the pair is refused.
     """
     q, p = a.dimension, a.degree
     if Rnabla.dimension != q:
@@ -265,29 +264,18 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     out = (p * (q - p)) * np.asarray(c)[..., None] * a.coeffs
     if A is None or p == 0:
         return AlternatingForm(p, q, out)
-    k, l, r, sign = _wedge_table(q, 1, p - 1)
-    shape = (comb(q, p), p)
 
-    def contract(x):  # y[..., l, R] = coeffs(e_l . x)[R]
-        y = np.zeros(x.shape[:-1] + (q, comb(q, p - 1)))
-        y[..., l, r] = sign * x[..., k]
-        return y
-
-    def derive(E, y):  # D_E x from y = contract(x), each leading axis broadcast
-        z = np.einsum("...kl,...lR->...kR", E, y)
-        terms = sign * z[..., l, r]
-        return terms.reshape(terms.shape[:-1] + shape).sum(-1)
+    def derive(E, y):  # D_E x from y = _contract(x), each leading axis broadcast
+        return _wedge_frame(np.einsum("...kl,...lR->...kR", E, y), q, p)
 
     w = np.moveaxis(A, -1, -3)                                  # (..., s, k, l)
-    y = contract(a.coeffs)
+    y = _contract(a.coeffs, q, p)
     Dx = derive(w, y[..., None, :, :])                          # D_s a, one row per s
-    total = derive(w, contract(Dx)).sum(-2)
+    total = derive(w, _contract(Dx, q, p)).sum(-2)
     total += 2.0 * derive(np.einsum("...kms,...mls->...kl", A, A), y)
     if p >= 2:
-        K, I, J, sign2 = _wedge_table(q, 2, p - 2)
-        X2 = np.zeros(a.stack + (comb(q, 2), comb(q, p - 2)))   # a(e_i, e_j, .), i < j
-        X2[..., I, J] = sign2 * a.coeffs[..., K]
         iu, ju = np.triu_indices(q, 1)                          # the order of rank I
+        X2 = _contract(y, q, p - 1)[..., iu, ju, :]             # a(e_i, e_j, .), i < j
         W2 = A[..., iu, ju, :]                                  # (..., I, s)
         contracted = np.einsum("...Is,...IJ->...sJ", W2, X2)    # i_s a
         total += 4.0 * _wedge_coeffs(np.swapaxes(W2, -1, -2), contracted, q, 2, p - 2).sum(-2)

@@ -14,11 +14,11 @@ a ^ (*a) = |a|^2 vol, which also yields the contraction rule
 X . (*a) = (-1)^p * (X^flat ^ a).
 
 Every product reads one signed wedge table, ``_wedge_table``: the wedge and
-the Hodge star directly, the frame wedge/contraction matrices as its scatter
-and that scatter's adjoint, and frame-index access as iterated contraction.
-It is the only code that computes a permutation sign; ``tests/oracles.py``
-recomputes every product by determinant minors and shuffle sums as its
-independent check.
+the Hodge star directly, and the frame contraction through its (1, p-1) rows
+as ``_contract`` and its adjoint ``_wedge_frame``, which interior products,
+contraction tables and frame-index access iterate.  It is the only code that
+computes a permutation sign; ``tests/oracles.py`` recomputes every product
+by determinant minors and shuffle sums as its independent check.
 """
 
 from __future__ import annotations
@@ -86,6 +86,23 @@ def _wedge_table(q: int, p: int, r: int) -> tuple[np.ndarray, ...]:
     rows.sort(key=lambda row: row[0])  # stable: keeps I outer, J inner per union
     k, ia, ib, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
     return k, ia, ib, sign.astype(float)
+
+
+def _contract(x: np.ndarray, q: int, p: int) -> np.ndarray:
+    """y[..., l, :] = coeffs(e_l . x) for degree-p coefficients x, p >= 1;
+    each entry is one signed copy of an entry of x, or 0."""
+    k, l, r, sign = _wedge_table(q, 1, p - 1)
+    y = np.zeros(x.shape[:-1] + (q, comb(q, p - 1)))
+    y[..., l, r] = sign * x[..., k]
+    return y
+
+
+def _wedge_frame(y: np.ndarray, q: int, p: int) -> np.ndarray:
+    """sum_l e^l ^ y[..., l, :] for rows y of degree p - 1: the degree-p
+    coefficients, and the exact adjoint of ``_contract``."""
+    k, l, r, sign = _wedge_table(q, 1, p - 1)
+    terms = sign * y[..., l, r]
+    return terms.reshape(terms.shape[:-1] + (comb(q, p), p)).sum(-1)
 
 
 def _wedge_coeffs(x: np.ndarray, y: np.ndarray, q: int, p: int, r: int) -> np.ndarray:
@@ -167,7 +184,7 @@ class AlternatingForm:
 
         Indices may be unsorted or repeated: the value is read by contracting
         the frame vectors into the slots in order, so the permutation sign
-        comes from the contraction tables and a repeated index reads 0.
+        comes from the wedge table and a repeated index reads 0.
         """
         if len(indices) != self.degree:
             raise ValueError(f"expected {self.degree} indices, got {len(indices)}")
@@ -176,7 +193,7 @@ class AlternatingForm:
                 raise ValueError(f"index {i} out of range({self.dimension})")
         c = self.coeffs
         for d, i in zip(range(self.degree, 0, -1), indices):
-            c = interior_matrices(self.dimension, d)[i] @ c
+            c = _contract(c, self.dimension, d)[i]
         return float(c[0])
 
     @property
@@ -236,9 +253,7 @@ def interior_vector(v, a: AlternatingForm) -> AlternatingForm:
     if a.degree == 0:
         raise ValueError("cannot contract a scalar")
     q = a.dimension
-    c = _components(v, q)
-    mats = interior_matrices(q, a.degree)
-    return AlternatingForm(a.degree - 1, q, np.einsum("i,iAB,B->A", c, mats, a.coeffs))
+    return AlternatingForm(a.degree - 1, q, _components(v, q) @ _contract(a.coeffs, q, a.degree))
 
 
 def inner(a: AlternatingForm, b: AlternatingForm):
@@ -266,14 +281,13 @@ def flat(v, q: int) -> AlternatingForm:
 
 
 # -- contraction tables ------------------------------------------------------
-#
-# Dense matrices for the frame contraction and wedge maps; they turn the
-# curvature sums on forms into einsum contractions.
 
 
 @lru_cache(maxsize=None)
 def wedge_matrices(q: int, p: int) -> np.ndarray:
-    """W[j] @ coeffs(a) = coeffs(e^j ^ a) for deg-p a; shape (q, C(q,p+1), C(q,p))."""
+    """W[j] @ coeffs(a) = coeffs(e^j ^ a) for deg-p a; shape (q, C(q,p+1), C(q,p)).
+    No program path reads it: it is the dense reference of ``tests/oracles.py``,
+    and the perfbench tracer wraps it by name as a cached table."""
     if p >= q:
         raise ValueError("degree overflow in wedge matrices")
     k, j, r, sign = _wedge_table(q, 1, p)
@@ -284,11 +298,8 @@ def wedge_matrices(q: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def interior_matrices(q: int, p: int) -> np.ndarray:
-    """M[i] @ coeffs(a) = coeffs(e_i . a); shape (q, C(q,p-1), C(q,p)).
-
-    Contraction by e_i is the adjoint of e^i ^ under the coefficient dot
-    product, so M[i] is the transpose of the wedge matrix W[i].
-    """
+    """M[i] @ coeffs(a) = coeffs(e_i . a); shape (q, C(q,p-1), C(q,p)), the
+    transpose of W[i]; like it, read only by the test oracles and the tracer."""
     if p < 1:
         raise ValueError("no contraction matrices for scalars")
     return np.ascontiguousarray(wedge_matrices(q, p - 1).transpose(0, 2, 1))
@@ -302,5 +313,5 @@ def contractions(a: AlternatingForm, k: int) -> np.ndarray:
         raise ValueError(f"cannot contract {k} slots of a degree-{p} form")
     out = a.coeffs
     for d in range(p, p - k, -1):
-        out = np.einsum("iAB,...B->...iA", interior_matrices(q, d), out)
+        out = _contract(out, q, d)
     return out

@@ -4,9 +4,11 @@ Everything here recomputes quantities from first principles (full index
 tuples, determinant minors, shuffle sums, nested slot loops, finite
 differences) without going through the package's coefficient tables, so the
 fast implementations are checked against genuinely different code paths.
-The one exception is ``dense_curvature_action``, the Bochner action
-contracted through the dense q^4 tensor and the dense frame tables: it
-reads none of the (c, A) structure the package's action is computed from.
+The exceptions read the dense frame tables: ``dense_contractions``, the
+reference the package's gather through the signed index rows must equal bit
+for bit, and ``dense_curvature_action``, the Bochner action contracted
+through the dense q^4 tensor, which reads none of the (c, A) structure the
+package's action is computed from.
 """
 
 import itertools
@@ -149,6 +151,15 @@ def oneill_closed_form_loop(model, point) -> float:
             )
             term3 += num / den
     return float(2.0 * (term1 + term2 + term3) / x2)
+
+
+def dense_contractions(a, k):
+    """The contraction table a(e_i1, ..., e_ik, .) through the dense frame
+    contraction matrices, one einsum per slot; stacks broadcast."""
+    out = a.coeffs
+    for d in range(a.degree, a.degree - k, -1):
+        out = np.einsum("iAB,...B->...iA", interior_matrices(a.dimension, d), out)
+    return out
 
 
 def dense_curvature_action(R, a):

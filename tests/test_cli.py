@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import folcurv.cli as cli
-from folcurv import curvature, hopf, oneill
+from folcurv import curvature, exterior, hopf, oneill
 from folcurv.report import dumps_report
 
 
@@ -214,10 +214,10 @@ REFUSED_RUNS = [
      "--samples must be >= 1"),
     (["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "0", "--samples", "1"],
      "--trials must be >= 1"),
-    (["verify", "--q", "0", "--trials", "1"], "--q must be in [2, 12]"),
-    (["verify", "--q", "1", "--trials", "1"], "--q must be in [2, 12]"),
-    (["verify", "--q", "-1", "--trials", "1"], "--q must be in [2, 12]"),
-    (["verify", "--q", "13", "--trials", "1"], "--q must be in [2, 12]"),
+    (["verify", "--q", "0", "--trials", "1"], "--q must be in [2, 16]"),
+    (["verify", "--q", "1", "--trials", "1"], "--q must be in [2, 16]"),
+    (["verify", "--q", "-1", "--trials", "1"], "--q must be in [2, 16]"),
+    (["verify", "--q", "17", "--trials", "1"], "--q must be in [2, 16]"),
     (["verify", "--q", "2", "--trials", "1", "--tol", "nan"], "--tol must be finite and > 0"),
     (["verify", "--q", "2", "--trials", "1", "--tol", "inf"], "--tol must be finite and > 0"),
     (["verify", "--q", "2", "--trials", "1", "--tol", "0"], "--tol must be finite and > 0"),
@@ -284,6 +284,15 @@ def test_verify_smallest_fiber_dimension_runs(tmp_path):
     out = tmp_path / "q2.json"
     assert run(["verify", "--q", "2", "--trials", "1", "--out", str(out), "--quiet"]) == 0
     assert load(out)["config"]["q"] == [2]
+
+
+def test_verify_runs_past_the_old_fiber_limit(tmp_path):
+    # q = 13 was refused while the dense contraction tables bounded the range
+    out = tmp_path / "q13.json"
+    assert run(["verify", "--q", "13", "--trials", "1", "--out", str(out), "--quiet"]) == 0
+    rep = load(out)
+    assert rep["config"]["q"] == [13]
+    assert rep["checks"] and all(c["pass"] for c in rep["checks"])
 
 
 def test_one_transverse_tensor_per_evaluation(monkeypatch):
@@ -354,10 +363,17 @@ def test_lazy_streams_match_one_eager_spawn():
     assert np.array_equal(np.array(eager), np.array(lazy))
 
 
+DENSE_TABLES = (exterior.wedge_matrices, exterior.interior_matrices)
+
+
 @pytest.fixture
 def dense_builds(monkeypatch):
     """The list that gains the shape of every q^4 curvature array a run
-    builds: each one, given or built from a structure, is checked once."""
+    builds: each one, given or built from a structure, is checked once.  The
+    caches of the dense frame wedge and contraction tables start empty, so
+    ``dense_tables_read()`` tells whether a run asked for one."""
+    for table in DENSE_TABLES:
+        table.cache_clear()
     real = curvature._checked
     builds = []
 
@@ -370,15 +386,23 @@ def dense_builds(monkeypatch):
     return builds
 
 
+def dense_tables_read() -> bool:
+    """Whether a dense table was asked for since ``dense_builds`` cleared them."""
+    return any(t.cache_info() != (0, 0, None, 0) for t in DENSE_TABLES)
+
+
 def test_weighted_hopf_builds_no_ambient_curvature(dense_builds):
     # no hopf run builds a q^4 curvature array, with or without unit weights:
-    # the unit-weight checks read the structure (1, A) of the transverse tensor
+    # the unit-weight checks read the structure (1, A) of the transverse tensor;
+    # no command reads a dense frame table, since every contraction gathers
+    # through the signed index rows of the wedge table
     assert run(["hopf", "--m", "3", "--theta", "1,1,0.5", "--samples", "2", "--quiet"]) == 0
     assert dense_builds == []
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
     assert dense_builds == []
-    assert run(["verify", "--q", "4", "--trials", "1", "--quiet"]) == 0
+    assert run(["verify", "--q", "4", "--trials", "2", "--quiet"]) == 0
     assert dense_builds
+    assert not dense_tables_read()
 
 
 BOUND_ROWS = {
@@ -397,9 +421,9 @@ def test_bound_rows_cover_the_theorem_table():
 
 @pytest.mark.parametrize("theorem", list(BOUND_ROWS))
 def test_every_bound_row_runs(tmp_path, dense_builds, theorem):
-    # one emission path for every row; no row builds a q^4 curvature array:
-    # 4.1 and sandwich sum Scal_t from the structure, cor3.1 reads the S1 of
-    # the unit sphere from its curvature
+    # one emission path for every row; no row builds a q^4 curvature array
+    # or reads a dense frame table: 4.1 and sandwich sum Scal_t from the
+    # structure, cor3.1 reads the S1 of the unit sphere from its curvature
     ids = BOUND_ROWS[theorem]
     out = tmp_path / "b.json"
     assert run(["bounds", "--theorem", theorem, "--m", "3", "--p", "2", "--samples", "2",
@@ -410,6 +434,7 @@ def test_every_bound_row_runs(tmp_path, dense_builds, theorem):
     assert all(c["pass"] for c in rep["checks"])
     assert len(rep["summary"]["gap"]["per_check"]) == 2 * len(ids)
     assert dense_builds == []
+    assert not dense_tables_read()
 
 
 @pytest.mark.parametrize("argv", [

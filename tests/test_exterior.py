@@ -2,12 +2,16 @@
 antisymmetry of the coefficient storage."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folcurv.exterior import (
     AlternatingForm,
+    _contract,
+    _wedge_frame,
     contractions,
     flat,
     hodge,
@@ -18,7 +22,13 @@ from folcurv.exterior import (
     wedge,
 )
 
-from oracles import naive_basis_value, naive_inner, naive_value, naive_wedge_value
+from oracles import (
+    dense_contractions,
+    naive_basis_value,
+    naive_inner,
+    naive_value,
+    naive_wedge_value,
+)
 
 
 def random_form(rng, q, p):
@@ -172,20 +182,46 @@ def test_interior_scalar_errors():
 
 
 def test_contractions_match_basis_value_oracle():
-    # C[i_1, ..., i_k][rank of J] = a(e_i1, ..., e_ik, e_J): slots filled in order
+    # C[i_1, ..., i_k][rank of J] = a(e_i1, ..., e_ik, e_J): slots filled in
+    # order; every entry is one signed copy of a coefficient, so the gather
+    # through the index rows equals the dense-table contraction bit for bit,
+    # for one form and a stack, and so does frame-index access
     rng = np.random.default_rng(19)
-    for q in range(1, 6):
+    for q in range(1, 8):
         for p in range(0, q + 1):
             a = random_form(rng, q, p)
+            stack = AlternatingForm(p, q, rng.standard_normal((3, comb(q, p))))
             for k in range(0, p + 1):
                 C = contractions(a, k)
                 assert C.shape == (q,) * k + (len(multi_indices(q, p - k)),)
+                assert np.array_equal(C, dense_contractions(a, k))
+                assert np.array_equal(contractions(stack, k), dense_contractions(stack, k))
+                if q > 5:
+                    continue
                 for X in itertools.product(range(q), repeat=k):
                     for r, J in enumerate(multi_indices(q, p - k)):
                         assert C[X][r] == pytest.approx(
                             naive_basis_value(a, X + J), abs=1e-12)
+            full = dense_contractions(a, p)
+            for X in rng.integers(0, q, size=(20, p)):
+                assert a.component(*X) == full[tuple(X)][0]
     with pytest.raises(ValueError):
         contractions(random_form(rng, 3, 1), 2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(1, 7).flatmap(lambda q: st.tuples(
+    st.just(q), st.integers(1, q), st.sampled_from([(), (3,)]), st.integers(0, 2**32 - 1))))
+def test_frame_wedge_is_the_adjoint_of_contraction(case):
+    # <_contract(x), y> = <x, _wedge_frame(y)> row by row: the gather and the
+    # scatter read the same signed index rows
+    q, p, stack, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(stack + (comb(q, p),))
+    y = rng.standard_normal(stack + (q, comb(q, p - 1)))
+    lhs = np.sum(_contract(x, q, p) * y, axis=(-2, -1))
+    rhs = np.sum(x * _wedge_frame(y, q, p), axis=-1)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * q * comb(q, p))
 
 
 # ---------------------------------------------------------------------------
