@@ -25,13 +25,13 @@ import numpy as np
 
 from . import report as report_mod
 from .curvature import (
-    RiemannTensor,
     curvature_action_on_form,
     curvature_term,
     space_form,
     transverse_riemann,
 )
 from .exterior import (
+    contractions,
     flat,
     hodge,
     inner,
@@ -74,8 +74,8 @@ VERIFY_Q_RANGE = (2, 16)
 # of value shape (m-1, m), each with a gradient of 16 (m-1) m^2 bytes; a model
 # whose gradient would pass this size is refused before any point (m <= 128)
 DUAL_PASS_BYTES = 32 * 2**20
-# verify draws and evaluates the trials of a (q, p) cell in chunks whose three
-# stacks of dense curvature arrays (R_M, R_t, R_K) take at most this many bytes
+# verify draws and evaluates the trials of a (q, p) cell in chunks whose two
+# stacks of dense curvature arrays (R_t, R_K) take at most this many bytes
 VERIFY_CHUNK_BYTES = 2**19
 
 
@@ -203,8 +203,7 @@ def cmd_verify(args) -> int:
                     rhs = ((-1) ** p) * hodge(wedge(flat(x, q), a))
                     prop22 = max(prop22, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
                 if p >= 1:
-                    total = sum(
-                        interior_vector(np.eye(q)[i], a).norm_sq for i in range(q))
+                    total = sum(np.vecdot(v, v) for v in contractions(a, 1))
                     contr = max(contr, abs(total - p * a.norm_sq))
             pw = rng.integers(1, q)
             pt = rng.integers(1, q - pw + 1)
@@ -227,7 +226,7 @@ def cmd_verify(args) -> int:
     # curvature and integrability identities over seeded random instances,
     # drawn and evaluated a chunk of trials at a time, one stack per vdim
     for q in qs:
-        chunk = max(1, VERIFY_CHUNK_BYTES // (3 * 8 * q**4))
+        chunk = max(1, VERIFY_CHUNK_BYTES // (2 * 8 * q**4))
         for p in range(1, min(4, q)):
             rng = np.random.default_rng(next(streams))
             worst, least = {}, {}
@@ -262,12 +261,6 @@ def cmd_verify(args) -> int:
 K0 = K1 = RHO1 = 1.0
 
 
-def _transverse(A) -> RiemannTensor:
-    """The transverse curvature of a model at a point, by its structure: the
-    unit sphere plus the O'Neill terms of A.  No q^4 array is built."""
-    return RiemannTensor(structure=(K0, A.a))
-
-
 def cmd_hopf(args) -> int:
     _refuse_below_one(args, "samples")
     model = _model(args)
@@ -299,7 +292,7 @@ def cmd_hopf(args) -> int:
                 f"hopf.oneill_norm_value.point{k}",
                 A.norm_sq - 2.0 * (model.m - 1), 1e-9)
             builder.residual_check(f"hopf.mean_curvature_zero.point{k}", kappa, 1e-10)
-            Rn = _transverse(A)
+            Rn = transverse_riemann(space_form(q, K0), A)
             builder.residual_check(
                 f"hopf.transverse_scalar.point{k}",
                 Rn.scalar() - (q * (q - 1) + 3.0 * A.norm_sq), 1e-9)
@@ -343,10 +336,11 @@ BOUNDS = {
                  needs_p=True),
     "3.2": Bound(lambda c, A, rng: [thm32_report(float(c.n * (c.n - 1)), K1, RHO1, c.n,
                                                  c.q, c.p, A, tol=c.tol)], needs_p=True),
-    "4.1": Bound(lambda c, A, rng: [thm41_report(_transverse(A).scalar(), K0, RHO1,
-                                                 c.q, c.p, A, tol=c.tol)], needs_p=True),
-    "sandwich": Bound(lambda c, A, rng: sandwich_check(_transverse(A).scalar(), K0, K1,
-                                                       c.q, A, tol=c.tol)),
+    "4.1": Bound(lambda c, A, rng: [thm41_report(
+        transverse_riemann(space_form(c.q, K0), A).scalar(), K0, RHO1, c.q, c.p, A,
+        tol=c.tol)], needs_p=True),
+    "sandwich": Bound(lambda c, A, rng: sandwich_check(
+        transverse_riemann(space_form(c.q, K0), A).scalar(), K0, K1, c.q, A, tol=c.tol)),
     "cor3.1": Bound(lambda c, A, rng: [cor31_report(space_form(c.q, K0), A, c.trials, rng,
                                                     tol=c.tol)],
                     finding=("obstruction-not-certified", "sampled maximum of the "

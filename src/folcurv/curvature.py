@@ -4,21 +4,19 @@ term on forms.
 
 Sign convention: on an orthonormal frame, R[l, i, l, i] is the sectional
 curvature of the plane (e_l, e_i); the unit round metric has R[l, i, l, i] = 1.
-The transverse tensor is assembled algebraically from the ambient tensor and
-the integrability tensor:
+Every ambient here is a space form of curvature c, so the transverse
+tensor is O'Neill's formula on the pair (c, a), a the O'Neill components:
 
-    Rt[i,j,k,l] = R[i,j,k,l] + 2 g(A_i e_j, A_k e_l)
+    Rt[i,j,k,l] = c (d_ik d_jl - d_il d_jk) + 2 g(A_i e_j, A_k e_l)
                   - g(A_j e_k, A_i e_l) - g(A_k e_i, A_j e_l)
 
 whose symmetries and first Bianchi identity follow from the skewness of A
-(asserted at construction, not assumed).
+(asserted when the components are built, not assumed).
 
-A tensor built by ``space_form``, or by ``transverse_riemann`` from a space
-form, carries the pair (c, a) it is made from: the space-form curvature and
-the O'Neill components.  A tensor may also be given by that pair alone; its
-q^4 components are then built only when something reads them.  The Bochner
-action on forms, the scalar curvature of a structured tensor and the Ricci
-contraction of a space form read the pair only.
+``space_form`` makes the tensor of the pair (c, None), and
+``transverse_riemann`` the one of (c, a); its q^4 components are built only
+when something reads them.  The Bochner action, the scalar curvature and the
+Ricci and bivector contractions of a space form read the pair only.
 
 Tensors and forms may carry one leading stack axis; every function here then
 acts row by row and returns one value per row.
@@ -91,11 +89,22 @@ class RiemannTensor:
 
     @property
     def components(self) -> np.ndarray:
-        """The q^4 array; a structured tensor builds and checks it here, once."""
+        """The q^4 array; a structured tensor builds and checks it here, once,
+        with the Ricci trace of a transverse one against the closed form
+        c (q-1) I + 3 sum_l g(A_l e_i, A_l e_j).  A failed check keeps none."""
         if self._components is None:
             c, a = self.structure
-            R = np.multiply.outer(c, _unit_components(self.dimension))
-            self._components = _checked(R if a is None else _add_oneill_terms(R, a), self._tol)
+            q = self.dimension
+            R = np.multiply.outer(c, _unit_components(q))
+            R = _checked(R if a is None else _add_oneill_terms(R, a), self._tol)
+            if a is not None:
+                ric = (np.multiply.outer(c, (q - 1) * np.eye(q))
+                       + 3.0 * np.einsum("...lis,...ljs->...ij", a, a))
+                err = np.max(np.abs(ric - np.einsum("...lilj->...ij", R)))
+                if err > 1e-10:
+                    raise ValueError(
+                        f"transverse Ricci disagrees with Riemann trace by {err:.3e}")
+            self._components = R
         return self._components
 
     @property
@@ -200,28 +209,17 @@ def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
 # -- transverse curvature from the integrability tensor -----------------------
 
 
-def transverse_riemann(RM: RiemannTensor, A, *, tol: float = 1e-9) -> RiemannTensor:
-    """Transverse curvature tensor from the ambient one and the
-    integrability tensor.  The output is validated against all curvature
-    invariants at ``tol``; a violation signals a broken A.  Its Ricci trace
-    is then checked against the closed form
-
-        Ric_t[i,j] = sum_l { R[l,i,l,j] + 3 g(A_l e_i, A_l e_j) }
-
-    (the skew-diagonal term g(A_l e_l, .) vanishes identically).  When RM
-    is a space form of curvature c, the result carries the pair (c, A.a).
-    """
-    a = A.a
+def transverse_riemann(RM: RiemannTensor, A) -> RiemannTensor:
+    """The transverse curvature of a space form RM of curvature c and the
+    integrability tensor A, the tensor of structure (c, A.a), checked at
+    1e-9 when its components are read; any other ambient is refused."""
     if A.q != RM.dimension:
         raise ValueError("integrability tensor dimension does not match curvature")
     c = RM.space_form_curvature
-    Rt = RiemannTensor(_add_oneill_terms(RM.components, a), tol=tol,
-                       structure=None if c is None else (c, a))
-    ric = RM.ricci() + 3.0 * np.einsum("...lis,...ljs->...ij", a, a)
-    err = np.max(np.abs(ric - Rt.ricci()))
-    if err > 1e-10:
-        raise ValueError(f"transverse Ricci disagrees with Riemann trace by {err:.3e}")
-    return Rt
+    if c is None:
+        raise ValueError("the transverse curvature needs a space-form ambient; "
+                         "this tensor carries only its components")
+    return RiemannTensor(structure=(c, A.a), tol=1e-9)
 
 
 def transverse_ricci(RM: RiemannTensor, A) -> tuple[np.ndarray, float]:
@@ -295,9 +293,13 @@ def ricci_contraction(R: RiemannTensor, a: AlternatingForm):
 
 
 def bivector_curvature_sum(R: RiemannTensor, a: AlternatingForm):
-    """S2 = sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a>; zero below degree 2."""
+    """S2 = sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a>; zero below degree 2.
+    A space form of curvature c has S2 = 2 c p (p-1) |a|^2, read from c."""
     if a.degree < 2:
         return _zeros(a)
+    c = R.space_form_curvature
+    if c is not None:
+        return _value(c * (2 * a.degree * (a.degree - 1)) * a.norm_sq)
     P = contractions(a, 2)
     return _pair(np.einsum("...ijkl,...klA->...ijA", R.components, P), P, 3)
 

@@ -345,7 +345,7 @@ def sample_point(model: WeightedHopfModel, rng_seed,
     """Uniform point of the sphere, rejection-resampled until every
     coordinate modulus squared clears the degeneracy margin
     (``degeneracy_margin(m)`` unless ``eps_deg`` is given)."""
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator is returned unaltered
     eps_deg = degeneracy_margin(model.m) if eps_deg is None else eps_deg
     for _ in range(10_000):
         g = rng.standard_normal(2 * model.m)

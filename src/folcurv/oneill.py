@@ -13,8 +13,9 @@ ambient-curvature contractions and integrability-tensor terms, where
     V  = sum_{l,s} |A_l V_s . a|^2          (vertical contraction term),
     M  = sum_s |(sum_i A_i V_s ^ e_i) . a|^2  (mixed bivector term).
 
-It holds exactly for every skew A, every algebraic curvature tensor, and
-every form; ``master_identity_residual`` measures it.
+It holds exactly for every skew A, every algebraic curvature tensor and
+every form; ``master_identity_residual`` measures it on a space-form
+ambient, the ambient of every instance and model here.
 
 Every evaluator takes instances with one leading stack axis (tensors, forms
 or both, broadcast row by row) and then returns an array with one value per
@@ -268,8 +269,8 @@ def master_identity_residual(
 ):
     """Residual of the module's central identity (see module docstring),
     with the Bochner pairing computed from the transverse curvature data;
-    it vanishes on all inputs.  ``Rt`` is ``transverse_riemann(RM, A)`` when
-    the caller has already built it.
+    it vanishes on every skew A and form.  RM is a space form; ``Rt`` is
+    ``transverse_riemann(RM, A)`` when the caller has already built it.
     """
     # S1 - 1/2 S2 + 2 V - M is -E(a), so the residual is <R(a), a> - |B+|^2 + E(a)
     if Rt is None:

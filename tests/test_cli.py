@@ -296,26 +296,29 @@ def test_verify_runs_past_the_old_fiber_limit(tmp_path):
 
 
 def test_one_transverse_tensor_per_evaluation(monkeypatch):
-    # verify builds one stacked tensor per stack of trials, covering each
+    # verify makes one stacked tensor per stack of trials, covering each
     # instance once (6 instances per trial) for the master identity and the
-    # term-vs-action check together; hopf with unit weights builds none, its
-    # checks read the structure (1, A) only
+    # term-vs-action check together; hopf with unit weights makes one per
+    # point, and its checks read the structure (1, A) only, never building
+    # the components
     real = curvature.transverse_riemann
-    builds = []
+    tensors = []
 
     def counting(*args, **kwargs):
         Rt = real(*args, **kwargs)
-        builds.append(len(Rt.components) if Rt.components.ndim == 5 else 1)
+        tensors.append(Rt)
         return Rt
 
     for module in (curvature, oneill, cli):
         monkeypatch.setattr(module, "transverse_riemann", counting)
     assert run(["verify", "--trials", "7", "--quiet"]) == 0
-    assert sum(builds) == 6 * 7
-    assert len(builds) < 6 * 7
-    builds.clear()
+    a = [Rt.structure[1] for Rt in tensors]
+    assert sum(len(x) if x.ndim == 4 else 1 for x in a) == 6 * 7
+    assert len(tensors) < 6 * 7
+    tensors.clear()
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert builds == []
+    assert len(tensors) == 2
+    assert all(Rt._components is None for Rt in tensors)
 
 
 def test_one_dual_evaluation_per_point(monkeypatch):
@@ -403,6 +406,13 @@ def test_weighted_hopf_builds_no_ambient_curvature(dense_builds):
     assert run(["verify", "--q", "4", "--trials", "2", "--quiet"]) == 0
     assert dense_builds
     assert not dense_tables_read()
+
+
+def test_verify_builds_no_space_form_components(dense_builds):
+    # one stack per p at one trial, each building the dense R_t and R_K it
+    # contracts; the ambient space form is read from its curvature c
+    assert run(["verify", "--q", "4", "--trials", "1", "--quiet"]) == 0
+    assert dense_builds == [(1, 4, 4, 4, 4)] * 6
 
 
 BOUND_ROWS = {

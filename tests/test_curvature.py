@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folcurv import exterior
+from folcurv import curvature, exterior
 from folcurv.curvature import (
     RiemannTensor,
     bivector_curvature_sum,
@@ -123,7 +123,7 @@ def test_transverse_riemann_zero_tensor_is_identity():
 def test_transverse_riemann_matches_loop_oracle():
     rng = np.random.default_rng(17)
     q = 4
-    RM = random_curvature(rng, q)
+    RM = space_form(q, float(rng.uniform(-1.5, 1.5)))
     A = random_skew_oneill(rng, q, 2)
     Rt = transverse_riemann(RM, A)
     a = A.a
@@ -138,6 +138,26 @@ def test_transverse_riemann_matches_loop_oracle():
                     expect = (RM.components[i, j, k, l] + 2.0 * g(i, j, k, l)
                               - g(j, k, i, l) - g(k, i, j, l))
                     assert Rt.components[i, j, k, l] == pytest.approx(expect, abs=1e-12)
+
+
+def test_transverse_riemann_refuses_a_generic_ambient():
+    rng = np.random.default_rng(18)
+    with pytest.raises(ValueError, match="space-form ambient"):
+        transverse_riemann(random_curvature(rng, 4), random_skew_oneill(rng, 4, 2))
+
+
+def test_failed_ricci_trace_keeps_no_components(monkeypatch):
+    # a build that keeps every symmetry but shifts Ric_t off its closed form
+    # raises on the read, and the tensor keeps no components
+    real = curvature._add_oneill_terms
+    monkeypatch.setattr(curvature, "_add_oneill_terms",
+                        lambda R, a: real(R, a) + 1e-6 * curvature._unit_components(4))
+    A = random_skew_oneill(np.random.default_rng(20), 4, 2)
+    Rt = transverse_riemann(space_form(4, 0.5), A)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="transverse Ricci disagrees"):
+            Rt.components
+        assert Rt._components is None
 
 
 def test_transverse_riemann_bianchi_for_random_skew():
@@ -462,3 +482,18 @@ def test_space_form_contractions_read_from_c():
                 2.0 * c * p * (p - 1) * a.norm_sq, abs=1e-12), (q, p)
         a = random_form(rng, q, 1)
         assert bivector_curvature_sum(space_form(q, 1.0), a) == 0.0
+
+
+def test_stacked_space_form_s2_matches_its_dense_contraction():
+    # S2 of a stack of space forms, read from c, against the dense
+    # contraction of the same stack given by its components only
+    rng = np.random.default_rng(73)
+    for q in range(2, 8):
+        for p in range(0, q + 1):
+            c = rng.uniform(-1.5, 1.5, 4)
+            R = space_form(q, c)
+            a = AlternatingForm(p, q, rng.standard_normal((4, comb(q, p))))
+            s2 = bivector_curvature_sum(R, a)
+            dense = bivector_curvature_sum(RiemannTensor(R.components), a)
+            assert s2.shape == (4,)
+            assert np.allclose(s2, dense, rtol=1e-12, atol=0.0), (q, p)

@@ -1,11 +1,22 @@
 """Integrability-tensor quantities: norm routes, B+/B- identities, the
 master identity, and the bound evaluators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from folcurv.curvature import space_form, transverse_ricci, transverse_riemann
-from folcurv.exterior import AlternatingForm, contractions, interior_vector, wedge
+from folcurv.curvature import (
+    RiemannTensor,
+    bivector_curvature_sum,
+    curvature_action_on_form,
+    curvature_term,
+    ricci_contraction,
+    space_form,
+    transverse_ricci,
+    transverse_riemann,
+)
+from folcurv.exterior import AlternatingForm, contractions, inner, interior_vector, wedge
 from folcurv.oneill import (
     BoundReport,
     ONeillTensor,
@@ -204,8 +215,6 @@ def test_master_identity_reduces_to_weitzenbock_for_zero_tensor():
     a = random_form(rng, q, p)
     assert abs(master_identity_residual(RM, A, a)) < 1e-12
     # with A = 0 the right side is the two ambient contractions alone
-    from folcurv.curvature import curvature_term
-
     assert curvature_term(RM, a) == pytest.approx(c * p * (q - p) * a.norm_sq,
                                                   abs=1e-12)
 
@@ -222,8 +231,6 @@ def test_prop31_zero_form_and_zero_tensor_space_form_value():
     a = random_form(rng, q, 1)
     assert prop31_value(RM, A, a) == pytest.approx(-(q - 1) * c, abs=1e-12)
     # the identity E = |B+|^2 - <R(a),a> (oracle route) on random instances
-    from folcurv.curvature import curvature_term
-
     for k in range(10):
         RM2, A2, a2 = random_instance(rng, 4, 2, vdim=2)
         Rn = transverse_riemann(RM2, A2)
@@ -492,3 +499,59 @@ def test_duality_assembled_bound():
             rhs = (-RM.scalar() + const * rho1 + (q - 2) * A.norm_sq) * a.norm_sq
             assert lhs <= rhs + 1e-9
             assert const == (q - p) * (q - p - 1) + p * (p - 1)
+
+
+# ---------------------------------------------------------------------------
+# frame-rotation invariance
+# ---------------------------------------------------------------------------
+
+
+def _compound(Q: np.ndarray, p: int) -> np.ndarray:
+    """The p-th compound matrix of Q, the p x p minors on increasing index
+    tuples: the matrix of Q acting on the coefficients of p-forms."""
+    idx = list(itertools.combinations(range(len(Q)), p))
+    return np.array([[np.linalg.det(Q[np.ix_(I, J)]) for J in idx] for I in idx])
+
+
+def _identity_terms(c, A, RK, a) -> dict:
+    """Every scalar term of the identities on one instance."""
+    RM = space_form(a.dimension, c)
+    Rt = transverse_riemann(RM, A)
+    return {
+        "curvature_term": curvature_term(Rt, a),
+        "action_pairing": inner(curvature_action_on_form(Rt, a), a),
+        "S1": ricci_contraction(RK, a),
+        "S2": bivector_curvature_sum(RK, a),
+        "V": vertical_contraction_term(A, a),
+        "M": mixed_bivector_term(A, a),
+        "bplus": bplus_norm(A, a),
+        "bplus_closed": bplus_norm_closed(A, a),
+        "bminus": bminus_norm(A, a),
+        "bminus_closed": bminus_norm_closed(A, a),
+        "prop31": prop31_value(RM, A, a),
+    }
+
+
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("vdim", [1, 3])
+def test_identity_terms_are_frame_rotation_invariant(q, p, vdim):
+    # rotating the horizontal frame by Q in O(q) acts on A's two horizontal
+    # indices, on all four of R_K's and on a form by the p-th compound of Q;
+    # no scalar term of the identities may move
+    rng = np.random.default_rng(1000 * q + 10 * p + vdim)
+    for _ in range(3):
+        c = float(rng.uniform(-1.5, 1.5))
+        A = random_skew_oneill(rng, q, vdim)
+        RK = random_curvature(rng, q)
+        a = random_form(rng, q, p)
+        Q, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        b = np.einsum("ik,jl,kls->ijs", Q, Q, A.a)
+        A_rot = ONeillTensor((b - np.swapaxes(b, 0, 1)) / 2.0)
+        RK_rot = RiemannTensor(np.einsum("ia,jb,kc,ld,abcd->ijkl", Q, Q, Q, Q,
+                                         RK.components))
+        a_rot = AlternatingForm(p, q, _compound(Q, p) @ a.coeffs)
+        before = _identity_terms(c, A, RK, a)
+        after = _identity_terms(c, A_rot, RK_rot, a_rot)
+        for name, t in before.items():
+            assert abs(after[name] - t) <= 1e-12 * max(1.0, abs(t)), (name, t, after[name])
