@@ -39,6 +39,7 @@ from .exterior import (
     wedge,
 )
 from .hopf import (
+    FRAME_TOL,
     BracketRouteError,
     DegeneratePointError,
     WeightedHopfModel,
@@ -74,6 +75,9 @@ VERIFY_Q_RANGE = (2, 16)
 # of value shape (m-1, m), each with a gradient of 16 (m-1) m^2 bytes; a model
 # whose gradient would pass this size is refused before any point (m <= 128)
 DUAL_PASS_BYTES = 32 * 2**20
+# cor3.1 draws a point's --trials unit 1-forms as one (trials, q) array of
+# 8 trials q bytes; a larger one is refused (1000 trials at m = 128: 2 MB)
+SCAN_BYTES = 32 * 2**20
 # verify draws and evaluates the trials of a (q, p) cell in chunks whose two
 # stacks of dense curvature arrays (R_t, R_K) take at most this many bytes
 VERIFY_CHUNK_BYTES = 2**19
@@ -125,8 +129,12 @@ def _emit(args, builder, summary: dict):
     rep = builder.finish(summary)
     text = report_mod.dumps_report(rep)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"{args.command}: cannot write --out {args.out}: "
+                             f"{exc.strerror}") from exc
     if not args.quiet:
         failed = [c for c in rep["checks"] if not c["pass"]]
         print(f"checks: {len(rep['checks'])}  failed: {len(failed)}  "
@@ -273,7 +281,7 @@ def cmd_hopf(args) -> int:
     for k, rng in enumerate(_point_streams(args.seed, args.samples)):
         pt = sample_point(model, rng)
         frame = adapted_frame(model, pt)
-        builder.residual_check(f"hopf.frame_gram.point{k}", frame.gram_residual, 1e-10)
+        builder.residual_check(f"hopf.frame_gram.point{k}", frame.gram_residual, FRAME_TOL)
         A, display = oneill_from_brackets(model, pt, frame=frame)
         closed = oneill_closed_form(model, pt)
         norms_bracket.append(A.norm_sq)
@@ -285,7 +293,7 @@ def cmd_hopf(args) -> int:
                 "route; the bracket route is the source of truth",
                 {"point": k, "bracket": A.norm_sq, "closed": closed,
                  "difference": closed - A.norm_sq})
-        kappa = float(np.linalg.norm(mean_curvature(model, pt, frame=frame)))
+        kappa = float(np.linalg.norm(mean_curvature(model, pt)))
         kappa_norms.append(kappa)
         if model.is_hopf:
             builder.residual_check(
@@ -296,7 +304,7 @@ def cmd_hopf(args) -> int:
             builder.residual_check(
                 f"hopf.transverse_scalar.point{k}",
                 Rn.scalar() - (q * (q - 1) + 3.0 * A.norm_sq), 1e-9)
-            w = kahler_form(model, pt, frame)
+            w = kahler_form(model, frame)
             act = curvature_action_on_form(Rn, w)
             builder.residual_check(
                 f"hopf.kahler_parallel.point{k}",
@@ -354,6 +362,9 @@ def cmd_bounds(args) -> int:
     tol = _tolerance(args, 1e-9)
     model = _model(args)
     q = model.q
+    if 8 * args.trials * q > SCAN_BYTES:
+        raise ValueError(f"bounds: --trials {args.trials} at q={q} draws {8 * args.trials * q} "
+                         f"bytes per point, over the {SCAN_BYTES}-byte limit")
     if row.needs_p:
         if args.p is None:
             raise ValueError(f"bounds: --p is required for theorem {args.theorem}")
@@ -368,11 +379,12 @@ def cmd_bounds(args) -> int:
     for k, rng in enumerate(_point_streams(args.seed, args.samples)):
         A, _ = oneill_from_brackets(model, sample_point(model, rng))
         for rep in row.evaluate(ctx, A, rng):
-            builder.check(f"bounds.{rep.theorem_id}.point{k}", rep.lhs, rep.rhs, rep.tol,
-                          rep.satisfied)
+            check = builder.check(f"bounds.{rep.theorem_id}.point{k}", rep.lhs, rep.rhs,
+                                  rep.tol, rep.satisfied)
             gaps.append(rep.gap)
             if not rep.satisfied:
-                builder.finding(*row.finding, {"point": k, **rep.as_dict()})
+                builder.finding(*row.finding, {"point": k, "check": check["name"],
+                                               "inputs": rep.inputs, "note": rep.note})
     summary = {
         "gap": {"min": float(np.min(gaps)), "max": float(np.max(gaps)),
                 "per_check": [float(g) for g in gaps]},

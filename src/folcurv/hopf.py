@@ -15,12 +15,12 @@ frame are polynomial in the realified coordinates:
            theta_p theta_{p+1} |z_p|^2 i z_{p+1}, ..., theta_p theta_m |z_p|^2 i z_m)
     W_{m-1} = (0, ..., -theta_m |z_m|^2 i z_{m-1}, theta_{m-1} |z_{m-1}|^2 i z_m)
 
-for l in 1..m-1 and p in 1..m-2.  Lie brackets are computed with exact
-forward-mode Jacobians of these definitions; the integrability tensor follows
-from the vertical projection of half the bracket.  The frame degenerates
-where coordinates vanish, so points are rejection-sampled away from the
-degenerate strata, by a margin on |z_k|^2 that shrinks with 1/m^2 above
-m = 16.
+for l in 1..m-1 and p in 1..m-2.  X is linear (its Jacobian is i theta); Y
+and W brackets use exact forward-mode Jacobians, and the integrability tensor
+follows from the vertical projection of half the bracket.  The frame
+degenerates where coordinates vanish, so points are rejection-sampled away
+from the degenerate strata, by a margin on |z_k|^2 that shrinks with 1/m^2
+above m = 16.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "complexify",
     "field_labels",
     "degeneracy_margin",
+    "generating_field",
     "fields_YW",
     "adapted_frame",
     "oneill_from_brackets",
@@ -123,11 +124,7 @@ def apply_complex_structure(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- field evaluation on dual numbers -----------------------------------------
-#
-# The fields are written once over the CDual coordinates seeded at a point, as
-# array operations on whole families, so one evaluation gives every value and
-# its exact Jacobian together.
+FRAME_TOL = 1e-10  # the largest Gram or tangency residual of a frame (hopf.frame_gram)
 
 
 def field_labels(model: WeightedHopfModel) -> tuple[str, ...]:
@@ -144,22 +141,31 @@ def degeneracy_margin(m: int) -> float:
     return 1e-3 * min(1.0, (16 / m) ** 2)
 
 
-def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float | None = None):
-    """The generating field X and the 2m-2 horizontal frame fields, ordered as
-    ``field_labels``, with their exact Jacobians, all from one dual-number
-    evaluation at the point: ``(x, x_jacobian, fields, jacobians)`` of shapes
-    (2m,), (2m, 2m), (q, 2m) and (q, 2m, 2m).
+def generating_field(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
+    """The generating field X = i theta z, shape (2m,).  It is linear in z, so
+    its Jacobian is the constant matrix of multiplication by i theta, and it
+    never degenerates on the sphere."""
+    return apply_complex_structure(np.repeat(model.theta, 2) * realify(point.z))
+
+
+# -- frame fields on dual numbers: each family is a few array operations over
+# the CDual coordinates seeded at a point, giving values and exact Jacobians
+
+
+def fields_YW(model: WeightedHopfModel, point: SpherePoint):
+    """The 2m-2 horizontal frame fields, ordered as ``field_labels``, with
+    their exact Jacobians, from one dual-number evaluation at the point:
+    ``(fields, jacobians)`` of shapes (q, 2m) and (q, 2m, 2m).
 
     Row l of Y (and of W) is a coefficient row times z (times i z): the
     diagonal entry is minus the tail sum_{k>l} |z_k|^2 (weighted by theta_k^2
     for W), the entries right of it are |z_l|^2 (times theta_l theta_k for W).
     The last row of W is W_{m-1} as defined, not the general row.
 
-    Raises ``DegeneratePointError`` when a coordinate modulus falls below the
-    degeneracy margin (``degeneracy_margin(m)`` unless ``eps_deg`` is given)
-    or a squared field norm below the floor margin^3 min(theta)^4 that it
-    implies (resample the point)."""
-    eps_deg = degeneracy_margin(model.m) if eps_deg is None else eps_deg
+    Raises ``DegeneratePointError`` when a coordinate modulus falls below
+    ``degeneracy_margin(m)`` or a squared field norm below the floor
+    margin^3 min(theta)^4 that it implies (resample the point)."""
+    eps_deg = degeneracy_margin(model.m)
     if np.min(point.moduli_sq) < eps_deg:
         raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
     m = model.m
@@ -177,52 +183,50 @@ def fields_YW(model: WeightedHopfModel, point: SpherePoint, *, eps_deg: float | 
     w_diag = wtail[:-1] * (1.0 - last) + mod[m - 1] * (th[m - 1] * last)
     y = z * (mod[:-1, None] * upper - tail[:-1, None] * diag)
     w = iz * (mod[:-1, None] * weight - w_diag[:, None] * diag)
-    x = (iz * th).interleaved()
     y, w = y.interleaved(), w.interleaved()
     fields = np.concatenate([y.value, w.value])
-    low = np.flatnonzero(np.einsum("ik,ik->i", fields, fields)
-                         < eps_deg**3 * min(model.theta) ** 4)
+    low = np.flatnonzero(np.vecdot(fields, fields) < eps_deg**3 * min(model.theta) ** 4)
     if low.size:
         raise DegeneratePointError(f"field {field_labels(model)[low[0]]} degenerates at this point")
-    return x.value, x.grad, fields, np.concatenate([y.grad, w.grad])
+    return fields, np.concatenate([y.grad, w.grad])
 
 
 @dataclass
 class AdaptedFrame:
     """Orthonormal frame adapted to the foliation at a point: the normalized
     generating field plus the normalized horizontal fields, with the
-    unnormalized fields and their exact Jacobians."""
+    unnormalized horizontal fields and their exact Jacobians."""
 
     vertical: np.ndarray
     horizontal: np.ndarray          # shape (q, 2m)
-    labels: tuple[str, ...]
     field_norms: np.ndarray         # unnormalized |Z_i|
     vertical_norm: float            # |X|
-    vertical_jacobian: np.ndarray   # DX, shape (2m, 2m)
     gram_residual: float
     tangency_residual: float
     fields: np.ndarray              # unnormalized Z_i, shape (q, 2m)
     jacobians: np.ndarray           # DZ_i, shape (q, 2m, 2m)
 
 
-def adapted_frame(model: WeightedHopfModel, point: SpherePoint, *,
-                  eps_deg: float | None = None, tol: float = 1e-10) -> AdaptedFrame:
-    x_amb, x_jacobian, fields, jacobians = fields_YW(model, point, eps_deg=eps_deg)
+def adapted_frame(model: WeightedHopfModel, point: SpherePoint) -> AdaptedFrame:
+    """X and the ``fields_YW`` fields at the point, normalized; a basis off
+    orthonormal or sphere-tangent by more than ``FRAME_TOL`` is degenerate."""
+    x_amb = generating_field(model, point)
+    fields, jacobians = fields_YW(model, point)
     nx = np.linalg.norm(x_amb)
-    norms = np.array([np.linalg.norm(f) for f in fields])
+    norms = np.sqrt(np.vecdot(fields, fields))
     horizontal = fields / norms[:, None]
     vertical = x_amb / nx
     basis = np.vstack([vertical, horizontal])
     gram_residual = float(np.max(np.abs(basis @ basis.T - np.eye(len(basis)))))
     zr = realify(point.z)
     tangency_residual = float(np.max(np.abs(basis @ zr)))
-    if gram_residual > tol or tangency_residual > tol:
+    if gram_residual > FRAME_TOL or tangency_residual > FRAME_TOL:
         raise DegeneratePointError(
             f"frame fails orthonormality/tangency: gram={gram_residual:.3e}, "
             f"tangency={tangency_residual:.3e}"
         )
-    return AdaptedFrame(vertical, horizontal, field_labels(model), norms, float(nx),
-                        x_jacobian, gram_residual, tangency_residual, fields, jacobians)
+    return AdaptedFrame(vertical, horizontal, norms, float(nx), gram_residual,
+                        tangency_residual, fields, jacobians)
 
 
 def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
@@ -247,7 +251,7 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
     """
     if frame is None:
         frame = adapted_frame(model, point)
-    q = len(frame.labels)
+    q = model.q
     u = frame.jacobians.transpose(0, 2, 1) @ (frame.vertical * frame.vertical_norm)
     zu = frame.fields @ u.T                              # zu[i, j] = <Z_i, u_j>
     pairing = zu - zu.T
@@ -303,8 +307,7 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
     return float(2.0 * (term1 + term2 + term3) / np.sum(tz))
 
 
-def kahler_form(model: WeightedHopfModel, point: SpherePoint,
-                frame: AdaptedFrame) -> AlternatingForm:
+def kahler_form(model: WeightedHopfModel, frame: AdaptedFrame) -> AlternatingForm:
     """The canonical 2-form of the Hopf fibration on the horizontal fiber,
     w(e_i, e_j) = <i e_i, e_j>; nondegenerate with |w|^2 = q/2.
 
@@ -318,35 +321,29 @@ def kahler_form(model: WeightedHopfModel, point: SpherePoint,
     return AlternatingForm(2, model.q, np.einsum("rk,rk->r", jh[i], frame.horizontal[j]))
 
 
-def mean_curvature(model: WeightedHopfModel, point: SpherePoint, *,
-                   frame: AdaptedFrame | None = None) -> np.ndarray:
+def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
     """Horizontal part of the sphere covariant derivative of the unit
     vertical field V = X/|X| along itself; zero exactly when all weights are
     1 (the Hopf circles are great circles).
 
-    D_V V = DX V / |X| plus a multiple of V, which the horizontal projection
-    removes.  X and DX are read from ``frame`` when it is given; otherwise
-    from one field evaluation at the point (X itself never degenerates)."""
-    if frame is None:
-        x_amb, x_jacobian = fields_YW(model, point, eps_deg=0.0)[:2]
-        nx = np.linalg.norm(x_amb)
-        v = x_amb / nx
-    else:
-        x_jacobian, nx, v = frame.vertical_jacobian, frame.vertical_norm, frame.vertical
+    X = i theta z is linear, so the ambient flat derivative is
+    D_V V = i theta V / |X| plus a multiple of V, which the horizontal
+    projection removes; no field is differentiated."""
+    x_amb = generating_field(model, point)
+    nx = np.linalg.norm(x_amb)
+    v = x_amb / nx
     x = realify(point.z)
-    dvv = x_jacobian @ v / nx               # ambient flat derivative D_V V, up to V
+    dvv = apply_complex_structure(np.repeat(model.theta, 2) * v) / nx   # D_V V, up to V
     dvv = dvv - (dvv @ x) * x               # sphere projection (unit normal z)
     kappa = dvv - (dvv @ v) * v             # horizontal projection
     return kappa
 
 
-def sample_point(model: WeightedHopfModel, rng_seed,
-                 eps_deg: float | None = None) -> SpherePoint:
+def sample_point(model: WeightedHopfModel, rng_seed) -> SpherePoint:
     """Uniform point of the sphere, rejection-resampled until every
-    coordinate modulus squared clears the degeneracy margin
-    (``degeneracy_margin(m)`` unless ``eps_deg`` is given)."""
+    coordinate modulus squared clears ``degeneracy_margin(m)``."""
     rng = np.random.default_rng(rng_seed)  # a Generator is returned unaltered
-    eps_deg = degeneracy_margin(model.m) if eps_deg is None else eps_deg
+    eps_deg = degeneracy_margin(model.m)
     for _ in range(10_000):
         g = rng.standard_normal(2 * model.m)
         g /= np.linalg.norm(g)

@@ -116,18 +116,6 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.theorem_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "tol": self.tol,
-            "pass": self.satisfied,
-            "inputs": self.inputs,
-            "note": self.note,
-        }
-
 
 def _report(theorem_id, lhs, rhs, tol, inputs, note="") -> BoundReport:
     gap = lhs - rhs

@@ -129,7 +129,7 @@ def test_criterion_06_parallel_form_certificate():
     with criterion("C6", "the canonical 2-form is parallel: <R(w), w> = 0 and "
                          "the obstruction quantity equals |B+(w)|^2, 1e-9"):
         model, pt, frame, A = s5_hopf_data(seed=1)
-        w = kahler_form(model, pt, frame)
+        w = kahler_form(model, frame)
         RM = space_form(4, 1.0)
         Rn = transverse_riemann(RM, A)
         act = curvature_action_on_form(Rn, w)

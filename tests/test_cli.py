@@ -322,8 +322,8 @@ def test_one_transverse_tensor_per_evaluation(monkeypatch):
 
 
 def test_one_dual_evaluation_per_point(monkeypatch):
-    # per point the frame seeds the point once and evaluates X and the q
-    # horizontal fields together; mean_curvature reads X and DX from the frame
+    # per point the frame seeds the point once and evaluates the q horizontal
+    # fields together; X is linear and needs no dual pass
     seeds = []
     real_seed = hopf.seed_point
 
@@ -336,6 +336,17 @@ def test_one_dual_evaluation_per_point(monkeypatch):
         seeds.clear()
         assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"] + weights) == 0
         assert len(seeds) == 2          # 1 per point
+
+
+def test_mean_curvature_takes_no_dual_pass(monkeypatch):
+    # D_V V = i theta V / |X| in closed form, so no point is seeded
+    def seeded(*args):
+        raise AssertionError("mean_curvature seeded a dual pass")
+
+    monkeypatch.setattr(hopf, "seed_point", seeded)
+    for theta in ((1.0, 1.0, 0.5), (1.0, 1.0, 1.0)):
+        model = hopf.WeightedHopfModel(3, theta)
+        hopf.mean_curvature(model, hopf.sample_point(model, 0))
 
 
 def test_sample_streams_are_spawned_lazily(capsys, monkeypatch):
@@ -500,14 +511,18 @@ def test_bound_findings_name_their_point(tmp_path, monkeypatch):
         assert f["kind"] == "negative-gap"
         check = rep["checks"][f["values"]["point"]]
         assert not check["pass"]
-        assert check["lhs"] == f["values"]["lhs"] and check["rhs"] == f["values"]["rhs"]
+        assert list(f["values"]) == ["point", "check", "inputs", "note"]
+        point = f["values"]["point"]
+        assert check["name"] == f["values"]["check"] == f"bounds.thm3.1.point{point}"
     # an uncertified obstruction: a scan maximum above -(q-1)/2 at every point
     monkeypatch.setattr(oneill, "cor31_scan", lambda RM, A, trials, rng: 0.0)
     assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--samples", "2",
                 "--trials", "5", "--out", str(out), "--quiet"]) == 0
     rep = load(out)
     assert [f["kind"] for f in rep["findings"]] == ["obstruction-not-certified"] * 2
-    assert [(f["values"]["point"], f["values"]["lhs"], f["values"]["rhs"])
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert [(f["values"]["point"], checks[f["values"]["check"]]["lhs"],
+             checks[f["values"]["check"]]["rhs"])
             for f in rep["findings"]] == [(0, 0.0, -1.5), (1, 0.0, -1.5)]
 
 
@@ -555,12 +570,40 @@ def test_oversized_dual_pass_is_refused(capsys, monkeypatch, argv):
     assert str(cli.DUAL_PASS_BYTES) in lines[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "1000000000000000"],
+    ["bounds", "--theorem", "cor3.1", "--m", "128", "--trials", "16514"],
+])
+def test_oversized_scan_is_refused(capsys, monkeypatch, argv):
+    # cor3.1 draws a (trials, q) array per point; over cli.SCAN_BYTES the run
+    # ends with one error line before any point, not a memory error
+    def drawn(*args, **kwargs):
+        raise AssertionError("a point was drawn before --trials was checked")
+
+    monkeypatch.setattr(cli, "sample_point", drawn)
+    assert run(argv + ["--samples", "1", "--quiet"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(cli.SCAN_BYTES) in lines[0]
+
+
+def test_unwritable_out_is_an_input_error(capsys, tmp_path):
+    # the report cannot be written, so nothing is printed as if it were
+    out = tmp_path / "missing" / "x.json"
+    assert run(["hopf", "--m", "2", "--samples", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv,step", [
     (["bounds", "--theorem", "cor3.1", "--m", "40"], "space_form"),  # q = 78 > 76
     (["hopf", "--m", "40", "--theta", ",".join(["1"] + ["0.5"] * 39)], "sample_point"),
     (["bounds", "--theorem", "3.1", "--m", "40", "--p", "2"], "sample_point"),
     (["bounds", "--theorem", "3.2", "--m", "40", "--p", "2"], "sample_point"),
     (["hopf", "--m", "128"], "sample_point"),  # the largest m the dual pass allows
+    (["bounds", "--theorem", "cor3.1", "--m", "128"], "sample_point"),  # 1000 trials
 ])
 def test_runs_without_a_large_dense_array_are_not_refused(monkeypatch, argv, step):
     def reached(*args, **kwargs):

@@ -10,6 +10,7 @@ from folcurv.curvature import (
     transverse_ricci,
     transverse_riemann,
 )
+from folcurv.dual import seed_point
 from folcurv.exterior import inner, wedge
 from folcurv import hopf
 from folcurv.hopf import (
@@ -21,6 +22,7 @@ from folcurv.hopf import (
     degeneracy_margin,
     field_labels,
     fields_YW,
+    generating_field,
     kahler_form,
     mean_curvature,
     oneill_closed_form,
@@ -31,12 +33,6 @@ from folcurv.hopf import (
 from folcurv.oneill import bminus_norm, bplus_norm, prop31_value, prop41_check
 
 from oracles import fd_directional, fd_lie_bracket, oneill_closed_form_loop
-
-
-def field_x(model, point):
-    """The generating field X, read from the one field evaluation; X never
-    degenerates, so the degeneracy floor is off."""
-    return fields_YW(model, point, eps_deg=0.0)[0]
 
 
 def at(model, x):
@@ -140,23 +136,35 @@ def test_sample_point_coordinate_distribution():
 def test_field_x_examples():
     hopf = WeightedHopfModel(2, (1.0, 1.0))
     pt = sample_point(hopf, 3)
-    x = field_x(hopf, pt)
+    x = generating_field(hopf, pt)
     assert x @ x == pytest.approx(1.0, abs=1e-12)
 
     weighted = WeightedHopfModel(2, (1.0, 0.5))
     p10 = SpherePoint(np.array([1.0 + 0j, 0.0 + 0j]))
-    x10 = field_x(weighted, p10)
+    x10 = generating_field(weighted, p10)
     assert np.allclose(x10, realify(np.array([1j, 0.0 + 0j])))
     assert x10 @ x10 == pytest.approx(1.0)
     p01 = SpherePoint(np.array([0.0 + 0j, 1.0 + 0j]))
-    x01 = field_x(weighted, p01)
+    x01 = generating_field(weighted, p01)
     assert x01 @ x01 == pytest.approx(0.25)
+
+
+def test_generating_field_is_its_dual_number_evaluation():
+    # the closed form i theta z has the bits of X evaluated on the seeded dual
+    # coordinates, whose Jacobian is the constant block matrix of i theta
+    rng = np.random.default_rng(73)
+    for m in (2, 5, 16):
+        model = WeightedHopfModel(m, (1.0, *rng.uniform(0.2, 1.0, m - 1)))
+        pt = sample_point(model, rng)
+        x = (seed_point(realify(pt.z)).times_i() * np.asarray(model.theta)).interleaved()
+        assert np.array_equal(generating_field(model, pt), x.value)
+        assert np.array_equal(x.grad, np.kron(np.diag(model.theta), [[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_m2_half_half_point_norms():
     model = WeightedHopfModel(2, (1.0, 1.0))
     pt = SpherePoint(np.array([1.0 + 0j, 1.0 + 0j]) / np.sqrt(2.0))
-    _, _, (y1, w1), _ = fields_YW(model, pt)
+    (y1, w1), _ = fields_YW(model, pt)
     assert y1 @ y1 == pytest.approx(0.25, abs=1e-14)
     assert w1 @ w1 == pytest.approx(0.25, abs=1e-14)
 
@@ -171,7 +179,7 @@ def test_frame_orthonormality_and_tangency():
         assert frame.gram_residual < 1e-10
         assert frame.tangency_residual < 1e-10
         # vertical spans the same line as X
-        x = field_x(model, pt)
+        x = generating_field(model, pt)
         cosine = abs(frame.vertical @ x) / np.linalg.norm(x)
         assert cosine == pytest.approx(1.0, abs=1e-12)
 
@@ -179,19 +187,24 @@ def test_frame_orthonormality_and_tangency():
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_every_field_jacobian_against_finite_differences(m):
     # X and every row of Y and W, the literal W_{m-1} included, at random
-    # weights; each Jacobian column against a central difference
+    # weights; each Jacobian column against a central difference.  X is
+    # linear, so its Jacobian is the constant block matrix of i theta.
     rng = np.random.default_rng(100 + m)
     model = WeightedHopfModel(m, (1.0, *rng.uniform(0.2, 1.0, m - 1)))
     pt = sample_point(model, rng)
     x0 = realify(pt.z)
-    x, x_jacobian, fields, jacobians = fields_YW(model, pt)
+    x = generating_field(model, pt)
+    fields, jacobians = fields_YW(model, pt)
     assert fields.shape == (model.q, 2 * m) and jacobians.shape == (model.q, 2 * m, 2 * m)
-    assert x.shape == (2 * m,) and x_jacobian.shape == (2 * m, 2 * m)
+    assert x.shape == (2 * m,)
+    i_theta = np.kron(np.diag(model.theta), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def row(i):
-        return lambda y: np.vstack(fields_YW(model, at(model, y), eps_deg=0.0)[::2])[i]
+        if i == 0:
+            return lambda y: generating_field(model, at(model, y))
+        return lambda y: fields_YW(model, at(model, y))[0][i - 1]
 
-    values, jac = np.vstack([x, fields]), np.concatenate([x_jacobian[None], jacobians])
+    values, jac = np.vstack([x, fields]), np.concatenate([i_theta[None], jacobians])
     labels = ("X",) + field_labels(model)
     for i, label in enumerate(labels):
         assert np.array_equal(row(i)(x0), values[i])
@@ -209,7 +222,7 @@ def test_last_w_row_is_its_literal_definition():
         expect = np.zeros(m, dtype=complex)
         expect[m - 2] = -theta[m - 1] * zz[m - 1] * 1j * z[m - 2]
         expect[m - 1] = theta[m - 2] * zz[m - 2] * 1j * z[m - 1]
-        assert np.allclose(fields_YW(model, pt)[2][-1], realify(expect), rtol=0, atol=1e-15)
+        assert np.allclose(fields_YW(model, pt)[0][-1], realify(expect), rtol=0, atol=1e-15)
 
 
 def test_degenerate_point_rejected():
@@ -271,10 +284,11 @@ def test_brackets_against_finite_differences():
     pt = sample_point(model, rng)
 
     def as_field(i):
-        return lambda x: fields_YW(model, at(model, x), eps_deg=0.0)[2][i]
+        return lambda x: fields_YW(model, at(model, x))[0][i]
 
     x0 = realify(pt.z)
-    x, _, fields, _ = fields_YW(model, pt)
+    x = generating_field(model, pt)
+    fields, _ = fields_YW(model, pt)
     norms = np.linalg.norm(fields, axis=1)
     A, _ = oneill_from_brackets(model, pt)
     q = model.q
@@ -371,7 +385,7 @@ def test_kahler_form_certificates():
         q = model.q
         pt = sample_point(model, rng)
         frame = adapted_frame(model, pt)
-        w = kahler_form(model, pt, frame)
+        w = kahler_form(model, frame)
         assert w.norm_sq == pytest.approx(q / 2.0, abs=1e-10)
         A, _ = oneill_from_brackets(model, pt, frame=frame)
         Rn = transverse_riemann(space_form(q, 1.0), A)
@@ -404,14 +418,14 @@ def test_kahler_form_requires_unit_weights():
     pt = sample_point(model, 43)
     frame = adapted_frame(model, pt)
     with pytest.raises(ValueError, match="weights"):
-        kahler_form(model, pt, frame)
+        kahler_form(model, frame)
 
 
 def test_parallel_form_realizes_bplus_identity():
     model = WeightedHopfModel(3, (1.0, 1.0, 1.0))
     pt = sample_point(model, 47)
     frame = adapted_frame(model, pt)
-    w = kahler_form(model, pt, frame)
+    w = kahler_form(model, frame)
     A, _ = oneill_from_brackets(model, pt, frame=frame)
     RM = space_form(4, 1.0)
     E = prop31_value(RM, A, w)
@@ -450,27 +464,26 @@ def test_mean_curvature_weighted_is_nonzero_and_orthogonal():
     pt = sample_point(model, rng)
     kappa = mean_curvature(model, pt)
     assert np.linalg.norm(kappa) > 1e-3
-    x = field_x(model, pt)
+    x = generating_field(model, pt)
     v = x / np.linalg.norm(x)
     assert abs(kappa @ v) < 1e-10
     assert abs(kappa @ realify(pt.z)) < 1e-10
 
 
 def test_mean_curvature_against_finite_differences():
-    # kappa is the horizontal, sphere-tangent part of D_V V, V = X/|X|; the
-    # frame keyword reads X and DX from the frame's own evaluation
+    # kappa is the horizontal, sphere-tangent part of D_V V, V = X/|X|, which
+    # mean_curvature takes in closed form
     model = WeightedHopfModel(3, (1.0, 0.8, 0.4))
     pt = sample_point(model, 67)
     x0 = realify(pt.z)
 
     def unit_x(y):
-        x = field_x(model, at(model, y))
+        x = generating_field(model, at(model, y))
         return x / np.linalg.norm(x)
 
     v = unit_x(x0)
     dvv = fd_directional(unit_x, x0, v)
     dvv -= (dvv @ x0) * x0
     dvv -= (dvv @ v) * v
-    kappa = mean_curvature(model, pt, frame=adapted_frame(model, pt))
+    kappa = mean_curvature(model, pt)
     assert np.max(np.abs(kappa - dvv)) < 1e-8
-    assert np.array_equal(kappa, mean_curvature(model, pt))
