@@ -10,8 +10,6 @@ from .exterior import (
     hodge,
     inner,
     interior_vector,
-    multi_index_rank,
-    multi_indices,
     wedge,
 )
 from .curvature import (

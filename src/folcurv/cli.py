@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -68,8 +69,9 @@ from .oneill import (
 )
 from .synthetic import random_form, random_trials
 
-# verify --q 16 --trials 3 takes 3-10 s and 90-160 MB by seed, nearly all in
-# the Python loop of exterior._wedge_table; vectorize it before going past 16
+# q stops at 16: the largest table verify builds, the Leibniz check's wedge
+# table at 32 bytes a row, has 2,018,016 rows (62 MiB, built in 0.3 s) at
+# q = 16, 5.7 M (174 MiB, 1.2 s) at q = 17 and 17.2 M (525 MiB) at q = 18
 VERIFY_Q_RANGE = (2, 16)
 # the frame's dual pass (hopf.fields_YW) holds about ten Dual intermediates
 # of value shape (m-1, m), each with a gradient of 16 (m-1) m^2 bytes; a model
@@ -121,6 +123,18 @@ def _point_streams(seed: int, n: int):
     root = np.random.SeedSequence(seed)
     for _ in range(n):
         yield np.random.default_rng(root.spawn(1)[0])
+
+
+def _refuse_unwritable_out(args):
+    """Refuse (exit 2), before the run and without opening it, an --out that cannot be written."""
+    if not args.out:
+        return
+    folder = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out):
+        raise ValueError(f"{args.command}: cannot write --out {args.out}: it is a directory")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise ValueError(f"{args.command}: cannot write --out {args.out}: "
+                         f"{folder} is missing or not writable")
 
 
 def _emit(args, builder, summary: dict):
@@ -445,6 +459,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         command = {"verify": cmd_verify, "hopf": cmd_hopf, "bounds": cmd_bounds}[args.command]
+        _refuse_unwritable_out(args)
         return command(args)
     except (DegeneratePointError, BracketRouteError) as exc:  # before ValueError
         print(f"sampling failure: {exc}", file=sys.stderr)

@@ -202,7 +202,7 @@ def space_form(q: int, c) -> RiemannTensor:
 def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
     """The symmetric C(q,2) x C(q,2) matrix of the curvature operator on the
     orthonormal bivector basis {e_i ^ e_j : i < j}, one per stacked row."""
-    i, j = np.triu_indices(R.dimension, 1)         # the order of multi_indices(q, 2)
+    i, j = np.triu_indices(R.dimension, 1)         # lexicographic, the rank order of 2-forms
     return R.components[..., i[:, None], j[:, None], i, j]
 
 

@@ -31,8 +31,6 @@ import numpy as np
 
 __all__ = [
     "AlternatingForm",
-    "multi_indices",
-    "multi_index_rank",
     "wedge",
     "interior_vector",
     "inner",
@@ -44,24 +42,22 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def multi_indices(q: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """All strictly increasing p-tuples in range(q), in lexicographic order."""
-    return tuple(itertools.combinations(range(q), p))
+def _combinations(n: int, m: int) -> np.ndarray:
+    """The increasing m-tuples in range(n) as rows, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), m))
+    return np.fromiter(flat, np.intp, count=comb(n, m) * m).reshape(comb(n, m), m)
 
 
-@lru_cache(maxsize=None)
-def _rank_table(q: int, p: int) -> dict[tuple[int, ...], int]:
-    return {idx: r for r, idx in enumerate(multi_indices(q, p))}
-
-
-def multi_index_rank(q: int, indices: tuple[int, ...]) -> int:
-    """Lexicographic rank of a strictly increasing multi-index; a bijection
-    onto range(comb(q, p))."""
-    try:
-        return _rank_table(q, len(indices))[tuple(indices)]
-    except KeyError:
-        raise ValueError(f"{indices!r} is not an increasing multi-index in range({q})")
+def _ranks(U: np.ndarray, S: np.ndarray, q: int) -> np.ndarray:
+    """rank[u, s] of the increasing tuple c = U[u, S[s]] of length n among all
+    those in range(q), by the combinatorial number system (Knuth, TAOCP 4A,
+    7.2.1.3): C(q, n) - 1 - sum_t C(q - 1 - c_t, n - t), one column t at a time."""
+    n = S.shape[1]
+    rank = np.full((len(U), len(S)), comb(q, n) - 1, dtype=np.intp)
+    for t in range(n):  # c_t >= t, so no binomial read exceeds C(q, n)
+        binom = np.fromiter((comb(x, n - t) for x in range(q - t)), np.intp, count=q - t)
+        rank -= binom[q - 1 - U[:, S[:, t]]]
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -70,22 +66,20 @@ def _wedge_table(q: int, p: int, r: int) -> tuple[np.ndarray, ...]:
 
     One row per disjoint pair (I, J) of increasing multi-indices: (rank of
     I u J, rank of I, rank of J, sign of the shuffle sorting I + J), so that
-    e_I ^ e_J = sign * e_{I u J}.  Rows are grouped by the rank of I u J,
-    each union arising from comb(p + r, p) pairs, and within a group I runs
-    outer and J inner in lexicographic order.
+    e_I ^ e_J = sign * e_{I u J}.  Rows are grouped by the rank of the union
+    U, and within a group I = U[P] runs over the p-subsets P of the positions
+    of U in lexicographic order, with J = U[Q] on the complement Q of P.
     """
     if p + r > q:
         raise ValueError(f"degree overflow: {p} + {r} > {q}")
-    union, right = _rank_table(q, p + r), _rank_table(q, r)
-    rows = []
-    for ia, I in enumerate(multi_indices(q, p)):
-        rest = [j for j in range(q) if j not in I]
-        for J in itertools.combinations(rest, r):
-            crossings = sum(x > y for x in I for y in J)
-            rows.append((union[tuple(sorted(I + J))], ia, right[J], -1 if crossings % 2 else 1))
-    rows.sort(key=lambda row: row[0])  # stable: keeps I outer, J inner per union
-    k, ia, ib, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
-    return k, ia, ib, sign.astype(float)
+    U, P = _combinations(q, p + r), _combinations(p + r, p)
+    rest = np.ones((len(P), p + r), dtype=bool)
+    np.put_along_axis(rest, P, False, axis=1)
+    Q = np.nonzero(rest)[1].reshape(len(P), r)
+    # sum_t (P_t - t) pairs (x in I, y in J) have x > y
+    sign = np.where((P.sum(axis=1) - p * (p - 1) // 2) % 2, -1.0, 1.0)
+    k = np.repeat(np.arange(len(U)), len(P))
+    return k, _ranks(U, P, q).ravel(), _ranks(U, Q, q).ravel(), np.tile(sign, len(U))
 
 
 def _contract(x: np.ndarray, q: int, p: int) -> np.ndarray:
@@ -162,14 +156,6 @@ class AlternatingForm:
         self.coeffs = c if c.ndim == 2 and c.shape[1] == n else c.reshape(n)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def basis(cls, dimension: int, indices) -> "AlternatingForm":
-        """The basis form e^{i_1} ^ ... ^ e^{i_p} for an increasing tuple."""
-        indices = tuple(indices)
-        a = cls(len(indices), dimension)
-        a.coeffs[multi_index_rank(dimension, indices)] = 1.0
-        return a
 
     @classmethod
     def one_form(cls, dimension: int, components) -> "AlternatingForm":

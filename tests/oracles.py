@@ -29,6 +29,33 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def basis_form(q, indices):
+    """The basis form e^{i_1} ^ ... ^ e^{i_p} for an increasing tuple, its one
+    unit coefficient at the tuple's position in ``itertools.combinations``."""
+    indices = tuple(indices)
+    lex = list(itertools.combinations(range(q), len(indices)))
+    a = AlternatingForm(len(indices), q)
+    a.coeffs[lex.index(indices)] = 1.0
+    return a
+
+
+def wedge_table_rows(q, p, r):
+    """The signed index rows (k, ia, ib, sign) of the wedge of a degree-p and
+    a degree-r form, one pair at a time: for each union U and each p-subset P
+    of its positions, I = U[P] and J = U[rest], ranks are positions in
+    ``itertools.combinations`` and the sign is that of the permutation P + rest."""
+    rank = {n: {c: i for i, c in enumerate(itertools.combinations(range(q), n))}
+            for n in (p, r)}
+    rows = []
+    for k, U in enumerate(itertools.combinations(range(q), p + r)):
+        for P in itertools.combinations(range(p + r), p):
+            rest = tuple(s for s in range(p + r) if s not in P)
+            I, J = tuple(U[s] for s in P), tuple(U[s] for s in rest)
+            rows.append((k, rank[p][I], rank[r][J], perm_sign(P + rest)))
+    k, ia, ib, sign = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    return k, ia, ib, sign.astype(np.float64)
+
+
 def naive_value(a, vectors) -> float:
     """Evaluate a form on arbitrary vectors: sum_I c_I det(minor_I)."""
     p, q = a.degree, a.dimension

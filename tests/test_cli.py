@@ -597,6 +597,48 @@ def test_unwritable_out_is_an_input_error(capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["hopf", "--m", "2", "--samples", "1"],
+    ["bounds", "--theorem", "cor3.1", "--m", "2", "--samples", "1"],
+    ["verify", "--trials", "1"],
+])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_refused_before_the_run(capsys, monkeypatch, tmp_path, command, where):
+    # a missing directory, or an --out that is itself a directory, is refused
+    # before the first point or instance is drawn
+    def drawn(*args, **kwargs):
+        raise AssertionError("the run began before --out was checked")
+
+    monkeypatch.setattr(cli, "sample_point", drawn)
+    monkeypatch.setattr(cli, "random_form", drawn)
+    out = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    assert run(command + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
+    assert captured.out == ""
+
+
+def test_out_probe_leaves_the_file_alone(tmp_path):
+    # the probe opens nothing: a run refused after it keeps the old report
+    out = tmp_path / "r.json"
+    out.write_text("old report\n")
+    assert run(["hopf", "--m", "2", "--samples", "0", "--out", str(out)]) == 2
+    assert out.read_text() == "old report\n"
+
+
+def test_out_that_fails_when_written_is_an_input_error(capsys, tmp_path):
+    # a dangling link passes the directory probe; the late write still ends
+    # in one error line that names the path
+    out = tmp_path / "link.json"
+    out.symlink_to(tmp_path / "missing" / "x.json")
+    assert run(["hopf", "--m", "2", "--samples", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(out) in lines[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv,step", [
     (["bounds", "--theorem", "cor3.1", "--m", "40"], "space_form"),  # q = 78 > 76
     (["hopf", "--m", "40", "--theta", ",".join(["1"] + ["0.5"] * 39)], "sample_point"),

@@ -40,6 +40,8 @@ from folcurv.oneill import (
 )
 from folcurv.synthetic import random_curvature, random_form, random_instance, random_skew_oneill
 
+from oracles import basis_form
+
 
 def hopf_like_oneill(q=4):
     """The S^5-type integrability tensor: paired +-1 entries, |A|^2 = 4."""
@@ -89,7 +91,7 @@ def test_norm_routes_agree():
 def test_vertical_contraction_single_entry_hand_case():
     # unit 2-form on (0,1), single entry a[0,1] = t: both routes give 2 t^2
     t = 0.6
-    a = AlternatingForm.basis(4, (0, 1))
+    a = basis_form(4, (0, 1))
     m = np.zeros((4, 4, 1))
     m[0, 1, 0], m[1, 0, 0] = t, -t
     A = ONeillTensor(m)
@@ -175,7 +177,7 @@ def test_bminus_vacuous_below_degree_two():
 def test_bminus_hand_expanded_case():
     # a = e0 ^ e1, single entry a[0,2] = t: |B-|^2 = 2 t^2
     t = 0.7
-    a = AlternatingForm.basis(4, (0, 1))
+    a = basis_form(4, (0, 1))
     m = np.zeros((4, 4, 1))
     m[0, 2, 0], m[2, 0, 0] = t, -t
     A = ONeillTensor(m)
