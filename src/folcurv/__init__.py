@@ -21,24 +21,22 @@ from .curvature import (
     transverse_riemann,
 )
 from .oneill import (
-    BoundReport,
     ONeillTensor,
     bminus_norm,
     bminus_norm_closed,
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_report,
     cor31_scan,
     hodge_trace_residual,
     master_identity_residual,
     mixed_bivector_term,
     prop31_value,
-    prop41_check,
-    sandwich_check,
-    thm31_report,
-    thm32_report,
-    thm41_report,
+    prop41_sides,
+    sandwich_sides,
+    thm31_sides,
+    thm32_sides,
+    thm41_sides,
     two_form_rewrite,
     vertical_contraction_term,
 )

@@ -7,7 +7,8 @@ curvature bound checks, with a machine-readable JSON report.
             --p P [--samples N] [--trials N] [--seed S] [--tol T]
 
 ``--out PATH`` writes the structured report; ``--quiet`` suppresses the
-human summary.  Identity failures exit nonzero; a negative theorem gap is a
+human summary.  Identity failures exit nonzero.  Every bounds row, cor3.1
+included, reads its theorem as lhs >= rhs: a gap lhs - rhs below -tol is a
 finding (the hypotheses of the bounds are not checkable here), not a
 failure.  Everything printed is also present in the structured report.
 """
@@ -58,13 +59,13 @@ from .oneill import (
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_report,
+    cor31_scan,
     hodge_trace_residual,
     master_identity_residual,
-    sandwich_check,
-    thm31_report,
-    thm32_report,
-    thm41_report,
+    sandwich_sides,
+    thm31_sides,
+    thm32_sides,
+    thm41_sides,
     two_form_rewrite,
 )
 from .synthetic import random_form, random_trials
@@ -296,7 +297,7 @@ def cmd_hopf(args) -> int:
         pt = sample_point(model, rng)
         frame = adapted_frame(model, pt)
         builder.residual_check(f"hopf.frame_gram.point{k}", frame.gram_residual, FRAME_TOL)
-        A, display = oneill_from_brackets(model, pt, frame=frame)
+        A, _ = oneill_from_brackets(model, pt, frame=frame)
         closed = oneill_closed_form(model, pt)
         norms_bracket.append(A.norm_sq)
         norms_closed.append(closed)
@@ -348,25 +349,33 @@ def cmd_hopf(args) -> int:
 class Bound(NamedTuple):
     """A row of the theorem table."""
 
-    evaluate: Callable  # (ctx, A, rng) -> the row's BoundReports at a sampled point
+    evaluate: Callable  # (ctx, A, rng) -> {check id: (lhs, rhs)} at a sampled point
     needs_p: bool = False  # takes --p under the q >= 4, 2 <= p <= q-2 hypothesis
     finding: tuple[str, str] = ("negative-gap", "bound violated at a sampled point")
 
 
+def _scal_t(q: int, A) -> float:
+    """Scal_t over the unit sphere, summed from the structure of R_t."""
+    return transverse_riemann(space_form(q, K0), A).scalar()
+
+
 BOUNDS = {
-    "3.1": Bound(lambda c, A, rng: [thm31_report(K0, RHO1, c.q, c.p, A, tol=c.tol)],
+    "3.1": Bound(lambda c, A, rng: {"thm3.1": thm31_sides(K0, RHO1, c.q, c.p, A.norm_sq)},
                  needs_p=True),
-    "3.2": Bound(lambda c, A, rng: [thm32_report(float(c.n * (c.n - 1)), K1, RHO1, c.n,
-                                                 c.q, c.p, A, tol=c.tol)], needs_p=True),
-    "4.1": Bound(lambda c, A, rng: [thm41_report(
-        transverse_riemann(space_form(c.q, K0), A).scalar(), K0, RHO1, c.q, c.p, A,
-        tol=c.tol)], needs_p=True),
-    "sandwich": Bound(lambda c, A, rng: sandwich_check(
-        transverse_riemann(space_form(c.q, K0), A).scalar(), K0, K1, c.q, A, tol=c.tol)),
-    "cor3.1": Bound(lambda c, A, rng: [cor31_report(space_form(c.q, K0), A, c.trials, rng,
-                                                    tol=c.tol)],
-                    finding=("obstruction-not-certified", "sampled maximum of the "
-                             "obstruction quantity exceeded the certification threshold")),
+    "3.2": Bound(lambda c, A, rng: {"thm3.2": thm32_sides(
+        float(c.n * (c.n - 1)), K1, RHO1, c.n, c.q, c.p, A.norm_sq)}, needs_p=True),
+    "4.1": Bound(lambda c, A, rng: {"thm4.1": thm41_sides(
+        _scal_t(c.q, A), K0, RHO1, c.q, c.p, A.norm_sq)}, needs_p=True,
+        finding=("negative-gap", "bound violated at a sampled point (existence-type: "
+                 "the theorem bounds |A|^2 at some point, not at every point)")),
+    "sandwich": Bound(lambda c, A, rng: {
+        f"sandwich.{side}": sides
+        for side, sides in sandwich_sides(_scal_t(c.q, A), K0, K1, c.q, A.norm_sq).items()}),
+    # certified when -(q-1)/2 >= the sampled maximum of the obstruction quantity
+    "cor3.1": Bound(lambda c, A, rng: {"cor3.1": (
+        -(c.q - 1) / 2.0, cor31_scan(space_form(c.q, K0), A, c.trials, rng))},
+        finding=("obstruction-not-certified", "sampled maximum of the obstruction "
+                 "quantity exceeded the certification threshold")),
 }
 
 
@@ -388,23 +397,17 @@ def cmd_bounds(args) -> int:
         "theta": list(model.theta), "p": args.p, "samples": args.samples,
         "trials": args.trials, "seed": args.seed,
     })
-    ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p, tol=tol, trials=args.trials)
-    gaps = []
+    ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p, trials=args.trials)
     for k, rng in enumerate(_point_streams(args.seed, args.samples)):
         A, _ = oneill_from_brackets(model, sample_point(model, rng))
-        for rep in row.evaluate(ctx, A, rng):
-            check = builder.check(f"bounds.{rep.theorem_id}.point{k}", rep.lhs, rep.rhs,
-                                  rep.tol, rep.satisfied)
-            gaps.append(rep.gap)
-            if not rep.satisfied:
+        for name, (lhs, rhs) in row.evaluate(ctx, A, rng).items():
+            check = builder.bound_check(f"bounds.{name}.point{k}", lhs, rhs, tol)
+            if not check["pass"]:
                 builder.finding(*row.finding, {"point": k, "check": check["name"],
-                                               "inputs": rep.inputs, "note": rep.note})
-    summary = {
-        "gap": {"min": float(np.min(gaps)), "max": float(np.max(gaps)),
-                "per_check": [float(g) for g in gaps]},
-        "all_passed": builder.all_passed,
-    }
-    _emit(args, builder, summary)
+                                               "oneill_norm_sq": A.norm_sq})
+    gaps = [c["gap"] for c in builder.checks]
+    _emit(args, builder, {"gap": {"min": min(gaps), "max": max(gaps), "per_check": gaps},
+                          "all_passed": builder.all_passed})
     # gap negativity is a finding, not a failure
     return 0
 

@@ -1,5 +1,5 @@
 """The integrability (O'Neill) tensor, the auxiliary B+/B- tensors with
-their norm identities, and evaluators for the curvature bounds.
+their norm identities, and the sides lhs >= rhs of the curvature bounds.
 
 The central correctness statement of the module is the master identity
 
@@ -25,7 +25,6 @@ operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
@@ -50,8 +49,7 @@ from .exterior import (
 
 __all__ = [
     "ONeillTensor",
-    "BoundReport",
-    "sandwich_check",
+    "sandwich_sides",
     "bplus_norm",
     "bplus_norm_closed",
     "bminus_norm",
@@ -60,12 +58,11 @@ __all__ = [
     "vertical_contraction_term",
     "prop31_value",
     "master_identity_residual",
-    "prop41_check",
-    "thm31_report",
-    "thm32_report",
-    "thm41_report",
+    "prop41_sides",
+    "thm31_sides",
+    "thm32_sides",
+    "thm41_sides",
     "cor31_scan",
-    "cor31_report",
     "two_form_rewrite",
     "contraction_chain",
     "hodge_trace_residual",
@@ -101,26 +98,6 @@ class ONeillTensor:
 
     def __repr__(self):
         return f"ONeillTensor(q={self.q}, vdim={self.vdim}, |A|^2={self.norm_sq:.6g})"
-
-
-@dataclass
-class BoundReport:
-    """Evaluated sides of an inequality at a point: gap = lhs - rhs exactly."""
-
-    theorem_id: str
-    lhs: float
-    rhs: float
-    gap: float
-    tol: float
-    satisfied: bool
-    inputs: dict = field(default_factory=dict)
-    note: str = ""
-
-
-def _report(theorem_id, lhs, rhs, tol, inputs, note="") -> BoundReport:
-    gap = lhs - rhs
-    return BoundReport(theorem_id, float(lhs), float(rhs), float(gap), tol,
-                       bool(gap >= -tol), inputs, note)
 
 
 # -- elementary quantities -----------------------------------------------------
@@ -266,34 +243,27 @@ def master_identity_residual(
     return curvature_term(Rt, a) - bplus_norm(A, a) + prop31_value(RM, A, a)
 
 
-def sandwich_check(
-    scal_nabla: float, K0: float, K1: float, q: int, A: ONeillTensor, *, tol: float = 1e-9
-) -> tuple[BoundReport, BoundReport]:
+def sandwich_sides(scal_nabla: float, K0: float, K1: float, q: int,
+                   norm_sq: float) -> dict[str, tuple[float, float]]:
     """Two-sided estimate of the integrability norm,
 
         Scal_t - q(q-1) K1 <= 3|A|^2 <= Scal_t - q(q-1) K0,
 
-    with equality on space forms.  Violations are flagged, not raised."""
+    with equality on space forms, as its lower and upper (lhs, rhs) pairs."""
     if q < 2:
         raise ValueError("sandwich bound needs q >= 2")
-    n2 = 3.0 * A.norm_sq
-    inputs = {"q": q, "K0": K0, "K1": K1, "scal_nabla": scal_nabla,
-              "oneill_norm_sq": A.norm_sq}
-    lower = _report("sandwich.lower", n2, scal_nabla - q * (q - 1) * K1, tol, inputs)
-    upper = _report("sandwich.upper", scal_nabla - q * (q - 1) * K0, n2, tol, inputs)
-    return lower, upper
+    n2 = 3.0 * norm_sq
+    return {"lower": (n2, scal_nabla - q * (q - 1) * K1),
+            "upper": (scal_nabla - q * (q - 1) * K0, n2)}
 
 
-def prop41_check(
-    RM: RiemannTensor, A: ONeillTensor, a: AlternatingForm, *, tol: float = 1e-9
-) -> BoundReport:
-    """Pointwise harmonic-form inequality,
+def prop41_sides(RM: RiemannTensor, A: ONeillTensor, a: AlternatingForm):
+    """Pointwise harmonic-form inequality as its (lhs, rhs),
 
         2 <R(a), a> >= -(p-7)/3 T1 + (p-1)/3 S1 - S2 - (V + 2M),
 
-    with T1 the transverse Ricci contraction.  The slack is exactly
-    1/2 |B-(a)|^2 + |B+(a)|^2, so the gap is nonnegative on all inputs;
-    a negative gap is reported, not raised.
+    with T1 the transverse Ricci contraction.  The slack lhs - rhs is exactly
+    1/2 |B-(a)|^2 + |B+(a)|^2, so it is nonnegative on all inputs.
     """
     p = a.degree
     Rn = transverse_riemann(RM, A)
@@ -304,8 +274,7 @@ def prop41_check(
         - bivector_curvature_sum(RM, a)
         - (vertical_contraction_term(A, a) + 2.0 * mixed_bivector_term(A, a))
     )
-    inputs = {"q": a.dimension, "p": p, "vdim": A.vdim}
-    return _report("prop4.1", lhs, rhs, tol, inputs)
+    return lhs, rhs
 
 
 def _check_pq(q: int, p: int):
@@ -317,53 +286,44 @@ def _degree_constant(q: int, p: int) -> float:
     return p * (p - 1) + (q - p) * (q - p - 1)
 
 
-def thm31_report(K0: float, rho1: float, q: int, p: int, A: ONeillTensor,
-                 *, tol: float = 1e-9) -> BoundReport:
+def thm31_sides(K0: float, rho1: float, q: int, p: int,
+                norm_sq: float) -> tuple[float, float]:
     """Lower bound for the integrability norm under a parallel transverse
     p-form on a positively curved manifold:
 
         (q-2)|A|^2 >= K0 q(q-1) - (p(p-1) + (q-p)(q-p-1)) rho1.
     """
     _check_pq(q, p)
-    lhs = (q - 2) * A.norm_sq
-    rhs = K0 * q * (q - 1) - _degree_constant(q, p) * rho1
-    inputs = {"q": q, "p": p, "K0": K0, "rho1": rho1, "oneill_norm_sq": A.norm_sq}
-    return _report("thm3.1", lhs, rhs, tol, inputs)
+    return (q - 2) * norm_sq, K0 * q * (q - 1) - _degree_constant(q, p) * rho1
 
 
-def thm32_report(scalM: float, K1: float, rho1: float, n: int, q: int, p: int,
-                 A: ONeillTensor, *, tol: float = 1e-9) -> BoundReport:
+def thm32_sides(scalM: float, K1: float, rho1: float, n: int, q: int, p: int,
+                norm_sq: float) -> tuple[float, float]:
     """Scalar-curvature variant of the parallel-form bound:
 
         (q-2)|A|^2 >= Scal - K1 (n-q)(n+q-1) - (p(p-1) + (q-p)(q-p-1)) rho1.
     """
     _check_pq(q, p)
-    lhs = (q - 2) * A.norm_sq
     rhs = scalM - K1 * (n - q) * (n + q - 1) - _degree_constant(q, p) * rho1
-    inputs = {"n": n, "q": q, "p": p, "K1": K1, "rho1": rho1, "scalM": scalM,
-              "oneill_norm_sq": A.norm_sq}
-    return _report("thm3.2", lhs, rhs, tol, inputs)
+    return (q - 2) * norm_sq, rhs
 
 
-def thm41_report(scal_nabla: float, K0: float, rho1: float, q: int, p: int,
-                 A: ONeillTensor, *, tol: float = 1e-9) -> BoundReport:
+def thm41_sides(scal_nabla: float, K0: float, rho1: float, q: int, p: int,
+                norm_sq: float) -> tuple[float, float]:
     """Harmonic-form bound, valid at some point of a compact manifold
     carrying a basic harmonic p-form (an existence-type statement; this
-    evaluates the two sides at the configured point):
+    evaluates the two sides at the given |A|^2):
 
         (2q+1)|A|^2 >= -(p-7)/3 Scal_t + (p-1)/3 q(q-1) K0
                        - 2 (p(p-1) + (q-p)(q-p-1)) rho1.
     """
     _check_pq(q, p)
-    lhs = (2 * q + 1) * A.norm_sq
     rhs = (
         -(p - 7) / 3.0 * scal_nabla
         + (p - 1) / 3.0 * q * (q - 1) * K0
         - 2.0 * _degree_constant(q, p) * rho1
     )
-    inputs = {"q": q, "p": p, "K0": K0, "rho1": rho1, "scal_nabla": scal_nabla,
-              "oneill_norm_sq": A.norm_sq}
-    return _report("thm4.1", lhs, rhs, tol, inputs, note="existence-type")
+    return (2 * q + 1) * norm_sq, rhs
 
 
 def cor31_scan(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed) -> float:
@@ -380,17 +340,6 @@ def cor31_scan(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed) -> flo
     v = rng.standard_normal((trials, q))  # the numbers of ``trials`` draws of q
     v /= np.sqrt(np.vecdot(v, v))[:, None]
     return float(np.max(prop31_value(RM, A, AlternatingForm(1, q, v))))
-
-
-def cor31_report(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed,
-                 *, tol: float = 1e-9) -> BoundReport:
-    """Corollary 3.1 on the sample: the parallel 1-form obstruction is
-    certified when the ``cor31_scan`` maximum is at most -(q-1)/2.  An upper
-    bound, so it passes when lhs <= rhs + tol."""
-    q = RM.dimension
-    lhs, rhs = cor31_scan(RM, A, trials, rng_seed), -(q - 1) / 2.0
-    return BoundReport("cor3.1", lhs, rhs, lhs - rhs, tol, bool(lhs <= rhs + tol),
-                       {"q": q, "trials": trials, "oneill_norm_sq": A.norm_sq})
 
 
 # -- estimate and identity checks ------------------------------------------------
@@ -430,8 +379,8 @@ def contraction_chain(A: ONeillTensor, a: AlternatingForm) -> dict:
     steps then hold, the second because A_i V_s is orthogonal to e_i.  The
     wedge reading of the middle term, q sum_i |A_i V_s ^ (e_i . a)|^2, is
     evaluated and returned for comparison only; it does not enter the
-    asserted chain.  Each value is a list over s for one instance and an
-    (n, vdim) array for a stack.
+    asserted chain.  Each value is an array over s, with the stack axis
+    first for a stack.
     """
     if a.degree < 1:
         raise ValueError("contraction chain needs a form of degree >= 1")
@@ -451,11 +400,8 @@ def contraction_chain(A: ONeillTensor, a: AlternatingForm) -> dict:
         mixed, mid = np.sum(acc * acc, axis=-1), q_sum(w)
     else:
         mixed = mid = np.zeros_like(end)
-    out = {"mixed_term_per_s": mixed, "q_sum_bivector_per_s": mid,
-           "q_sum_wedge_per_s": midw, "q_sum_contraction_per_s": end}
-    if end.ndim == 1:  # one instance: a list of floats, one per s
-        out = {k: v.tolist() for k, v in out.items()}
-    return out
+    return {"mixed_term_per_s": mixed, "q_sum_bivector_per_s": mid,
+            "q_sum_wedge_per_s": midw, "q_sum_contraction_per_s": end}
 
 
 def hodge_trace_residual(RM: RiemannTensor, a: AlternatingForm):

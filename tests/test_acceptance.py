@@ -38,10 +38,10 @@ from folcurv.oneill import (
     hodge_trace_residual,
     master_identity_residual,
     prop31_value,
-    sandwich_check,
-    thm31_report,
-    thm32_report,
-    thm41_report,
+    sandwich_sides,
+    thm31_sides,
+    thm32_sides,
+    thm41_sides,
 )
 from folcurv.synthetic import random_curvature, random_form, random_instance, random_skew_oneill
 
@@ -83,27 +83,27 @@ def test_criterion_02_thm31_sharp_on_s5():
     with criterion("C2", "parallel-form bound sharp on the 5-sphere model "
                          "(q=4, p=2): gap 0 within 1e-9"):
         _, _, _, A = s5_hopf_data()
-        rep = thm31_report(1.0, 1.0, 4, 2, A)
-        assert abs(rep.gap) < 1e-9
-        assert rep.lhs == rep.inputs["oneill_norm_sq"] * 2
+        lhs, rhs = thm31_sides(1.0, 1.0, 4, 2, A.norm_sq)
+        assert abs(lhs - rhs) < 1e-9
+        assert lhs == A.norm_sq * 2
 
 
 def test_criterion_03_thm32_sharp_on_s5():
     with criterion("C3", "scalar-curvature bound sharp on the 5-sphere "
                          "(Scal=20, n=5): gap 0 within 1e-9"):
         _, _, _, A = s5_hopf_data()
-        rep = thm32_report(20.0, 1.0, 1.0, 5, 4, 2, A)
-        assert abs(rep.gap) < 1e-9
+        lhs, rhs = thm32_sides(20.0, 1.0, 1.0, 5, 4, 2, A.norm_sq)
+        assert abs(lhs - rhs) < 1e-9
 
 
 def test_criterion_04_thm41_sharp_on_s5():
     with criterion("C4", "harmonic-form bound on the 5-sphere: lhs = rhs = 36 "
                          "within 1e-9"):
         _, _, _, A = s5_hopf_data()
-        rep = thm41_report(24.0, 1.0, 1.0, 4, 2, A)
-        assert abs(rep.lhs - 36.0) < 1e-9
-        assert abs(rep.rhs - 36.0) < 1e-9
-        assert abs(rep.gap) < 1e-9
+        lhs, rhs = thm41_sides(24.0, 1.0, 1.0, 4, 2, A.norm_sq)
+        assert abs(lhs - 36.0) < 1e-9
+        assert abs(rhs - 36.0) < 1e-9
+        assert abs(lhs - rhs) < 1e-9
 
 
 def test_criterion_05_transverse_scalar_and_sandwich():
@@ -121,8 +121,8 @@ def test_criterion_05_transverse_scalar_and_sandwich():
             pt = sample_point(model, 200 + m)
             Am, _ = oneill_from_brackets(model, pt)
             _, scal_m = transverse_ricci(space_form(q, 1.0), Am)
-            lower, upper = sandwich_check(scal_m, 1.0, 1.0, q, Am)
-            assert abs(lower.gap) < 1e-9 and abs(upper.gap) < 1e-9
+            for lhs, rhs in sandwich_sides(scal_m, 1.0, 1.0, q, Am.norm_sq).values():
+                assert abs(lhs - rhs) < 1e-9
 
 
 def test_criterion_06_parallel_form_certificate():

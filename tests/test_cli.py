@@ -193,7 +193,7 @@ def test_bounds_sandwich_and_cor(tmp_path):
                 "--trials", "200", "--seed", "23", "--out", str(out2), "--quiet"]) == 0
     rep2 = load(out2)
     assert all(c["pass"] for c in rep2["checks"])
-    assert all(c["lhs"] <= c["rhs"] + 1e-9 for c in rep2["checks"])
+    assert all(c["rhs"] <= c["lhs"] + 1e-9 for c in rep2["checks"])
 
 
 def test_bounds_hypothesis_violation_exits_2(capsys):
@@ -458,6 +458,38 @@ def test_every_bound_row_runs(tmp_path, dense_builds, theorem):
     assert not dense_tables_read()
 
 
+@pytest.mark.parametrize("theorem", list(BOUND_ROWS))
+def test_every_bound_row_keeps_one_pass_rule(tmp_path, monkeypatch, theorem):
+    # every row reads lhs >= rhs: gap = lhs - rhs, passing when gap >= -tol,
+    # and the summary gaps are the check gaps
+    argv = ["bounds", "--theorem", theorem, "--m", "3", "--p", "2", "--samples", "2",
+            "--trials", "20", "--quiet", "--out", str(tmp_path / "b.json")]
+    assert run(argv) == 0
+    rep = load(tmp_path / "b.json")
+    for c in rep["checks"]:
+        assert c["gap"] == c["lhs"] - c["rhs"]
+        assert c["pass"] == (c["gap"] >= -c["tol"])
+    assert rep["summary"]["gap"]["per_check"] == [c["gap"] for c in rep["checks"]]
+    # an lhs one below its rhs violates every check of the row
+    row = cli.BOUNDS[theorem]
+
+    def violated(c, A, rng):
+        return {name: (rhs - 1.0, rhs) for name, (_, rhs) in row.evaluate(c, A, rng).items()}
+
+    monkeypatch.setitem(cli.BOUNDS, theorem, row._replace(evaluate=violated))
+    assert run(argv) == 0
+    rep = load(tmp_path / "b.json")
+    kind = "obstruction-not-certified" if theorem == "cor3.1" else "negative-gap"
+    assert not any(c["pass"] for c in rep["checks"])
+    assert len(rep["findings"]) == len(rep["checks"]) == 2 * len(BOUND_ROWS[theorem])
+    for f, c in zip(rep["findings"], rep["checks"]):
+        assert f["kind"] == kind
+        assert list(f["values"]) == ["point", "check", "oneill_norm_sq"]
+        assert f["values"]["check"] == c["name"]
+        assert c["name"].endswith(f".point{f['values']['point']}")
+        assert f["values"]["oneill_norm_sq"] == pytest.approx(4.0, abs=1e-9)  # 2(m-1)
+
+
 @pytest.mark.parametrize("argv", [
     ["hopf", "--m", "30"],
     ["bounds", "--theorem", "4.1", "--m", "30", "--p", "2"],
@@ -490,7 +522,7 @@ def test_cor31_passes_by_its_structural_margin(tmp_path, theta):
     q = 4
     assert len(rep["checks"]) == 3 and rep["findings"] == []
     for c in rep["checks"]:
-        assert c["pass"] and c["lhs"] <= -(q - 1) + c["tol"]
+        assert c["pass"] and c["rhs"] <= -(q - 1) + c["tol"]
 
 
 def test_cor31_reads_tol(tmp_path):
@@ -511,11 +543,11 @@ def test_bound_findings_name_their_point(tmp_path, monkeypatch):
         assert f["kind"] == "negative-gap"
         check = rep["checks"][f["values"]["point"]]
         assert not check["pass"]
-        assert list(f["values"]) == ["point", "check", "inputs", "note"]
+        assert list(f["values"]) == ["point", "check", "oneill_norm_sq"]
         point = f["values"]["point"]
         assert check["name"] == f["values"]["check"] == f"bounds.thm3.1.point{point}"
     # an uncertified obstruction: a scan maximum above -(q-1)/2 at every point
-    monkeypatch.setattr(oneill, "cor31_scan", lambda RM, A, trials, rng: 0.0)
+    monkeypatch.setattr(cli, "cor31_scan", lambda RM, A, trials, rng: 0.0)
     assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--samples", "2",
                 "--trials", "5", "--out", str(out), "--quiet"]) == 0
     rep = load(out)
@@ -523,7 +555,7 @@ def test_bound_findings_name_their_point(tmp_path, monkeypatch):
     checks = {c["name"]: c for c in rep["checks"]}
     assert [(f["values"]["point"], checks[f["values"]["check"]]["lhs"],
              checks[f["values"]["check"]]["rhs"])
-            for f in rep["findings"]] == [(0, 0.0, -1.5), (1, 0.0, -1.5)]
+            for f in rep["findings"]] == [(0, -1.5, 0.0), (1, -1.5, 0.0)]
 
 
 class Reached(Exception):

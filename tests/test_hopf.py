@@ -30,7 +30,7 @@ from folcurv.hopf import (
     realify,
     sample_point,
 )
-from folcurv.oneill import bminus_norm, bplus_norm, prop31_value, prop41_check
+from folcurv.oneill import bminus_norm, bplus_norm, prop31_value, prop41_sides
 
 from oracles import fd_directional, fd_lie_bracket, oneill_closed_form_loop
 
@@ -432,9 +432,9 @@ def test_parallel_form_realizes_bplus_identity():
     assert E == pytest.approx(bplus_norm(A, w), abs=1e-9)
     assert E >= -1e-9
     # the harmonic-form slack on the same data
-    rep = prop41_check(RM, A, w)
-    assert rep.gap == pytest.approx(0.5 * bminus_norm(A, w) + bplus_norm(A, w),
-                                    abs=1e-9)
+    lhs, rhs = prop41_sides(RM, A, w)
+    assert lhs - rhs == pytest.approx(0.5 * bminus_norm(A, w) + bplus_norm(A, w),
+                                      abs=1e-9)
 
 
 def test_scal_transverse_is_24_on_s5():

@@ -18,7 +18,6 @@ from folcurv.curvature import (
 )
 from folcurv.exterior import AlternatingForm, contractions, inner, interior_vector, wedge
 from folcurv.oneill import (
-    BoundReport,
     ONeillTensor,
     bminus_norm,
     bminus_norm_closed,
@@ -30,11 +29,11 @@ from folcurv.oneill import (
     master_identity_residual,
     mixed_bivector_term,
     prop31_value,
-    prop41_check,
-    sandwich_check,
-    thm31_report,
-    thm32_report,
-    thm41_report,
+    prop41_sides,
+    sandwich_sides,
+    thm31_sides,
+    thm32_sides,
+    thm41_sides,
     two_form_rewrite,
     vertical_contraction_term,
 )
@@ -251,16 +250,15 @@ def test_sandwich_equality_on_space_forms():
     RM = space_form(4, 1.0)
     _, scal = transverse_ricci(RM, A)
     assert scal == pytest.approx(24.0, abs=1e-12)
-    lower, upper = sandwich_check(scal, 1.0, 1.0, 4, A)
-    assert lower.gap == pytest.approx(0.0, abs=1e-12)
-    assert upper.gap == pytest.approx(0.0, abs=1e-12)
-    assert lower.satisfied and upper.satisfied
+    sides = sandwich_sides(scal, 1.0, 1.0, 4, A.norm_sq)
+    assert list(sides) == ["lower", "upper"]
+    for lhs, rhs in sides.values():
+        assert lhs - rhs == pytest.approx(0.0, abs=1e-12)
     # A = 0 on a space form
     z = ONeillTensor(np.zeros((5, 5, 1)))
     _, scal0 = transverse_ricci(space_form(5, 0.3), z)
-    low0, up0 = sandwich_check(scal0, 0.3, 0.3, 5, z)
-    assert low0.gap == pytest.approx(0.0, abs=1e-12)
-    assert up0.gap == pytest.approx(0.0, abs=1e-12)
+    for lhs, rhs in sandwich_sides(scal0, 0.3, 0.3, 5, z.norm_sq).values():
+        assert lhs - rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sandwich_random_instances_hold():
@@ -270,15 +268,13 @@ def test_sandwich_random_instances_hold():
         RM, A, _ = random_instance(rng, q, 1, vdim=1 + k % 3)
         _, scal = transverse_ricci(RM, A)
         c = RM.space_form_curvature
-        lower, upper = sandwich_check(scal, c, c, q, A)
-        assert lower.gap >= -1e-9 and upper.gap >= -1e-9
+        for lhs, rhs in sandwich_sides(scal, c, c, q, A.norm_sq).values():
+            assert lhs - rhs >= -1e-9
 
 
 def test_sandwich_violation_is_flagged_not_raised():
-    A = ONeillTensor(np.zeros((4, 4, 1)))
-    lower, upper = sandwich_check(100.0, 1.0, 1.0, 4, A)
-    assert not lower.satisfied          # 0 >= 100 - 12 fails
-    assert isinstance(lower, BoundReport)
+    lhs, rhs = sandwich_sides(100.0, 1.0, 1.0, 4, 0.0)["lower"]
+    assert lhs - rhs < -1e-9            # 0 >= 100 - 12 fails
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +283,9 @@ def test_sandwich_violation_is_flagged_not_raised():
 
 
 def test_thm31_sharp_on_s5_numbers():
-    rep = thm31_report(1.0, 1.0, 4, 2, hopf_like_oneill())
-    assert (rep.lhs, rep.rhs) == (8.0, 8.0)
-    assert rep.gap == 0.0 and rep.satisfied
+    lhs, rhs = thm31_sides(1.0, 1.0, 4, 2, hopf_like_oneill().norm_sq)
+    assert (lhs, rhs) == (8.0, 8.0)
+    assert lhs - rhs == 0.0
 
 
 def test_thm31_s7_and_flat():
@@ -297,51 +293,45 @@ def test_thm31_s7_and_flat():
     for i, j in [(0, 1), (2, 3), (4, 5)]:
         a[i, j, 0], a[j, i, 0] = 1.0, -1.0
     A7 = ONeillTensor(a)                      # |A|^2 = 6 = 2(m-1), m = 4
-    rep = thm31_report(1.0, 1.0, 6, 2, A7)
-    assert (rep.lhs, rep.rhs, rep.gap) == (24.0, 16.0, 8.0)
-    flat = thm31_report(0.0, 0.0, 4, 2, ONeillTensor(np.zeros((4, 4, 1))))
-    assert flat.lhs == flat.rhs == 0.0
+    lhs, rhs = thm31_sides(1.0, 1.0, 6, 2, A7.norm_sq)
+    assert (lhs, rhs, lhs - rhs) == (24.0, 16.0, 8.0)
+    flat = thm31_sides(0.0, 0.0, 4, 2, ONeillTensor(np.zeros((4, 4, 1))).norm_sq)
+    assert flat == (0.0, 0.0)
 
 
 def test_thm31_hypothesis_violations():
     A = hopf_like_oneill()
     with pytest.raises(ValueError, match="hypothesis"):
-        thm31_report(1.0, 1.0, 4, 1, A)
+        thm31_sides(1.0, 1.0, 4, 1, A.norm_sq)
     with pytest.raises(ValueError, match="hypothesis"):
-        thm31_report(1.0, 1.0, 3, 2, ONeillTensor(np.zeros((3, 3, 1))))
+        thm31_sides(1.0, 1.0, 3, 2, ONeillTensor(np.zeros((3, 3, 1))).norm_sq)
 
 
 def test_thm32_numbers():
-    rep = thm32_report(20.0, 1.0, 1.0, 5, 4, 2, hopf_like_oneill())
-    assert (rep.lhs, rep.rhs, rep.gap) == (8.0, 8.0, 0.0)
+    lhs, rhs = thm32_sides(20.0, 1.0, 1.0, 5, 4, 2, hopf_like_oneill().norm_sq)
+    assert (lhs, rhs, lhs - rhs) == (8.0, 8.0, 0.0)
     a = np.zeros((6, 6, 1))
     for i, j in [(0, 1), (2, 3), (4, 5)]:
         a[i, j, 0], a[j, i, 0] = 1.0, -1.0
-    rep7 = thm32_report(42.0, 1.0, 1.0, 7, 6, 2, ONeillTensor(a))
-    assert (rep7.lhs, rep7.rhs, rep7.gap) == (24.0, 16.0, 8.0)
-    flat = thm32_report(0.0, 0.0, 0.0, 5, 4, 2, ONeillTensor(np.zeros((4, 4, 1))))
-    assert flat.gap == 0.0
+    lhs7, rhs7 = thm32_sides(42.0, 1.0, 1.0, 7, 6, 2, ONeillTensor(a).norm_sq)
+    assert (lhs7, rhs7, lhs7 - rhs7) == (24.0, 16.0, 8.0)
+    flat = thm32_sides(0.0, 0.0, 0.0, 5, 4, 2, ONeillTensor(np.zeros((4, 4, 1))).norm_sq)
+    assert flat[0] - flat[1] == 0.0
 
 
 def test_thm41_numbers():
-    rep = thm41_report(24.0, 1.0, 1.0, 4, 2, hopf_like_oneill())
-    assert rep.lhs == pytest.approx(36.0)
-    assert rep.rhs == pytest.approx(36.0)
-    assert rep.gap == pytest.approx(0.0, abs=1e-12)
-    assert rep.note == "existence-type"
+    lhs, rhs = thm41_sides(24.0, 1.0, 1.0, 4, 2, hopf_like_oneill().norm_sq)
+    assert lhs == pytest.approx(36.0)
+    assert rhs == pytest.approx(36.0)
+    assert lhs - rhs == pytest.approx(0.0, abs=1e-12)
     a = np.zeros((6, 6, 1))
     for i, j in [(0, 1), (2, 3), (4, 5)]:
         a[i, j, 0], a[j, i, 0] = 1.0, -1.0
-    rep7 = thm41_report(48.0, 1.0, 1.0, 6, 2, ONeillTensor(a))
-    assert rep7.lhs == pytest.approx(78.0)
-    assert rep7.rhs == pytest.approx(62.0)
-    flat = thm41_report(0.0, 0.0, 0.0, 4, 2, ONeillTensor(np.zeros((4, 4, 1))))
-    assert flat.lhs == flat.rhs == 0.0
-
-
-def test_bound_report_gap_is_exact_difference():
-    rep = thm31_report(1.0, 1.0, 4, 2, hopf_like_oneill())
-    assert rep.gap == rep.lhs - rep.rhs
+    lhs7, rhs7 = thm41_sides(48.0, 1.0, 1.0, 6, 2, ONeillTensor(a).norm_sq)
+    assert lhs7 == pytest.approx(78.0)
+    assert rhs7 == pytest.approx(62.0)
+    flat = thm41_sides(0.0, 0.0, 0.0, 4, 2, ONeillTensor(np.zeros((4, 4, 1))).norm_sq)
+    assert flat == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +345,10 @@ def test_prop41_holds_and_slack_is_b_tensor_norms():
         for p in (1, 2, 3):
             for k in range(15):
                 RM, A, a = random_instance(rng, q, p, vdim=1 + k % 2)
-                rep = prop41_check(RM, A, a)
-                assert rep.gap >= -1e-9
+                lhs, rhs = prop41_sides(RM, A, a)
+                assert lhs - rhs >= -1e-9
                 slack = 0.5 * bminus_norm(A, a) + bplus_norm(A, a)
-                assert rep.gap == pytest.approx(slack, abs=1e-10)
+                assert lhs - rhs == pytest.approx(slack, abs=1e-10)
 
 
 def test_prop41_p1_space_form_zero_tensor():
@@ -366,10 +356,10 @@ def test_prop41_p1_space_form_zero_tensor():
     RM = space_form(4, 1.0)
     A = ONeillTensor(np.zeros((4, 4, 1)))
     a = random_form(rng, 4, 1)
-    rep = prop41_check(RM, A, a)
-    assert rep.satisfied
+    lhs, rhs = prop41_sides(RM, A, a)
+    assert lhs - rhs >= -1e-9
     # with A = 0 and p = 1 the dropped slack is exactly zero
-    assert rep.gap == pytest.approx(0.0, abs=1e-12)
+    assert lhs - rhs == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

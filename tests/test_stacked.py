@@ -77,7 +77,7 @@ def _rows(out, n):
 
 
 def _single(out):
-    """A one-instance evaluation as an array (a float, a list or an array)."""
+    """A one-instance evaluation as an array (from a float or an array)."""
     if isinstance(out, dict):
         return {k: np.asarray(v) for k, v in out.items()}
     return np.asarray(out)
