@@ -27,7 +27,7 @@ from .oneill import (
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_scan,
+    cor31_max,
     hodge_trace_residual,
     master_identity_residual,
     mixed_bivector_term,

@@ -4,7 +4,7 @@ curvature bound checks, with a machine-readable JSON report.
     verify  [--trials N] [--seed S] [--q Q] [--tol T]
     hopf    --m M [--theta t1,t2,...] [--samples N] [--seed S]
     bounds  --theorem {3.1|3.2|4.1|sandwich|cor3.1} --m M [--theta ...]
-            --p P [--samples N] [--trials N] [--seed S] [--tol T]
+            --p P [--samples N] [--seed S] [--tol T]
 
 ``--out PATH`` writes the structured report; ``--quiet`` suppresses the
 human summary.  Identity failures exit nonzero.  Every bounds row, cor3.1
@@ -59,7 +59,7 @@ from .oneill import (
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_scan,
+    cor31_max,
     hodge_trace_residual,
     master_identity_residual,
     sandwich_sides,
@@ -78,19 +78,15 @@ VERIFY_Q_RANGE = (2, 16)
 # of value shape (m-1, m), each with a gradient of 16 (m-1) m^2 bytes; a model
 # whose gradient would pass this size is refused before any point (m <= 128)
 DUAL_PASS_BYTES = 32 * 2**20
-# cor3.1 draws a point's --trials unit 1-forms as one (trials, q) array of
-# 8 trials q bytes; a larger one is refused (1000 trials at m = 128: 2 MB)
-SCAN_BYTES = 32 * 2**20
 # verify draws and evaluates the trials of a (q, p) cell in chunks whose two
 # stacks of dense curvature arrays (R_t, R_K) take at most this many bytes
 VERIFY_CHUNK_BYTES = 2**19
 
 
-def _refuse_below_one(args, *flags):
-    """Refuse, as an input error (exit 2), the first count flag set below 1."""
-    for flag in flags:
-        if getattr(args, flag) < 1:
-            raise ValueError(f"{args.command}: --{flag} must be >= 1")
+def _refuse_below_one(args, flag):
+    """Refuse, as an input error (exit 2), a count flag set below 1."""
+    if getattr(args, flag) < 1:
+        raise ValueError(f"{args.command}: --{flag} must be >= 1")
 
 
 def _tolerance(args, default: float) -> float:
@@ -349,7 +345,7 @@ def cmd_hopf(args) -> int:
 class Bound(NamedTuple):
     """A row of the theorem table."""
 
-    evaluate: Callable  # (ctx, A, rng) -> {check id: (lhs, rhs)} at a sampled point
+    evaluate: Callable  # (ctx, A) -> {check id: (lhs, rhs)} at a sampled point
     needs_p: bool = False  # takes --p under the q >= 4, 2 <= p <= q-2 hypothesis
     finding: tuple[str, str] = ("negative-gap", "bound violated at a sampled point")
 
@@ -360,34 +356,30 @@ def _scal_t(q: int, A) -> float:
 
 
 BOUNDS = {
-    "3.1": Bound(lambda c, A, rng: {"thm3.1": thm31_sides(K0, RHO1, c.q, c.p, A.norm_sq)},
+    "3.1": Bound(lambda c, A: {"thm3.1": thm31_sides(K0, RHO1, c.q, c.p, A.norm_sq)},
                  needs_p=True),
-    "3.2": Bound(lambda c, A, rng: {"thm3.2": thm32_sides(
+    "3.2": Bound(lambda c, A: {"thm3.2": thm32_sides(
         float(c.n * (c.n - 1)), K1, RHO1, c.n, c.q, c.p, A.norm_sq)}, needs_p=True),
-    "4.1": Bound(lambda c, A, rng: {"thm4.1": thm41_sides(
+    "4.1": Bound(lambda c, A: {"thm4.1": thm41_sides(
         _scal_t(c.q, A), K0, RHO1, c.q, c.p, A.norm_sq)}, needs_p=True,
         finding=("negative-gap", "bound violated at a sampled point (existence-type: "
                  "the theorem bounds |A|^2 at some point, not at every point)")),
-    "sandwich": Bound(lambda c, A, rng: {
+    "sandwich": Bound(lambda c, A: {
         f"sandwich.{side}": sides
         for side, sides in sandwich_sides(_scal_t(c.q, A), K0, K1, c.q, A.norm_sq).items()}),
-    # certified when -(q-1)/2 >= the sampled maximum of the obstruction quantity
-    "cor3.1": Bound(lambda c, A, rng: {"cor3.1": (
-        -(c.q - 1) / 2.0, cor31_scan(space_form(c.q, K0), A, c.trials, rng))},
-        finding=("obstruction-not-certified", "sampled maximum of the obstruction "
-                 "quantity exceeded the certification threshold")),
+    # certified when -(q-1)/2 >= the maximum of the obstruction quantity
+    "cor3.1": Bound(lambda c, A: {"cor3.1": (-(c.q - 1) / 2.0, cor31_max(space_form(c.q, K0), A))},
+                    finding=("obstruction-not-certified", "maximum of the obstruction "
+                             "quantity exceeded the certification threshold")),
 }
 
 
 def cmd_bounds(args) -> int:
-    _refuse_below_one(args, "samples", "trials")
+    _refuse_below_one(args, "samples")
     row = BOUNDS[args.theorem]
     tol = _tolerance(args, 1e-9)
     model = _model(args)
     q = model.q
-    if 8 * args.trials * q > SCAN_BYTES:
-        raise ValueError(f"bounds: --trials {args.trials} at q={q} draws {8 * args.trials * q} "
-                         f"bytes per point, over the {SCAN_BYTES}-byte limit")
     if row.needs_p:
         if args.p is None:
             raise ValueError(f"bounds: --p is required for theorem {args.theorem}")
@@ -395,12 +387,12 @@ def cmd_bounds(args) -> int:
     builder = report_mod.ReportBuilder({
         "command": "bounds", "theorem": args.theorem, "m": args.m,
         "theta": list(model.theta), "p": args.p, "samples": args.samples,
-        "trials": args.trials, "seed": args.seed,
+        "seed": args.seed,
     })
-    ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p, trials=args.trials)
+    ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p)
     for k, rng in enumerate(_point_streams(args.seed, args.samples)):
         A, _ = oneill_from_brackets(model, sample_point(model, rng))
-        for name, (lhs, rhs) in row.evaluate(ctx, A, rng).items():
+        for name, (lhs, rhs) in row.evaluate(ctx, A).items():
             check = builder.bound_check(f"bounds.{name}.point{k}", lhs, rhs, tol)
             if not check["pass"]:
                 builder.finding(*row.finding, {"point": k, "check": check["name"],
@@ -450,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--theta", type=str, default=None)
     pb.add_argument("--p", type=int, default=None, help="form degree")
     pb.add_argument("--samples", type=int, default=5)
-    pb.add_argument("--trials", type=int, default=1000,
-                    help="unit 1-forms scanned per point (cor3.1)")
     tolerance(pb)
     common(pb)
     return ap

@@ -49,6 +49,8 @@ __all__ = [
     "curvature_term",
 ]
 
+CHECK_TOL = 1e-10  # of every symmetry, Bianchi and Ricci-trace check of a curvature array
+
 
 class RiemannTensor:
     """A 4-index curvature array R[i,j,k,l] on an orthonormal frame, or a
@@ -61,17 +63,16 @@ class RiemannTensor:
     components.  A structured tensor builds its components on first read.
 
     Every array of components, given or built, is checked for the
-    pair/antisymmetry relations exactly up to ``tol`` and for the first
-    Bianchi identity on every row; violations raise.  A given ``a`` must be
+    pair/antisymmetry relations and for the first Bianchi identity on every
+    row, each up to ``CHECK_TOL``; violations raise.  A given ``a`` must be
     exactly skew in its first two indices.
     """
 
-    __slots__ = ("_components", "_tol", "dimension", "structure")
+    __slots__ = ("_components", "dimension", "structure")
 
-    def __init__(self, components=None, *, tol: float = 1e-10, structure=None,
-                 dimension=None):
+    def __init__(self, components=None, *, structure=None, dimension=None):
         if components is not None:
-            self._components = _checked(components, tol)
+            self._components = _checked(components)
             self.dimension = self._components.shape[-1]
         elif structure is None:
             raise ValueError("a curvature tensor needs its components or its structure (c, a)")
@@ -84,7 +85,6 @@ class RiemannTensor:
             else:
                 self.dimension = a.shape[-2]
             self._components = None
-        self._tol = tol
         self.structure = structure
 
     @property
@@ -96,12 +96,12 @@ class RiemannTensor:
             c, a = self.structure
             q = self.dimension
             R = np.multiply.outer(c, _unit_components(q))
-            R = _checked(R if a is None else _add_oneill_terms(R, a), self._tol)
+            R = _checked(R if a is None else _add_oneill_terms(R, a))
             if a is not None:
                 ric = (np.multiply.outer(c, (q - 1) * np.eye(q))
                        + 3.0 * np.einsum("...lis,...ljs->...ij", a, a))
                 err = np.max(np.abs(ric - np.einsum("...lilj->...ij", R)))
-                if err > 1e-10:
+                if err > CHECK_TOL:
                     raise ValueError(
                         f"transverse Ricci disagrees with Riemann trace by {err:.3e}")
             self._components = R
@@ -129,9 +129,9 @@ class RiemannTensor:
         return f"RiemannTensor(q={self.dimension}, space_form={self.space_form_curvature})"
 
 
-def _checked(components, tol: float) -> np.ndarray:
+def _checked(components) -> np.ndarray:
     """The curvature array, after its symmetries and first Bianchi identity
-    are checked at ``tol`` on every row; a violation raises."""
+    are checked at ``CHECK_TOL`` on every row; a violation raises."""
     R = np.asarray(components, dtype=float)
     q = R.shape[-1]
     if R.ndim not in (4, 5) or R.shape[-4:] != (q, q, q, q):
@@ -139,7 +139,7 @@ def _checked(components, tol: float) -> np.ndarray:
     skew_ij = _max_abs(R + np.einsum("...jikl->...ijkl", R))
     skew_kl = _max_abs(R + np.einsum("...ijlk->...ijkl", R))
     pair = _max_abs(R - np.einsum("...klij->...ijkl", R))
-    if max(skew_ij, skew_kl, pair) > tol:
+    if max(skew_ij, skew_kl, pair) > CHECK_TOL:
         raise ValueError(
             "curvature symmetries violated: "
             f"skew(i,j)={skew_ij:.3e}, skew(k,l)={skew_kl:.3e}, pair={pair:.3e}"
@@ -147,7 +147,7 @@ def _checked(components, tol: float) -> np.ndarray:
     cyclic = R + np.einsum("...jkil->...ijkl", R)
     cyclic += np.einsum("...kijl->...ijkl", R)
     bianchi = _max_abs(cyclic)
-    if bianchi > tol:
+    if bianchi > CHECK_TOL:
         raise ValueError(f"first Bianchi identity violated: residual {bianchi:.3e}")
     return R
 
@@ -212,14 +212,14 @@ def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
 def transverse_riemann(RM: RiemannTensor, A) -> RiemannTensor:
     """The transverse curvature of a space form RM of curvature c and the
     integrability tensor A, the tensor of structure (c, A.a), checked at
-    1e-9 when its components are read; any other ambient is refused."""
+    ``CHECK_TOL`` when its components are read; any other ambient is refused."""
     if A.q != RM.dimension:
         raise ValueError("integrability tensor dimension does not match curvature")
     c = RM.space_form_curvature
     if c is None:
         raise ValueError("the transverse curvature needs a space-form ambient; "
                          "this tensor carries only its components")
-    return RiemannTensor(structure=(c, A.a), tol=1e-9)
+    return RiemannTensor(structure=(c, A.a))
 
 
 def transverse_ricci(RM: RiemannTensor, A) -> tuple[np.ndarray, float]:

@@ -62,7 +62,7 @@ __all__ = [
     "thm31_sides",
     "thm32_sides",
     "thm41_sides",
-    "cor31_scan",
+    "cor31_max",
     "two_form_rewrite",
     "contraction_chain",
     "hodge_trace_residual",
@@ -326,20 +326,20 @@ def thm41_sides(scal_nabla: float, K0: float, rho1: float, q: int, p: int,
     return (2 * q + 1) * norm_sq, rhs
 
 
-def cor31_scan(RM: RiemannTensor, A: ONeillTensor, trials: int, rng_seed) -> float:
-    """Maximum of the obstruction quantity E over random unit 1-forms.
-
-    On a manifold with positive sectional curvature a parallel basic 1-form
-    would force max E >= 0, so a strictly negative sampled maximum certifies
-    (on the sample) the nonexistence obstruction.  For a space form RM, as
-    on every model, S1 = c (q-1) |v|^2 is read from c and S2 vanishes in
-    degree 1, so no q^4 array is built.
-    """
-    rng = np.random.default_rng(rng_seed)  # a Generator is returned unaltered
-    q = RM.dimension
-    v = rng.standard_normal((trials, q))  # the numbers of ``trials`` draws of q
-    v /= np.sqrt(np.vecdot(v, v))[:, None]
-    return float(np.max(prop31_value(RM, A, AlternatingForm(1, q, v))))
+def cor31_max(RM: RiemannTensor, A: ONeillTensor):
+    """Maximum of the obstruction quantity E over unit 1-forms; a strictly
+    negative one rules out a parallel basic 1-form under positive sectional
+    curvature.  In degree 1, S2 and M vanish, so on a space form RM of
+    curvature c, E(v) = v^T (-c (q-1) I - 2 G) v with G[j, k] =
+    sum_{l,s} a[l,j,s] a[l,k,s], whose maximum is -c (q-1) - 2 lambda_min(G).
+    Any other ambient is refused."""
+    c = RM.space_form_curvature
+    if c is None:
+        raise ValueError("the obstruction maximum needs a space-form ambient")
+    if A.q != RM.dimension:
+        raise ValueError("integrability tensor dimension does not match curvature")
+    G = np.einsum("...ljs,...lks->...jk", A.a, A.a)
+    return _value(-c * (A.q - 1) - 2.0 * np.linalg.eigvalsh(G)[..., 0])
 
 
 # -- estimate and identity checks ------------------------------------------------

@@ -8,7 +8,9 @@ The exceptions read the dense frame tables: ``dense_contractions``, the
 reference the package's gather through the signed index rows must equal bit
 for bit, and ``dense_curvature_action``, the Bochner action contracted
 through the dense q^4 tensor, which reads none of the (c, A) structure the
-package's action is computed from.
+package's action is computed from.  ``cor31_scan`` estimates the maximum
+of the package's own ``prop31_value`` by sampling, the definition route
+that ``cor31_max`` reads off an eigenvalue.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from math import factorial
 import numpy as np
 
 from folcurv.exterior import AlternatingForm, interior_matrices, wedge_matrices
+from folcurv.oneill import prop31_value
 
 
 def perm_sign(perm) -> int:
@@ -209,3 +212,13 @@ def dense_curvature_action(R, a):
     Y = np.einsum("iBC,...ijC->...jB", L, phi)                  # sum_i e_i . phi_ij
     out = np.einsum("jAB,...jB->...A", W, Y)                    # sum_j e^j ^ Y_j
     return AlternatingForm(p, q, out)
+
+
+def cor31_scan(RM, A, trials, rng_seed) -> float:
+    """The largest obstruction quantity E = ``prop31_value`` over ``trials``
+    random unit 1-forms, drawn as one (trials, q) array and evaluated in one
+    stacked call; a lower estimate of ``cor31_max``."""
+    rng = np.random.default_rng(rng_seed)
+    v = rng.standard_normal((trials, A.q))
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    return float(np.max(prop31_value(RM, A, AlternatingForm(1, A.q, v))))

@@ -34,7 +34,7 @@ from folcurv.oneill import (
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_scan,
+    cor31_max,
     hodge_trace_residual,
     master_identity_residual,
     prop31_value,
@@ -44,6 +44,8 @@ from folcurv.oneill import (
     thm41_sides,
 )
 from folcurv.synthetic import random_curvature, random_form, random_instance, random_skew_oneill
+
+from oracles import cor31_scan
 
 
 @contextlib.contextmanager
@@ -192,15 +194,18 @@ def test_criterion_09_trace_identity_and_estimates():
 
 
 def test_criterion_10_one_form_obstruction():
-    with criterion("C10", "obstruction scan on the 5- and 7-sphere models: "
-                          "max over 1000 unit 1-forms <= -(q-1)/2 + 1e-9"):
+    with criterion("C10", "1-form obstruction on the 5- and 7-sphere models: "
+                          "exact max over unit 1-forms <= -(q-1)/2 + 1e-9, and "
+                          "max over 1000 sampled unit 1-forms <= it + 1e-12"):
         for m in (3, 4):
             model = WeightedHopfModel(m, (1.0,) * m)
             q = model.q
             pt = sample_point(model, 300 + m)
             A, _ = oneill_from_brackets(model, pt)
-            best = cor31_scan(space_form(q, 1.0), A, trials=1000, rng_seed=m)
+            RM = space_form(q, 1.0)
+            best = cor31_max(RM, A)
             assert best <= -(q - 1) / 2.0 + 1e-9
+            assert cor31_scan(RM, A, trials=1000, rng_seed=m) <= best + 1e-12
 
 
 def test_criterion_11_nonconstancy_and_mean_curvature():

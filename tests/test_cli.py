@@ -1,6 +1,8 @@
 """Command-line driver: schema, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,7 +192,7 @@ def test_bounds_sandwich_and_cor(tmp_path):
         assert abs(g) < 1e-9               # equality on the round sphere
     out2 = tmp_path / "bc.json"
     assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--samples", "2",
-                "--trials", "200", "--seed", "23", "--out", str(out2), "--quiet"]) == 0
+                "--seed", "23", "--out", str(out2), "--quiet"]) == 0
     rep2 = load(out2)
     assert all(c["pass"] for c in rep2["checks"])
     assert all(c["rhs"] <= c["lhs"] + 1e-9 for c in rep2["checks"])
@@ -212,8 +214,6 @@ REFUSED_RUNS = [
      "--samples must be >= 1"),
     (["bounds", "--theorem", "sandwich", "--m", "3", "--samples", "-1"],
      "--samples must be >= 1"),
-    (["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "0", "--samples", "1"],
-     "--trials must be >= 1"),
     (["verify", "--q", "0", "--trials", "1"], "--q must be in [2, 16]"),
     (["verify", "--q", "1", "--trials", "1"], "--q must be in [2, 16]"),
     (["verify", "--q", "-1", "--trials", "1"], "--q must be in [2, 16]"),
@@ -232,8 +232,9 @@ REFUSED_RUNS = [
 ]
 
 
+# ids are pinned by position; argv5, a bounds --trials case, is not reused
 @pytest.mark.parametrize("argv,message", REFUSED_RUNS,
-                         ids=[f"argv{i}" for i in range(len(REFUSED_RUNS))])
+                         ids=[f"argv{i}" for i in range(len(REFUSED_RUNS) + 1) if i != 5])
 def test_empty_runs_are_refused(capsys, argv, message):
     # a run over no trials or samples would pass vacuously or fail midway,
     # and a fiber dimension out of range would do either or exhaust memory
@@ -448,7 +449,7 @@ def test_every_bound_row_runs(tmp_path, dense_builds, theorem):
     ids = BOUND_ROWS[theorem]
     out = tmp_path / "b.json"
     assert run(["bounds", "--theorem", theorem, "--m", "3", "--p", "2", "--samples", "2",
-                "--trials", "20", "--out", str(out), "--quiet"]) == 0
+                "--out", str(out), "--quiet"]) == 0
     rep = load(out)
     assert [c["name"] for c in rep["checks"]] == [
         f"bounds.{i}.point{k}" for k in range(2) for i in ids]
@@ -463,7 +464,7 @@ def test_every_bound_row_keeps_one_pass_rule(tmp_path, monkeypatch, theorem):
     # every row reads lhs >= rhs: gap = lhs - rhs, passing when gap >= -tol,
     # and the summary gaps are the check gaps
     argv = ["bounds", "--theorem", theorem, "--m", "3", "--p", "2", "--samples", "2",
-            "--trials", "20", "--quiet", "--out", str(tmp_path / "b.json")]
+            "--quiet", "--out", str(tmp_path / "b.json")]
     assert run(argv) == 0
     rep = load(tmp_path / "b.json")
     for c in rep["checks"]:
@@ -473,8 +474,8 @@ def test_every_bound_row_keeps_one_pass_rule(tmp_path, monkeypatch, theorem):
     # an lhs one below its rhs violates every check of the row
     row = cli.BOUNDS[theorem]
 
-    def violated(c, A, rng):
-        return {name: (rhs - 1.0, rhs) for name, (_, rhs) in row.evaluate(c, A, rng).items()}
+    def violated(c, A):
+        return {name: (rhs - 1.0, rhs) for name, (_, rhs) in row.evaluate(c, A).items()}
 
     monkeypatch.setitem(cli.BOUNDS, theorem, row._replace(evaluate=violated))
     assert run(argv) == 0
@@ -513,11 +514,12 @@ def test_unit_sphere_runs_allocate_far_less_than_one_q4_array(tmp_path, argv):
 
 @pytest.mark.parametrize("theta", ["1,0.2,0.1", "1,0.5,0.1", "1,0.3,0.3"])
 def test_cor31_passes_by_its_structural_margin(tmp_path, theta):
-    # in degree 1 the scanned E(v) = -Ric(v, v) - 2V of the unit sphere is at
-    # most -(q-1), below the threshold -(q-1)/2, at every point and weight
+    # in degree 1 the maximum -(q-1) - 2 lambda_min(G) of E(v) = -Ric(v, v) - 2V
+    # on the unit sphere is at most -(q-1), below the threshold -(q-1)/2, at
+    # every point and weight
     out = tmp_path / "c.json"
     assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--theta", theta,
-                "--samples", "3", "--trials", "200", "--out", str(out), "--quiet"]) == 0
+                "--samples", "3", "--out", str(out), "--quiet"]) == 0
     rep = load(out)
     q = 4
     assert len(rep["checks"]) == 3 and rep["findings"] == []
@@ -528,7 +530,7 @@ def test_cor31_passes_by_its_structural_margin(tmp_path, theta):
 def test_cor31_reads_tol(tmp_path):
     out = tmp_path / "c.json"
     assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--samples", "1",
-                "--trials", "20", "--tol", "1e-3", "--out", str(out), "--quiet"]) == 0
+                "--tol", "1e-3", "--out", str(out), "--quiet"]) == 0
     assert [c["tol"] for c in load(out)["checks"]] == [1e-3]
 
 
@@ -546,16 +548,39 @@ def test_bound_findings_name_their_point(tmp_path, monkeypatch):
         assert list(f["values"]) == ["point", "check", "oneill_norm_sq"]
         point = f["values"]["point"]
         assert check["name"] == f["values"]["check"] == f"bounds.thm3.1.point{point}"
-    # an uncertified obstruction: a scan maximum above -(q-1)/2 at every point
-    monkeypatch.setattr(cli, "cor31_scan", lambda RM, A, trials, rng: 0.0)
+    # an uncertified obstruction: a maximum above -(q-1)/2 at every point
+    monkeypatch.setattr(cli, "cor31_max", lambda RM, A: 0.0)
     assert run(["bounds", "--theorem", "cor3.1", "--m", "3", "--samples", "2",
-                "--trials", "5", "--out", str(out), "--quiet"]) == 0
+                "--out", str(out), "--quiet"]) == 0
     rep = load(out)
     assert [f["kind"] for f in rep["findings"]] == ["obstruction-not-certified"] * 2
     checks = {c["name"]: c for c in rep["checks"]}
     assert [(f["values"]["point"], checks[f["values"]["check"]]["lhs"],
              checks[f["values"]["check"]]["rhs"])
             for f in rep["findings"]] == [(0, -1.5, 0.0), (1, -1.5, 0.0)]
+
+
+def test_cor31_rhs_is_the_exact_maximum(tmp_path):
+    # the rhs at each point is cor31_max at the point drawn from that point's stream
+    out = tmp_path / "c.json"
+    argv = ["bounds", "--theorem", "cor3.1", "--m", "4", "--theta", "1,0.9,0.6,0.3",
+            "--samples", "3", "--seed", "5", "--out", str(out), "--quiet"]
+    assert run(argv) == 0
+    model = hopf.WeightedHopfModel(4, (1.0, 0.9, 0.6, 0.3))
+    expect = []
+    for rng in cli._point_streams(5, 3):
+        A, _ = hopf.oneill_from_brackets(model, hopf.sample_point(model, rng))
+        expect.append(oneill.cor31_max(curvature.space_form(model.q, 1.0), A))
+    assert [c["rhs"] for c in load(out)["checks"]] == expect
+
+
+def test_bounds_takes_no_trials(capsys):
+    # cor3.1 reads its maximum exactly, so --trials is an unrecognized argument
+    with pytest.raises(SystemExit) as exc:
+        run(["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "5", "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --trials 5" in err and "Traceback" not in err
 
 
 class Reached(Exception):
@@ -600,23 +625,6 @@ def test_oversized_dual_pass_is_refused(capsys, monkeypatch, argv):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(cli.DUAL_PASS_BYTES) in lines[0]
-
-
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "1000000000000000"],
-    ["bounds", "--theorem", "cor3.1", "--m", "128", "--trials", "16514"],
-])
-def test_oversized_scan_is_refused(capsys, monkeypatch, argv):
-    # cor3.1 draws a (trials, q) array per point; over cli.SCAN_BYTES the run
-    # ends with one error line before any point, not a memory error
-    def drawn(*args, **kwargs):
-        raise AssertionError("a point was drawn before --trials was checked")
-
-    monkeypatch.setattr(cli, "sample_point", drawn)
-    assert run(argv + ["--samples", "1", "--quiet"]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert str(cli.SCAN_BYTES) in lines[0]
 
 
 def test_unwritable_out_is_an_input_error(capsys, tmp_path):
@@ -677,7 +685,7 @@ def test_out_that_fails_when_written_is_an_input_error(capsys, tmp_path):
     (["bounds", "--theorem", "3.1", "--m", "40", "--p", "2"], "sample_point"),
     (["bounds", "--theorem", "3.2", "--m", "40", "--p", "2"], "sample_point"),
     (["hopf", "--m", "128"], "sample_point"),  # the largest m the dual pass allows
-    (["bounds", "--theorem", "cor3.1", "--m", "128"], "sample_point"),  # 1000 trials
+    (["bounds", "--theorem", "cor3.1", "--m", "128"], "sample_point"),
 ])
 def test_runs_without_a_large_dense_array_are_not_refused(monkeypatch, argv, step):
     def reached(*args, **kwargs):
@@ -719,3 +727,41 @@ def test_cli_prints_human_summary(capsys, tmp_path):
          "--out", str(tmp_path / "h.json")])
     msg = capsys.readouterr().out
     assert "checks:" in msg and "failed: 0" in msg
+
+
+# ---------------------------------------------------------------------------
+# the README's command examples
+# ---------------------------------------------------------------------------
+
+
+def readme_commands():
+    """The ``folcurv`` lines of the command block under "Command-line
+    driver", each as (argv, the gap its comment states, or None)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command-line driver", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("folcurv "):
+            command, _, comment = line.partition("#")
+            gap = re.search(r"\bgap (\S+)", comment)
+            commands.append((command.split()[1:], float(gap[1]) if gap else None))
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_states_gaps():
+    assert len(README_COMMANDS) >= 5
+    assert sum(gap is not None for _, gap in README_COMMANDS) >= 3
+
+
+@pytest.mark.parametrize("argv,gap", README_COMMANDS,
+                         ids=["-".join(argv[:5]) for argv, _ in README_COMMANDS])
+def test_readme_commands_run(tmp_path, argv, gap):
+    # each example exits 0; a gap its comment states is every gap of its report
+    out = tmp_path / "r.json"
+    assert run(argv + ["--quiet", "--out", str(out)]) == 0
+    if gap is not None:
+        gaps = load(out)["summary"]["gap"]
+        assert abs(gaps["min"] - gap) <= 1e-9 and abs(gaps["max"] - gap) <= 1e-9

@@ -17,6 +17,7 @@ from folcurv.curvature import (
     transverse_riemann,
 )
 from folcurv.exterior import AlternatingForm, contractions, inner, interior_vector, wedge
+from folcurv.hopf import WeightedHopfModel, oneill_from_brackets, sample_point
 from folcurv.oneill import (
     ONeillTensor,
     bminus_norm,
@@ -24,7 +25,7 @@ from folcurv.oneill import (
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_scan,
+    cor31_max,
     hodge_trace_residual,
     master_identity_residual,
     mixed_bivector_term,
@@ -39,7 +40,7 @@ from folcurv.oneill import (
 )
 from folcurv.synthetic import random_curvature, random_form, random_instance, random_skew_oneill
 
-from oracles import basis_form
+from oracles import basis_form, cor31_scan
 
 
 def hopf_like_oneill(q=4):
@@ -363,19 +364,78 @@ def test_prop41_p1_space_form_zero_tensor():
 
 
 # ---------------------------------------------------------------------------
-# corollary scan
+# corollary 3.1: the exact maximum of the 1-form obstruction
 # ---------------------------------------------------------------------------
 
 
-def test_cor31_scan_signs():
-    A = hopf_like_oneill()
-    RM = space_form(4, 1.0)
-    best = cor31_scan(RM, A, trials=500, rng_seed=3)
-    assert best < -(4 - 1) / 2.0          # comfortably negative
-    flat = cor31_scan(space_form(4, 0.0), ONeillTensor(np.zeros((4, 4, 1))), 100, 3)
-    assert flat == 0.0
-    neg = cor31_scan(space_form(4, -0.5), ONeillTensor(np.zeros((4, 4, 1))), 100, 3)
-    assert neg > 0.0
+def obstruction_matrix(c, A):
+    """The q x q matrix of E on 1-forms, -c (q-1) I - 2 G, with G summed one
+    (l, s) term at a time: G = sum_{l,s} a[l,:,s] a[l,:,s]^T."""
+    q = A.q
+    G = np.zeros((q, q))
+    for l, s in itertools.product(range(q), range(A.vdim)):
+        G += np.outer(A.a[l, :, s], A.a[l, :, s])
+    return -c * (q - 1) * np.eye(q) - 2.0 * G
+
+
+COR31_CASES = [(q, vdim, c) for q in (3, 4, 6) for vdim in (1, 2, 3)
+               for c in (-1.5, -0.5, 0.0, 0.7, 1.0)]
+
+
+def test_obstruction_matrix_is_prop31_value_on_one_forms():
+    # degree 1: E(v) = v^T M v on a stack of random, not unit, 1-forms
+    rng = np.random.default_rng(61)
+    for q, vdim, c in COR31_CASES:
+        A = random_skew_oneill(rng, q, vdim)
+        v = rng.standard_normal((50, q))
+        E = prop31_value(space_form(q, c), A, AlternatingForm(1, q, v))
+        expect = np.einsum("nj,jk,nk->n", v, obstruction_matrix(c, A), v)
+        assert np.all(np.abs(E - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect)))
+
+
+def test_cor31_max_is_attained_at_the_top_eigenvector():
+    rng = np.random.default_rng(67)
+    for q, vdim, c in COR31_CASES:
+        A = random_skew_oneill(rng, q, vdim)
+        RM = space_form(q, c)
+        w, V = np.linalg.eigh(obstruction_matrix(c, A))
+        best = cor31_max(RM, A)
+        scale = max(1.0, abs(best))
+        assert abs(best - w[-1]) <= 1e-12 * scale
+        top = prop31_value(RM, A, AlternatingForm.one_form(q, V[:, -1]))
+        assert abs(top - best) <= 1e-12 * scale
+
+
+def test_sampled_scan_never_exceeds_cor31_max():
+    rng = np.random.default_rng(71)
+    for k, (q, vdim, c) in enumerate(COR31_CASES):
+        A = random_skew_oneill(rng, q, vdim)
+        RM = space_form(q, c)
+        assert cor31_scan(RM, A, 200, k) <= cor31_max(RM, A) + 1e-12
+
+
+def test_cor31_max_signs():
+    assert cor31_max(space_form(4, 1.0), hopf_like_oneill()) == -5.0    # G = I
+    zero = ONeillTensor(np.zeros((4, 4, 1)))
+    assert cor31_max(space_form(4, 0.0), zero) == 0.0
+    assert cor31_max(space_form(4, -0.5), zero) == 1.5
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_cor31_max_on_unit_weights_is_minus_q_plus_one(m):
+    # a = -J on the Hopf models, so G = I and max E = -(q-1) - 2
+    model = WeightedHopfModel(m, (1.0,) * m)
+    A, _ = oneill_from_brackets(model, sample_point(model, 400 + m))
+    assert cor31_max(space_form(model.q, 1.0), A) == pytest.approx(-(model.q + 1), abs=1e-12)
+
+
+def test_cor31_max_refuses_a_generic_ambient():
+    rng = np.random.default_rng(73)
+    A = random_skew_oneill(rng, 4, 2)
+    with pytest.raises(ValueError, match="space-form ambient"):
+        cor31_max(random_curvature(rng, 4), A)
+    with pytest.raises(ValueError, match="space-form ambient"):
+        cor31_max(transverse_riemann(space_form(4, 1.0), A), A)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import folcurv.cli as cli
-from folcurv import oneill
 from folcurv.curvature import (
     RiemannTensor,
     curvature_action_on_form,
@@ -24,7 +23,7 @@ from folcurv.oneill import (
     bplus_norm,
     bplus_norm_closed,
     contraction_chain,
-    cor31_scan,
+    cor31_max,
     hodge_trace_residual,
     master_identity_residual,
     prop31_value,
@@ -50,6 +49,7 @@ EVALUATORS = {
     "two_form_rewrite": lambda RM, A, a, RK: two_form_rewrite(RK, a),
     "contraction_chain": lambda RM, A, a, RK: contraction_chain(A, a),
     "prop31_value": lambda RM, A, a, RK: prop31_value(RM, A, a),
+    "cor31_max": lambda RM, A, a, RK: cor31_max(RM, A),
 }
 
 
@@ -173,40 +173,3 @@ def test_verify_reports_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch)
     assert [c["pass"] for c in a["checks"]] == [c["pass"] for c in b["checks"]]
     for x, y in zip(a["checks"], b["checks"]):
         assert abs(x["lhs"] - y["lhs"]) <= 1e-13
-
-
-def test_cor31_scan_is_one_stacked_evaluation(monkeypatch):
-    # the trials' unit 1-forms are one (trials, q) draw, evaluated at once,
-    # and their maximum is the maximum of the per-draw loop
-    rng = np.random.default_rng(5)
-    RM, A, _ = random_instance(rng, 5, 1, vdim=2)
-    loop_rng = np.random.default_rng(11)
-    loop = []
-    for _ in range(300):
-        v = loop_rng.standard_normal(5)
-        loop.append(prop31_value(RM, A, AlternatingForm.one_form(5, v / np.linalg.norm(v))))
-    calls = []
-    real = oneill.prop31_value
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(oneill, "prop31_value", counting)
-    best = cor31_scan(RM, A, 300, 11)
-    assert calls == [1]
-    assert abs(best - max(loop)) <= 1e-12
-
-
-def test_bounds_cor31_makes_one_evaluation_per_point(monkeypatch):
-    calls = []
-    real = oneill.prop31_value
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(oneill, "prop31_value", counting)
-    assert cli.main(["bounds", "--theorem", "cor3.1", "--m", "3", "--trials", "1000",
-                     "--samples", "5", "--quiet"]) == 0
-    assert len(calls) == 5
