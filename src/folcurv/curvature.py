@@ -29,6 +29,7 @@ import numpy as np
 from .exterior import (
     AlternatingForm,
     _contract,
+    _gram,
     _pair,
     _value,
     _wedge_coeffs,
@@ -165,12 +166,12 @@ def _unit_components(q: int) -> np.ndarray:
 
 def _add_oneill_terms(R: np.ndarray, a: np.ndarray) -> np.ndarray:
     """R + 2 G(ij, kl) - G(jk, il) - G(ki, jl), G(ij, kl) = sum_s a[i,j,s]
-    a[k,l,s], summed in one new buffer."""
-    Rt = np.einsum("...ijs,...kls->...ijkl", a, a)
-    Rt *= 2.0
+    a[k,l,s], from one Gram product G and two axis-permuted views of it."""
+    G = _gram(a, 2)
+    Rt = 2.0 * G
     Rt += R
-    Rt -= np.einsum("...jks,...ils->...ijkl", a, a)
-    Rt -= np.einsum("...kis,...jls->...ijkl", a, a)
+    Rt -= np.moveaxis(G, -2, -4)        # G[j, k, i, l]
+    Rt -= np.moveaxis(G, -4, -2)        # G[k, i, j, l]
     return Rt
 
 
@@ -217,8 +218,9 @@ def transverse_riemann(RM: RiemannTensor, A) -> RiemannTensor:
         raise ValueError("integrability tensor dimension does not match curvature")
     c = RM.space_form_curvature
     if c is None:
-        raise ValueError("the transverse curvature needs a space-form ambient; "
-                         "this tensor carries only its components")
+        why = ("this tensor carries only its components" if RM.structure is None
+               else "this tensor is not a space form: it carries O'Neill terms")
+        raise ValueError(f"the transverse curvature needs a space-form ambient; {why}")
     return RiemannTensor(structure=(c, A.a))
 
 
@@ -301,7 +303,10 @@ def bivector_curvature_sum(R: RiemannTensor, a: AlternatingForm):
     if c is not None:
         return _value(c * (2 * a.degree * (a.degree - 1)) * a.norm_sq)
     P = contractions(a, 2)
-    return _pair(np.einsum("...ijkl,...klA->...ijA", R.components, P), P, 3)
+    q = a.dimension
+    P = P.reshape(P.shape[:-3] + (q * q, -1))
+    Rc = R.components
+    return _pair(Rc.reshape(Rc.shape[:-4] + (q * q, q * q)) @ P, P, 2)
 
 
 def curvature_term(R: RiemannTensor, a: AlternatingForm):

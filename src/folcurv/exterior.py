@@ -7,7 +7,8 @@ carries the 1/p! normalization, under which the stored coefficient vector is
 orthonormal and <a, b> collapses to a plain dot product.
 
 A form may carry one leading stack axis: ``coeffs`` of shape (n, C(q, p))
-holds n forms of one degree, and every product below acts row by row.
+holds n forms of one degree, and every product below acts row by row; a
+vector argument may likewise be a stack of shape (n, q).
 
 Orientation is the ordered frame itself.  The Hodge star sign is pinned by
 a ^ (*a) = |a|^2 vol, which also yields the contraction rule
@@ -125,11 +126,22 @@ def _pair(T: np.ndarray, U: np.ndarray, axes: int):
                             U.reshape(U.shape[:U.ndim - axes] + (-1,))))
 
 
-def _components(v, q: int) -> np.ndarray:
-    """Coerce an array-like of frame components to a length-q array."""
+def _gram(X: np.ndarray, k: int) -> np.ndarray:
+    """G[..., I, J] = sum_A X[..., I, A] X[..., J, A], each of I and J the k
+    axes before the last of X; one matmul over the flattened I."""
+    lead, mid = X.shape[:X.ndim - 1 - k], X.shape[X.ndim - 1 - k:-1]
+    Y = X.reshape(lead + (-1, X.shape[-1]))
+    return (Y @ np.swapaxes(Y, -1, -2)).reshape(lead + mid + mid)
+
+
+def _components(v, q: int, stack: tuple[int, ...] = ()) -> np.ndarray:
+    """Coerce an array-like of frame components to a length-q array, or to
+    a stack (n, q) of them; a stack must match a stacked form's ``stack``."""
     c = np.asarray(v, dtype=float)
-    if c.shape != (q,):
+    if c.ndim not in (1, 2) or c.shape[-1] != q:
         raise ValueError(f"expected a vector of dimension {q}, got shape {c.shape}")
+    if c.ndim == 2 and stack and c.shape[:1] != stack:
+        raise ValueError(f"a stack of {len(c)} vectors against a stack of {stack[0]} forms")
     return c
 
 
@@ -138,16 +150,18 @@ class AlternatingForm:
 
     ``coeffs[..., r]`` is the value on the frame vectors of the rank-r
     increasing multi-index; a two-dimensional ``coeffs`` is a stack of forms,
-    one per row.
+    one per row.  ``contractions`` keeps its tables on the form and then
+    makes ``coeffs`` read-only, so write ``coeffs`` only before the first read.
     """
 
-    __slots__ = ("degree", "dimension", "coeffs")
+    __slots__ = ("degree", "dimension", "coeffs", "_tables")
 
     def __init__(self, degree: int, dimension: int, coeffs=None):
         if not 0 <= degree <= dimension:
             raise ValueError(f"degree {degree} out of range for dimension {dimension}")
         self.degree = degree
         self.dimension = dimension
+        self._tables = {}
         n = comb(dimension, degree)
         if coeffs is None:
             self.coeffs = np.zeros(n)
@@ -235,11 +249,14 @@ def wedge(a: AlternatingForm, b: AlternatingForm) -> AlternatingForm:
 
 
 def interior_vector(v, a: AlternatingForm) -> AlternatingForm:
-    """Interior product (v . a)(Y_1, ..., Y_{p-1}) = a(v, Y_1, ..., Y_{p-1})."""
+    """Interior product (v . a)(Y_1, ..., Y_{p-1}) = a(v, Y_1, ..., Y_{p-1});
+    a stack of vectors v contracts row by row."""
     if a.degree == 0:
         raise ValueError("cannot contract a scalar")
     q = a.dimension
-    return AlternatingForm(a.degree - 1, q, _components(v, q) @ _contract(a.coeffs, q, a.degree))
+    v = _components(v, q, a.stack)
+    y = v[..., None, :] @ _contract(a.coeffs, q, a.degree)
+    return AlternatingForm(a.degree - 1, q, y[..., 0, :])
 
 
 def inner(a: AlternatingForm, b: AlternatingForm):
@@ -262,8 +279,9 @@ def hodge(a: AlternatingForm) -> AlternatingForm:
 
 
 def flat(v, q: int) -> AlternatingForm:
-    """The 1-form metrically dual to a vector (same frame components)."""
-    return AlternatingForm.one_form(q, _components(v, q))
+    """The 1-form metrically dual to a vector (same frame components), or
+    the stack of them for a stack of vectors."""
+    return AlternatingForm(1, q, _components(v, q))
 
 
 # -- contraction tables ------------------------------------------------------
@@ -293,11 +311,20 @@ def interior_matrices(q: int, p: int) -> np.ndarray:
 
 def contractions(a: AlternatingForm, k: int) -> np.ndarray:
     """Table C with C[i_1, ..., i_k] = coeffs(a(e_i1, ..., e_ik, .)), the
-    first k slots filled in order; shape a.stack + (q,) * k + (C(q, p-k),)."""
+    first k slots filled in order; shape a.stack + (q,) * k + (C(q, p-k),).
+
+    Table k is built once, from table k - 1, and kept on the form; it is
+    read-only, and so is ``a.coeffs`` (table 0) from the first read on.
+    Rebinding ``a.coeffs`` drops the kept tables."""
     q, p = a.dimension, a.degree
     if not 0 <= k <= p:
         raise ValueError(f"cannot contract {k} slots of a degree-{p} form")
-    out = a.coeffs
-    for d in range(p, p - k, -1):
-        out = _contract(out, q, d)
-    return out
+    tables = a._tables
+    if tables.get(0) is not a.coeffs:  # first read, or coeffs rebound since
+        tables.clear()
+        a.coeffs.flags.writeable = False
+        tables[0] = a.coeffs
+    for d in range(len(tables), k + 1):
+        tables[d] = _contract(tables[d - 1], q, p - d + 1)
+        tables[d].flags.writeable = False
+    return tables[k]

@@ -39,6 +39,7 @@ from .curvature import (
 )
 from .exterior import (
     AlternatingForm,
+    _gram,
     _pair,
     _value,
     _wedge_coeffs,
@@ -103,13 +104,6 @@ class ONeillTensor:
 # -- elementary quantities -----------------------------------------------------
 
 
-def _gram(X: np.ndarray, k: int) -> np.ndarray:
-    """Pairings of the contraction table X = contractions(a, k):
-    <X[i_1..i_k], X[j_1..j_k]>, indexed (i_1..i_k, j_1..j_k)."""
-    i, j = "ijkl"[:k], "ijkl"[k:2 * k]
-    return np.einsum(f"...{i}A,...{j}A->...{i}{j}", X, X)
-
-
 def vertical_contraction_term(A: ONeillTensor, a: AlternatingForm):
     """V = sum_{l,s} |A_{e_l} V_s . a|^2, evaluated literally; equals
     sum g(A_l e_i, A_l e_j) <e_i.a, e_j.a>."""
@@ -164,7 +158,7 @@ def bplus_norm_closed(A: ONeillTensor, a: AlternatingForm):
     G = np.einsum("...kis,...kjs->...ij", A.a, A.a)
     out = _pair(G, _gram(contractions(a, 1), 1), 2)
     if a.degree >= 2:
-        H = np.einsum("...ils,...jks->...ijkl", A.a, A.a)
+        H = np.moveaxis(_gram(A.a, 2), -3, -1)          # G[i, l, j, k]
         out = out + _pair(H, _gram(contractions(a, 2), 2), 4)
     return out
 
@@ -201,7 +195,7 @@ def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm):
         return _zeros(a)
     G = np.einsum("...ils,...jls->...ij", A.a, A.a)
     half = (p - 1) * _pair(G, _gram(contractions(a, 1), 1), 2)
-    H = np.einsum("...ils,...kjs->...ijkl", A.a, A.a)
+    H = np.swapaxes(_gram(A.a, 2), -3, -1)          # G[i, l, k, j]
     half = half - _pair(H, _gram(contractions(a, 2), 2), 4)
     return 2.0 * half
 

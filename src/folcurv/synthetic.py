@@ -9,7 +9,7 @@ curvature tensors.
 Each distribution is one draw (the generator calls) and one build (array
 operations that act row by row on a leading stack axis), so a stack of
 trials built from ``random_trials`` equals, row by row, the instances drawn
-one at a time from the same generator.
+one at a time from the same generator (``tests/oracles.py`` draws them so).
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from .exterior import AlternatingForm
 from .oneill import ONeillTensor
 
 __all__ = [
-    "random_space_form",
-    "random_curvature",
-    "random_skew_oneill",
     "random_form",
-    "random_instance",
     "random_trials",
     "Trials",
 ]
@@ -49,7 +45,7 @@ def _build_unit(x: np.ndarray) -> np.ndarray:
 
 
 def _draw_matrix_pair(rng: np.random.Generator, q: int) -> np.ndarray:
-    return np.array([rng.standard_normal((q, q)) for _ in range(2)])
+    return rng.standard_normal((2, q, q))
 
 
 def _build_kulkarni_nomizu(h: np.ndarray) -> np.ndarray:
@@ -60,42 +56,15 @@ def _build_kulkarni_nomizu(h: np.ndarray) -> np.ndarray:
     R = 0.0
     for t in range(2):
         g = h[..., t, :, :]
-        square = np.einsum("...ik,...jl->...ijkl", g, g)
-        square -= np.einsum("...il,...jk->...ijkl", g, g)
+        square = g[..., :, None, :, None] * g[..., None, :, None, :]   # g_ik g_jl
+        square -= g[..., :, None, None, :] * g[..., None, :, :, None]  # g_il g_jk
         R = R + square
     return R
-
-
-def random_space_form(rng: np.random.Generator, q: int) -> RiemannTensor:
-    return space_form(q, _draw_curvature_constant(rng))
-
-
-def random_curvature(rng: np.random.Generator, q: int) -> RiemannTensor:
-    """Random algebraic curvature tensor: a sum of two Kulkarni-Nomizu squares
-    of random symmetric matrices (each summand satisfies all the curvature
-    symmetries including first Bianchi)."""
-    return RiemannTensor(_build_kulkarni_nomizu(_draw_matrix_pair(rng, q)))
-
-
-def random_skew_oneill(rng: np.random.Generator, q: int, vdim: int) -> ONeillTensor:
-    return ONeillTensor(_build_skew(rng.standard_normal((q, q, vdim))))
 
 
 def random_form(rng: np.random.Generator, q: int, p: int) -> AlternatingForm:
     """Random unit p-form."""
     return AlternatingForm(p, q, _build_unit(rng.standard_normal(comb(q, p))))
-
-
-def random_instance(
-    rng: np.random.Generator, q: int, p: int, vdim: int
-) -> tuple[RiemannTensor, ONeillTensor, AlternatingForm]:
-    """A (space-form R, skew A, unit p-form) triple on which every algebraic
-    identity of the suite holds exactly."""
-    return (
-        random_space_form(rng, q),
-        random_skew_oneill(rng, q, vdim),
-        random_form(rng, q, p),
-    )
 
 
 class Trials(NamedTuple):
@@ -117,9 +86,9 @@ class Trials(NamedTuple):
 
 
 def random_trials(rng: np.random.Generator, q: int, p: int, vdims) -> list[Trials]:
-    """Trials drawn in order, trial k being ``random_instance(rng, q, p,
-    vdims[k])`` followed by ``random_curvature(rng, q)``, with the same
-    generator calls; one ``Trials`` per vdim, in order of first appearance.
+    """Trials drawn in order, trial k drawing a space-form curvature, the
+    (q, q, vdims[k]) normals of A, the normals of a p-form and the matrix
+    pair of R_K; one ``Trials`` per vdim, in order of first appearance.
     Only the draws are held: each stack of dense curvature arrays is made
     by its ``build``."""
     draws: dict[int, list] = {}

@@ -11,6 +11,13 @@ through the dense q^4 tensor, which reads none of the (c, A) structure the
 package's action is computed from.  ``cor31_scan`` estimates the maximum
 of the package's own ``prop31_value`` by sampling, the definition route
 that ``cor31_max`` reads off an eigenvalue.
+
+The one-at-a-time draws (``random_instance`` and its parts) build on the
+draw helpers of ``folcurv.synthetic``, so a stack of ``random_trials``
+holds, row by row, the numbers they draw.  The ``einsum`` definitions of
+the O'Neill terms and the Gram pairings, and the one-form-at-a-time
+exterior loop of ``verify``, are the references of the package's Gram
+products and stacked exterior checks.
 """
 
 import itertools
@@ -18,8 +25,25 @@ from math import factorial
 
 import numpy as np
 
-from folcurv.exterior import AlternatingForm, interior_matrices, wedge_matrices
-from folcurv.oneill import prop31_value
+from folcurv.curvature import RiemannTensor, space_form
+from folcurv.exterior import (
+    AlternatingForm,
+    contractions,
+    flat,
+    hodge,
+    interior_matrices,
+    interior_vector,
+    wedge,
+    wedge_matrices,
+)
+from folcurv.oneill import ONeillTensor, prop31_value
+from folcurv.synthetic import (
+    _build_kulkarni_nomizu,
+    _build_skew,
+    _draw_curvature_constant,
+    _draw_matrix_pair,
+    random_form,
+)
 
 
 def perm_sign(perm) -> int:
@@ -222,3 +246,111 @@ def cor31_scan(RM, A, trials, rng_seed) -> float:
     v = rng.standard_normal((trials, A.q))
     v /= np.sqrt(np.vecdot(v, v))[:, None]
     return float(np.max(prop31_value(RM, A, AlternatingForm(1, A.q, v))))
+
+
+# -- one-at-a-time draws --------------------------------------------------------
+
+
+def random_space_form(rng, q):
+    return space_form(q, _draw_curvature_constant(rng))
+
+
+def random_curvature(rng, q):
+    """Random algebraic curvature tensor: a sum of two Kulkarni-Nomizu squares
+    of random symmetric matrices (each summand satisfies all the curvature
+    symmetries including first Bianchi)."""
+    return RiemannTensor(_build_kulkarni_nomizu(_draw_matrix_pair(rng, q)))
+
+
+def random_skew_oneill(rng, q, vdim):
+    return ONeillTensor(_build_skew(rng.standard_normal((q, q, vdim))))
+
+
+def random_instance(rng, q, p, vdim):
+    """A (space-form R, skew A, unit p-form) triple on which every algebraic
+    identity of the suite holds exactly."""
+    return random_space_form(rng, q), random_skew_oneill(rng, q, vdim), random_form(rng, q, p)
+
+
+# -- einsum definitions of the Gram products --------------------------------------
+
+
+def einsum_oneill_terms(R, a):
+    """R + 2 G(ij, kl) - G(jk, il) - G(ki, jl), each term its own einsum."""
+    Rt = np.einsum("...ijs,...kls->...ijkl", a, a)
+    Rt *= 2.0
+    Rt += R
+    Rt -= np.einsum("...jks,...ils->...ijkl", a, a)
+    Rt -= np.einsum("...kis,...jls->...ijkl", a, a)
+    return Rt
+
+
+def einsum_bplus_h(a):
+    """H[i,j,k,l] = g(A_i e_l, A_j e_k) of the closed form of |B+|^2."""
+    return np.einsum("...ils,...jks->...ijkl", a, a)
+
+
+def einsum_bminus_h(a):
+    """H[i,j,k,l] = g(A_i e_l, A_k e_j) of the closed form of |B-|^2."""
+    return np.einsum("...ils,...kjs->...ijkl", a, a)
+
+
+def einsum_gram(X, k):
+    """<X[i_1..i_k], X[j_1..j_k]> over the last axis, indexed (i_1..i_k, j_1..j_k)."""
+    i, j = "ijkl"[:k], "ijkl"[k:2 * k]
+    return np.einsum(f"...{i}A,...{j}A->...{i}{j}", X, X)
+
+
+def einsum_norm_closed(A, a, sign):
+    """The closed forms of |B+(a)|^2 (sign +1) and |B-(a)|^2 (sign -1) with
+    every pairing an einsum: the q^2 term, plus (B+) or minus (B-) the q^4
+    term of the H array, and the B- weights (2 (p-1), 2)."""
+    p = a.degree
+    G = np.einsum("...kis,...kjs->...ij", A.a, A.a)
+    first = np.einsum("...ij,...ij->...", G, einsum_gram(contractions(a, 1), 1))
+    if p < 2:
+        return first
+    H = einsum_bplus_h(A.a) if sign > 0 else einsum_bminus_h(A.a)
+    second = np.einsum("...ijkl,...ijkl->...", H, einsum_gram(contractions(a, 2), 2))
+    return first + second if sign > 0 else 2.0 * ((p - 1) * first - second)
+
+
+def einsum_bivector_curvature_sum(R, a):
+    """S2 = sum R[i,j,k,l] <(e_j^e_i).a, (e_l^e_k).a> as one einsum pairing."""
+    P = contractions(a, 2)
+    return np.einsum("...ijkl,...klA,...ijA->...", R.components, P, P)
+
+
+# -- the exterior checks of verify, one form at a time ----------------------------
+
+
+def exterior_maxima_loop(rng, q, rounds):
+    """The five exterior-algebra maxima of ``verify``, each property
+    evaluated on one form (or pair of forms) right after its draws."""
+    invol = prop22 = leibniz = contr = anticomm = 0.0
+    for _ in range(rounds):
+        for p in range(0, q + 1):
+            a = random_form(rng, q, p)
+            sign = (-1) ** (p * (q - p))
+            invol = max(invol, float(np.max(np.abs(hodge(hodge(a)).coeffs - sign * a.coeffs))))
+            x = rng.standard_normal(q)
+            if p < q:
+                lhs = interior_vector(x, hodge(a))
+                rhs = ((-1) ** p) * hodge(wedge(flat(x, q), a))
+                prop22 = max(prop22, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+            if p >= 1:
+                total = sum(np.vecdot(v, v) for v in contractions(a, 1))
+                contr = max(contr, abs(total - p * a.norm_sq))
+        pw = rng.integers(1, q)
+        pt = rng.integers(1, q - pw + 1)
+        w1 = random_form(rng, q, int(pw))
+        t1 = random_form(rng, q, int(pt))
+        x = rng.standard_normal(q)
+        lhs = interior_vector(x, wedge(w1, t1))
+        rhs = (wedge(interior_vector(x, w1), t1)
+               + ((-1) ** w1.degree) * wedge(w1, interior_vector(x, t1)))
+        leibniz = max(leibniz, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+        anticomm = max(anticomm, float(np.max(np.abs(
+            wedge(w1, t1).coeffs - ((-1) ** (w1.degree * t1.degree)) * wedge(t1, w1).coeffs))))
+    return {"hodge_involution": invol, "hodge_contraction_rule": prop22, "leibniz": leibniz,
+            "contraction_sum": contr, "graded_anticommutativity": anticomm}

@@ -43,9 +43,9 @@ from folcurv.oneill import (
     thm32_sides,
     thm41_sides,
 )
-from folcurv.synthetic import random_curvature, random_form, random_instance, random_skew_oneill
+from folcurv.synthetic import random_form
 
-from oracles import cor31_scan
+from oracles import cor31_scan, random_curvature, random_instance, random_skew_oneill
 
 
 @contextlib.contextmanager

@@ -11,6 +11,8 @@ import folcurv.cli as cli
 from folcurv import curvature, exterior, hopf, oneill
 from folcurv.report import dumps_report
 
+from oracles import exterior_maxima_loop
+
 
 def run(args):
     return cli.main(args)
@@ -66,6 +68,20 @@ def test_verify_detects_injected_sign_bug(tmp_path, monkeypatch):
     code = run(["verify", "--trials", "5", "--seed", "1", "--q", "4",
                 "--out", str(tmp_path / "r.json"), "--quiet"])
     assert code != 0
+
+
+@pytest.mark.parametrize("rounds", [1, 10, 200])
+@pytest.mark.parametrize("q", range(2, 7))
+def test_stacked_exterior_checks_are_the_one_at_a_time_loop(q, rounds):
+    # the same draws in the same order, evaluated one stack per degree and
+    # per degree pair: the five maxima and the generator's end state agree
+    stacked, loop = np.random.default_rng(q + rounds), np.random.default_rng(q + rounds)
+    got = cli._exterior_maxima(stacked, q, rounds)
+    want = exterior_maxima_loop(loop, q, rounds)
+    assert list(got) == list(want)
+    for name, r in want.items():
+        assert abs(got[name] - r) <= 1e-15, name
+    assert stacked.bit_generator.state == loop.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +248,16 @@ REFUSED_RUNS = [
 ]
 
 
-# ids are pinned by position; argv5, a bounds --trials case, is not reused
+def _refusal_id(argv, message) -> str:
+    """The command, the flag the refusal names and its value: verify-trials0."""
+    flag = message.split()[0]
+    i = next(i for i, arg in enumerate(argv) if arg.partition("=")[0] == flag)
+    value = argv[i].partition("=")[2] or argv[i + 1]
+    return f"{argv[0]}-{flag[2:]}{value}"
+
+
 @pytest.mark.parametrize("argv,message", REFUSED_RUNS,
-                         ids=[f"argv{i}" for i in range(len(REFUSED_RUNS) + 1) if i != 5])
+                         ids=[_refusal_id(*case) for case in REFUSED_RUNS])
 def test_empty_runs_are_refused(capsys, argv, message):
     # a run over no trials or samples would pass vacuously or fail midway,
     # and a fiber dimension out of range would do either or exhaust memory

@@ -23,14 +23,15 @@ from folcurv.curvature import (
 )
 from folcurv.exterior import AlternatingForm, hodge, inner
 from folcurv.oneill import ONeillTensor
-from folcurv.synthetic import (
+from folcurv.synthetic import random_form
+
+from oracles import (
+    dense_curvature_action,
+    naive_curvature_action_value,
     random_curvature,
-    random_form,
     random_instance,
     random_skew_oneill,
 )
-
-from oracles import dense_curvature_action, naive_curvature_action_value
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +144,13 @@ def test_transverse_riemann_matches_loop_oracle():
 
 def test_transverse_riemann_refuses_a_generic_ambient():
     rng = np.random.default_rng(18)
-    with pytest.raises(ValueError, match="space-form ambient"):
-        transverse_riemann(random_curvature(rng, 4), random_skew_oneill(rng, 4, 2))
+    A = random_skew_oneill(rng, 4, 2)
+    with pytest.raises(ValueError, match="space-form ambient; this tensor carries only its "
+                                         "components"):
+        transverse_riemann(random_curvature(rng, 4), A)
+    # a structured ambient that is itself transverse is not a space form
+    with pytest.raises(ValueError, match="space-form ambient; this tensor is not a space form"):
+        transverse_riemann(transverse_riemann(space_form(4, 1.0), A), A)
 
 
 def test_failed_ricci_trace_keeps_no_components(monkeypatch):

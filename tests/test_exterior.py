@@ -204,6 +204,54 @@ def test_contractions_match_basis_value_oracle():
         contractions(random_form(rng, 3, 1), 2)
 
 
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_contraction_tables_are_kept_on_the_form(stack):
+    # each table equals the uncached _contract chain, is read-only and is
+    # the same object when read again; from the first read on, coeffs is
+    # read-only, so an in-place write raises instead of staling a table
+    rng = np.random.default_rng(20)
+    for q in range(1, 7):
+        for p in range(q + 1):
+            a = AlternatingForm(p, q, rng.standard_normal(stack + (comb(q, p),)))
+            a.coeffs[..., 0] = 1.0
+            chain = a.coeffs.copy()
+            for k in range(p + 1):
+                if k:
+                    chain = _contract(chain, q, p - k + 1)
+                T = contractions(a, k)
+                assert np.array_equal(T, chain)
+                assert not T.flags.writeable
+                assert contractions(a, k) is T
+            with pytest.raises(ValueError):
+                a.coeffs[..., 0] = 2.0
+            assert np.array_equal(contractions(a, 0), a.coeffs)
+            # rebound coefficients get tables of their own
+            a.coeffs = 2.0 * a.coeffs
+            assert np.array_equal(contractions(a, p), 2.0 * chain)
+
+
+def test_stacked_vectors_contract_row_by_row():
+    rng = np.random.default_rng(21)
+    for q in range(2, 7):
+        x = rng.standard_normal((4, q))
+        assert np.array_equal(flat(x, q).coeffs, x)
+        for i in range(4):
+            assert np.array_equal(flat(x, q).coeffs[i], flat(x[i], q).coeffs)
+        for p in range(1, q + 1):
+            a = AlternatingForm(p, q, rng.standard_normal((4, comb(q, p))))
+            one = random_form(rng, q, p)
+            stacked, broadcast = interior_vector(x, a), interior_vector(x, one)
+            assert stacked.stack == broadcast.stack == (4,)
+            for i in range(4):
+                row = AlternatingForm(p, q, a.coeffs[i])
+                assert np.allclose(stacked.coeffs[i], interior_vector(x[i], row).coeffs,
+                                   rtol=0, atol=1e-15)
+                assert np.allclose(broadcast.coeffs[i], interior_vector(x[i], one).coeffs,
+                                   rtol=0, atol=1e-15)
+            with pytest.raises(ValueError, match="a stack of 3 vectors against a stack of 4"):
+                interior_vector(x[:3], a)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(st.integers(1, 7).flatmap(lambda q: st.tuples(
     st.just(q), st.integers(1, q), st.sampled_from([(), (3,)]), st.integers(0, 2**32 - 1))))

@@ -2,6 +2,7 @@
 master identity, and the bound evaluators."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from folcurv.curvature import (
     transverse_ricci,
     transverse_riemann,
 )
+from folcurv import exterior
+from folcurv.curvature import _add_oneill_terms
 from folcurv.exterior import AlternatingForm, contractions, inner, interior_vector, wedge
 from folcurv.hopf import WeightedHopfModel, oneill_from_brackets, sample_point
 from folcurv.oneill import (
@@ -38,9 +41,19 @@ from folcurv.oneill import (
     two_form_rewrite,
     vertical_contraction_term,
 )
-from folcurv.synthetic import random_curvature, random_form, random_instance, random_skew_oneill
+from folcurv.synthetic import random_form
 
-from oracles import basis_form, cor31_scan
+from oracles import (
+    basis_form,
+    cor31_scan,
+    einsum_bivector_curvature_sum,
+    einsum_gram,
+    einsum_norm_closed,
+    einsum_oneill_terms,
+    random_curvature,
+    random_instance,
+    random_skew_oneill,
+)
 
 
 def hopf_like_oneill(q=4):
@@ -607,3 +620,47 @@ def test_identity_terms_are_frame_rotation_invariant(q, p, vdim):
         after = _identity_terms(c, A_rot, RK_rot, a_rot)
         for name, t in before.items():
             assert abs(after[name] - t) <= 1e-12 * max(1.0, abs(t)), (name, t, after[name])
+
+
+def _within(x, y, scale=None):
+    """x and y have one shape and differ by at most 1e-13 times max |y|, or
+    times the largest ``scale`` where y may vanish exactly (a B+ at p = q)."""
+    x, y = np.asarray(x), np.asarray(y)
+    scale = np.abs(y) if scale is None else scale
+    return x.shape == y.shape and np.max(np.abs(x - y)) <= 1e-13 * np.max(scale)
+
+
+def _gram_draws(rng, q, vdim, n):
+    """(A, R_K, c) of one instance (n None) or of a stack of n."""
+    if n is None:
+        return random_skew_oneill(rng, q, vdim), random_curvature(rng, q), rng.uniform(-1.5, 1.5)
+    return (ONeillTensor(np.array([random_skew_oneill(rng, q, vdim).a for _ in range(n)])),
+            RiemannTensor(np.array([random_curvature(rng, q).components for _ in range(n)])),
+            rng.uniform(-1.5, 1.5, n))
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_gram_products_match_their_einsum_definitions(q):
+    # R_t, the H arrays of the B+/B- closed forms, the Gram pairings of the
+    # contraction tables and S2 are one matmul each; their einsum
+    # definitions give the same values, for one instance and a stack
+    rng = np.random.default_rng(50 + q)
+    for vdim in (1, 2, 3):
+        for n in (None, 3):
+            A, RK, c = _gram_draws(rng, q, vdim, n)
+            R = space_form(q, c).components
+            assert _within(_add_oneill_terms(R, A.a), einsum_oneill_terms(R, A.a))
+            assert _within(exterior._gram(A.a, 2), einsum_gram(A.a, 2))
+            for p in range(1, min(q, 3) + 1):
+                a = AlternatingForm(p, q, rng.standard_normal(
+                    (() if n is None else (n,)) + (comb(q, p),)))
+                for k in range(1, min(p, 2) + 1):
+                    X = contractions(a, k)
+                    assert _within(exterior._gram(X, k), einsum_gram(X, k))
+                size = A.norm_sq * a.norm_sq
+                assert _within(bplus_norm_closed(A, a), einsum_norm_closed(A, a, +1), size)
+                if p >= 2:
+                    assert _within(bminus_norm_closed(A, a), einsum_norm_closed(A, a, -1), size)
+                    assert _within(bivector_curvature_sum(RK, a),
+                                   einsum_bivector_curvature_sum(RK, a),
+                                   np.sqrt(np.sum(RK.components ** 2)) * a.norm_sq)

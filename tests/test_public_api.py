@@ -21,12 +21,6 @@ UNREAD_EXPORTS = {
     ("exterior", "wedge_matrices"),
     # no check reads it until the benchmark lets a new check name join
     ("oneill", "prop41_sides"),
-    # the one-at-a-time references that tests/test_stacked.py compares stacks
-    # against, and the two draws that only random_instance reads
-    ("synthetic", "random_curvature"),
-    ("synthetic", "random_instance"),
-    ("synthetic", "random_space_form"),
-    ("synthetic", "random_skew_oneill"),
 }
 
 

@@ -29,9 +29,9 @@ from folcurv.oneill import (
     prop31_value,
     two_form_rewrite,
 )
-from folcurv.synthetic import random_curvature, random_instance, random_trials
+from folcurv.synthetic import _build_kulkarni_nomizu, _draw_matrix_pair, random_trials
 
-from oracles import dense_curvature_action
+from oracles import dense_curvature_action, random_curvature, random_instance
 
 # every stacked evaluator, as a function of one (R_M, A, a, R_K) stack or instance
 EVALUATORS = {
@@ -157,6 +157,23 @@ def test_stacked_draws_are_the_one_at_a_time_draws(q, p):
     assert all(seen[v] == len(built[v][2].coeffs) for v in seen)
     # the generator is left where the one-at-a-time draws leave it
     assert stacked_rng.standard_normal() == single_rng.standard_normal()
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 16])
+def test_kulkarni_nomizu_draws_and_squares_are_their_definitions(q):
+    # one (2, q, q) draw is two (q, q) draws, and the broadcast square is
+    # the einsum g_ik g_jl - g_il g_jk, bit for bit, for one pair and a stack
+    one, two = np.random.default_rng(q), np.random.default_rng(q)
+    h = _draw_matrix_pair(one, q)
+    assert np.array_equal(h, np.array([two.standard_normal((q, q)) for _ in range(2)]))
+    for h in (h, np.random.default_rng(q + 1).standard_normal((3, 2, q, q))):
+        g = (h + np.swapaxes(h, -2, -1)) / (2.0 * np.sqrt(q))
+        want = 0.0
+        for t in range(2):
+            square = np.einsum("...ik,...jl->...ijkl", g[..., t, :, :], g[..., t, :, :])
+            square -= np.einsum("...il,...jk->...ijkl", g[..., t, :, :], g[..., t, :, :])
+            want = want + square
+        assert np.array_equal(_build_kulkarni_nomizu(h), want)
 
 
 def test_verify_reports_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch):
