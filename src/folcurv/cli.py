@@ -45,6 +45,7 @@ from .hopf import (
     FRAME_TOL,
     BracketRouteError,
     DegeneratePointError,
+    SpherePoint,
     WeightedHopfModel,
     adapted_frame,
     kahler_form,
@@ -54,6 +55,7 @@ from .hopf import (
     sample_point,
 )
 from .oneill import (
+    ONeillTensor,
     _check_pq,
     bminus_norm,
     bminus_norm_closed,
@@ -75,12 +77,12 @@ from .synthetic import random_form, random_trials
 # table at 32 bytes a row, has 2,018,016 rows (62 MiB, built in 0.3 s) at
 # q = 16, 5.7 M (174 MiB, 1.2 s) at q = 17 and 17.2 M (525 MiB) at q = 18
 VERIFY_Q_RANGE = (2, 16)
-# the frame's dual pass (hopf.fields_YW) holds about ten Dual intermediates
-# of value shape (m-1, m), each with a gradient of 16 (m-1) m^2 bytes; a model
-# whose gradient would pass this size is refused before any point (m <= 128)
-DUAL_PASS_BYTES = 32 * 2**20
-# verify draws and evaluates the trials of a (q, p) cell in chunks whose two
-# stacks of dense curvature arrays (R_t, R_K) take at most this many bytes
+# the largest array a sample point holds is the frame's (2m-1) x (2m-1) Gram
+# matrix; a model whose Gram matrix would pass this is refused (m <= 512)
+DUAL_PASS_BYTES = 8 * 2**20
+# verify evaluates the trials of a (q, p) cell in chunks whose two stacks of
+# dense curvature arrays (R_t, R_K) take at most this many bytes; hopf and
+# bounds, chunks of points whose pass peaks near eight (q, 2m) arrays a point
 VERIFY_CHUNK_BYTES = 2**19
 
 
@@ -101,14 +103,14 @@ def _tolerance(args, default: float) -> float:
 
 
 def _model(args) -> WeightedHopfModel:
-    """The model of --m and --theta; one whose frame's dual pass would hold
-    gradients over ``DUAL_PASS_BYTES`` is refused as an input error (exit 2)
-    before anything is allocated."""
+    """The model of --m and --theta; one whose frame Gram matrix, the largest
+    array a point holds, would pass ``DUAL_PASS_BYTES`` is refused as an
+    input error (exit 2) before anything is allocated."""
     m = args.m
-    nbytes = 16 * (m - 1) * m * m
+    nbytes = 8 * (2 * m - 1) ** 2
     if nbytes > DUAL_PASS_BYTES:
-        raise ValueError(f"{args.command}: the dual pass at m={m} holds gradients of {nbytes} "
-                         f"bytes, over the {DUAL_PASS_BYTES}-byte limit (m <= 128)")
+        raise ValueError(f"{args.command}: a point at m={m} holds a frame Gram matrix of "
+                         f"{nbytes} bytes, over the {DUAL_PASS_BYTES}-byte limit (m <= 512)")
     theta = (1.0,) * m if args.theta is None else tuple(float(t) for t in args.theta.split(","))
     return WeightedHopfModel(m, theta)
 
@@ -121,6 +123,16 @@ def _point_streams(seed: int, n: int):
     root = np.random.SeedSequence(seed)
     for _ in range(n):
         yield np.random.default_rng(root.spawn(1)[0])
+
+
+def _point_chunks(model: WeightedHopfModel, seed: int, n: int):
+    """The n sample points, each drawn by ``sample_point`` from its own
+    ``_point_streams`` child, as (index of the first, stack) chunks."""
+    size = max(1, VERIFY_CHUNK_BYTES // (8 * 8 * model.q * 2 * model.m))
+    streams = _point_streams(seed, n)
+    for k0 in range(0, n, size):
+        zs = [sample_point(model, next(streams)).z for _ in range(min(size, n - k0))]
+        yield k0, SpherePoint(np.array(zs))
 
 
 def _refuse_unwritable_out(args):
@@ -310,39 +322,38 @@ def cmd_hopf(args) -> int:
     })
     q = model.q
     norms_bracket, norms_closed, kappa_norms = [], [], []
-    for k, rng in enumerate(_point_streams(args.seed, args.samples)):
-        pt = sample_point(model, rng)
-        frame = adapted_frame(model, pt)
-        builder.residual_check(f"hopf.frame_gram.point{k}", frame.gram_residual, FRAME_TOL)
-        A, _ = oneill_from_brackets(model, pt, frame=frame)
-        closed = oneill_closed_form(model, pt)
-        norms_bracket.append(A.norm_sq)
-        norms_closed.append(closed)
-        if abs(closed - A.norm_sq) > 1e-8:
-            builder.finding(
-                "closed-form-discrepancy",
-                "closed-form |A|^2 (as printed) disagrees with the bracket "
-                "route; the bracket route is the source of truth",
-                {"point": k, "bracket": A.norm_sq, "closed": closed,
-                 "difference": closed - A.norm_sq})
-        kappa = float(np.linalg.norm(mean_curvature(model, pt)))
-        kappa_norms.append(kappa)
-        if model.is_hopf:
-            builder.residual_check(
-                f"hopf.oneill_norm_value.point{k}",
-                A.norm_sq - 2.0 * (model.m - 1), 1e-9)
-            builder.residual_check(f"hopf.mean_curvature_zero.point{k}", kappa, 1e-10)
-            Rn = transverse_riemann(space_form(q, K0), A)
-            builder.residual_check(
-                f"hopf.transverse_scalar.point{k}",
-                Rn.scalar() - (q * (q - 1) + 3.0 * A.norm_sq), 1e-9)
-            w = kahler_form(model, frame)
-            act = curvature_action_on_form(Rn, w)
-            builder.residual_check(
-                f"hopf.kahler_parallel.point{k}",
-                float(np.linalg.norm(act.coeffs)), 1e-9)
-            builder.residual_check(
-                f"hopf.kahler_curvature_pairing.point{k}", inner(act, w), 1e-9)
+    for k0, pts in _point_chunks(model, args.seed, args.samples):
+        frame = adapted_frame(model, pts)
+        A, _ = oneill_from_brackets(model, pts, frame=frame)
+        norms, closed = A.norm_sq.tolist(), oneill_closed_form(model, pts).tolist()
+        kappas = np.linalg.norm(mean_curvature(model, pts), axis=-1).tolist()
+        norms_bracket += norms
+        norms_closed += closed
+        kappa_norms += kappas
+        forms = kahler_form(model, frame).coeffs if model.is_hopf else ()
+        rows = zip(norms, closed, kappas, frame.gram_residual.tolist())
+        for r, (norm, cf, kappa, gram) in enumerate(rows):
+            k = k0 + r
+            builder.residual_check(f"hopf.frame_gram.point{k}", gram, FRAME_TOL)
+            if abs(cf - norm) > 1e-8:
+                builder.finding(
+                    "closed-form-discrepancy",
+                    "closed-form |A|^2 (as printed) disagrees with the bracket "
+                    "route; the bracket route is the source of truth",
+                    {"point": k, "bracket": norm, "closed": cf, "difference": cf - norm})
+            if model.is_hopf:
+                builder.residual_check(
+                    f"hopf.oneill_norm_value.point{k}", norm - 2.0 * (model.m - 1), 1e-9)
+                builder.residual_check(f"hopf.mean_curvature_zero.point{k}", kappa, 1e-10)
+                Rn = transverse_riemann(space_form(q, K0), ONeillTensor(A.a[r]))
+                builder.residual_check(f"hopf.transverse_scalar.point{k}",
+                                       Rn.scalar() - (q * (q - 1) + 3.0 * norm), 1e-9)
+                w = AlternatingForm(2, q, forms[r])
+                act = curvature_action_on_form(Rn, w)
+                builder.residual_check(f"hopf.kahler_parallel.point{k}",
+                                       float(np.linalg.norm(act.coeffs)), 1e-9)
+                builder.residual_check(
+                    f"hopf.kahler_curvature_pairing.point{k}", inner(act, w), 1e-9)
     nb = np.asarray(norms_bracket)
     summary = {
         "oneill_norm_sq": {
@@ -411,13 +422,14 @@ def cmd_bounds(args) -> int:
         "seed": args.seed,
     })
     ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p)
-    for k, rng in enumerate(_point_streams(args.seed, args.samples)):
-        A, _ = oneill_from_brackets(model, sample_point(model, rng))
-        for name, (lhs, rhs) in row.evaluate(ctx, A).items():
-            check = builder.bound_check(f"bounds.{name}.point{k}", lhs, rhs, tol)
-            if not check["pass"]:
-                builder.finding(*row.finding, {"point": k, "check": check["name"],
-                                               "oneill_norm_sq": A.norm_sq})
+    for k0, pts in _point_chunks(model, args.seed, args.samples):
+        A, _ = oneill_from_brackets(model, pts)
+        for k, Ak in enumerate(map(ONeillTensor, A.a), start=k0):
+            for name, (lhs, rhs) in row.evaluate(ctx, Ak).items():
+                check = builder.bound_check(f"bounds.{name}.point{k}", lhs, rhs, tol)
+                if not check["pass"]:
+                    builder.finding(*row.finding, {"point": k, "check": check["name"],
+                                                   "oneill_norm_sq": Ak.norm_sq})
     gaps = [c["gap"] for c in builder.checks]
     _emit(args, builder, {"gap": {"min": min(gaps), "max": max(gaps), "per_check": gaps},
                           "all_passed": builder.all_passed})

@@ -12,7 +12,7 @@ differentiated here; ``sqrt`` extends the reach to normalized fields.
 ``CDual`` packs two duals into a complex array with the few operations the
 sphere fields need: products, multiplication by i, squared modulus,
 indexing, and the interleaved real form.  ``suffix_sum`` gives the strict
-tail sums sum_{k>l} x_k of an array or a dual along its first axis.
+tail sums sum_{k>l} x_k of an array or a dual along its last value axis.
 """
 
 from __future__ import annotations
@@ -156,21 +156,23 @@ class CDual:
 def seed_point(x: np.ndarray) -> CDual:
     """Lift interleaved real coordinates [x0, y0, x1, y1, ...] to the complex
     dual coordinates z_k = x_k + i y_k, seeded with the identity tangent
-    basis."""
-    eye = np.eye(x.shape[0])
-    return CDual(Dual(x[0::2], eye[0::2]), Dual(x[1::2], eye[1::2]))
+    basis; leading axes of x are points, each seeded on its own."""
+    eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape[:-1] + (x.shape[-1],) * 2)
+    return CDual(Dual(x[..., 0::2], eye[..., 0::2, :]), Dual(x[..., 1::2], eye[..., 1::2, :]))
 
 
-def _tails(x: np.ndarray) -> np.ndarray:
+def _tails(x: np.ndarray, axis: int) -> np.ndarray:  # axis -1 or -2
+    rest = (slice(None),) * (-1 - axis)
     out = np.zeros_like(x)
-    out[:-1] = np.cumsum(x[:0:-1], axis=0)[::-1]
+    out[(..., slice(None, -1)) + rest] = np.cumsum(
+        x[(..., slice(None, 0, -1)) + rest], axis=axis)[(..., slice(None, None, -1)) + rest]
     return out
 
 
 def suffix_sum(x):
-    """Strict suffix sums along the first axis, out[l] = sum_{k>l} x[k]
-    (zero in the last place), of an array or a ``Dual``: one reversed
-    ``cumsum``, whose Jacobian is the same sum of the gradient rows."""
+    """Strict suffix sums along the last value axis, out[..., l] = sum_{k>l}
+    x[..., k] (zero in the last place), of an array or a ``Dual``: one
+    reversed ``cumsum``, whose Jacobian is the same sum of the gradient rows."""
     if isinstance(x, Dual):
-        return Dual(_tails(x.value), _tails(x.grad))
-    return _tails(np.asarray(x, dtype=float))
+        return Dual(_tails(x.value, -1), _tails(x.grad, -2))
+    return _tails(np.asarray(x, dtype=float), -1)

@@ -15,12 +15,12 @@ frame are polynomial in the realified coordinates:
            theta_p theta_{p+1} |z_p|^2 i z_{p+1}, ..., theta_p theta_m |z_p|^2 i z_m)
     W_{m-1} = (0, ..., -theta_m |z_m|^2 i z_{m-1}, theta_{m-1} |z_{m-1}|^2 i z_m)
 
-for l in 1..m-1 and p in 1..m-2.  X is linear (its Jacobian is i theta); Y
-and W brackets use exact forward-mode Jacobians, and the integrability tensor
-follows from the vertical projection of half the bracket.  The frame
-degenerates where coordinates vanish, so points are rejection-sampled away
-from the degenerate strata, by a margin on |z_k|^2 that shrinks with 1/m^2
-above m = 16.
+for l in 1..m-1 and p in 1..m-2.  X is linear (its Jacobian is i theta); the
+integrability tensor is half the vertical part of the brackets of Y and W,
+whose pairings with X need only the exact gradients of <Z_j, X>.  Each
+evaluator takes a point or a stack of them.  The frame degenerates where
+coordinates vanish, so points are rejection-sampled away from the
+degenerate strata, by a margin on |z_k|^2 that shrinks with 1/m^2 above 16.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import seed_point, suffix_sum
-from .exterior import AlternatingForm
+from .exterior import AlternatingForm, _value
 from .oneill import ONeillTensor
 
 __all__ = [
@@ -90,13 +90,13 @@ class WeightedHopfModel:
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """A unit point of the sphere, stored in complex coordinates."""
+    """A unit point of the sphere in complex coordinates (m,), or a stack (n, m)."""
 
     z: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
-        if abs(np.linalg.norm(self.z) - 1.0) > 1e-12:
+        if np.any(np.abs(np.linalg.norm(self.z, axis=-1) - 1.0) > 1e-12):
             raise ValueError("sphere point must have unit norm")
 
     @property
@@ -105,23 +105,17 @@ class SpherePoint:
 
 
 def realify(z: np.ndarray) -> np.ndarray:
-    """Complex m-vector to interleaved real 2m-vector [x1, y1, x2, y2, ...]."""
-    out = np.empty(2 * len(z))
-    out[0::2] = np.real(z)
-    out[1::2] = np.imag(z)
-    return out
+    """Complex m-vectors to interleaved real 2m-vectors [x1, y1, x2, y2, ...]."""
+    return np.stack([z.real, z.imag], axis=-1).reshape(*z.shape[:-1], -1)
 
 
 def complexify(x: np.ndarray) -> np.ndarray:
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def apply_complex_structure(x: np.ndarray) -> np.ndarray:
     """Multiplication by i in interleaved real coordinates (last axis)."""
-    out = np.empty_like(x)
-    out[..., 0::2] = -x[..., 1::2]
-    out[..., 1::2] = x[..., 0::2]
-    return out
+    return np.stack([-x[..., 1::2], x[..., 0::2]], axis=-1).reshape(x.shape)
 
 
 FRAME_TOL = 1e-10  # the largest Gram or tangency residual of a frame (hopf.frame_gram)
@@ -142,98 +136,114 @@ def degeneracy_margin(m: int) -> float:
 
 
 def generating_field(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
-    """The generating field X = i theta z, shape (2m,).  It is linear in z, so
+    """The generating field X = i theta z, shape (..., 2m).  It is linear in z, so
     its Jacobian is the constant matrix of multiplication by i theta, and it
     never degenerates on the sphere."""
     return apply_complex_structure(np.repeat(model.theta, 2) * realify(point.z))
 
 
-# -- frame fields on dual numbers: each family is a few array operations over
-# the CDual coordinates seeded at a point, giving values and exact Jacobians
+# -- the point pass: frame field values and their pairings with X, differentiated
 
 
-def fields_YW(model: WeightedHopfModel, point: SpherePoint):
-    """The 2m-2 horizontal frame fields, ordered as ``field_labels``, with
-    their exact Jacobians, from one dual-number evaluation at the point:
-    ``(fields, jacobians)`` of shapes (q, 2m) and (q, 2m, 2m).
+def fields_YW(model: WeightedHopfModel, point: SpherePoint, x: np.ndarray):
+    """The 2m-2 horizontal frame fields at the points (..., m), ordered as
+    ``field_labels``, and the gradients u_j = DZ_j^T x of their pairings
+    with x (..., 2m) held fixed: ``(fields, u)``, both (..., q, 2m).
 
-    Row l of Y (and of W) is a coefficient row times z (times i z): the
-    diagonal entry is minus the tail sum_{k>l} |z_k|^2 (weighted by theta_k^2
-    for W), the entries right of it are |z_l|^2 (times theta_l theta_k for W).
-    The last row of W is W_{m-1} as defined, not the general row.
-
-    Raises ``DegeneratePointError`` when a coordinate modulus falls below
-    ``degeneracy_margin(m)`` or a squared field norm below the floor
-    margin^3 min(theta)^4 that it implies (resample the point)."""
-    eps_deg = degeneracy_margin(model.m)
-    if np.min(point.moduli_sq) < eps_deg:
-        raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
+    Row l of Y (of W) is a coefficient row times z (times i z): the diagonal
+    entry is minus the tail sum_{k>l} |z_k|^2 (weighted by theta_k^2 for W),
+    the entries right of it are |z_l|^2 (times theta_l theta_k for W), and
+    W_{m-1} as defined is that row over theta_m.  With g_k = <z_k, x_k> and
+    h_k = <i z_k, x_k> the pairings are suffix sums,
+        <Y_l, x> = |z_l|^2 sum_{k>l} g_k - (sum_{k>l} |z_k|^2) g_l,
+        <W_p, x> = theta_p |z_p|^2 sum_{k>p} theta_k h_k - (sum_{k>p} theta_k^2 |z_k|^2) h_p,
+    so one forward-mode sweep of O(m) duals with 2m tangents gives every u_j
+    and no field Jacobian is formed.  ``adapted_frame`` checks the points."""
     m = model.m
     th = np.asarray(model.theta)
-    z = seed_point(realify(point.z))
-    iz = z.times_i()
-    mod = z.abs2()                                   # |z_k|^2
+    scale = np.append(np.ones(m - 2), 1.0 / th[-1])  # W_{m-1} = general row / theta_m
+    z = realify(point.z).reshape(-1, 2 * m)
+    x = np.reshape(x, (-1, 2 * m))
+    zc = seed_point(z)
+    mod = zc.abs2()                                  # |z_k|^2
     tail = suffix_sum(mod)                           # sum_{k>l} |z_k|^2
     wtail = suffix_sum(mod * th**2)                  # sum_{k>l} theta_k^2 |z_k|^2
+    g = zc.re * x[:, 0::2] + zc.im * x[:, 1::2]      # <z_k, x_k>
+    h = zc.re * x[:, 1::2] - zc.im * x[:, 0::2]      # <i z_k, x_k>
+    head = mod[:, :-1]
+    y_pair = head * suffix_sum(g)[:, :-1] - tail[:, :-1] * g[:, :-1]
+    w_pair = (head * suffix_sum(h * th)[:, :-1] * th[:-1] - wtail[:, :-1] * h[:, :-1]) * scale
     rows, cols = np.ogrid[:m - 1, :m]
     diag, upper = (cols == rows) * 1.0, (cols > rows) * 1.0
-    last = (np.arange(m - 1) == m - 2) * 1.0         # the row of W_{m-1}
-    weight = np.outer(th[:-1], th) * upper           # theta_p theta_k, k > p
-    weight[m - 2, m - 1] = th[m - 2]
-    w_diag = wtail[:-1] * (1.0 - last) + mod[m - 1] * (th[m - 1] * last)
-    y = z * (mod[:-1, None] * upper - tail[:-1, None] * diag)
-    w = iz * (mod[:-1, None] * weight - w_diag[:, None] * diag)
-    y, w = y.interleaved(), w.interleaved()
-    fields = np.concatenate([y.value, w.value])
-    low = np.flatnonzero(np.vecdot(fields, fields) < eps_deg**3 * min(model.theta) ** 4)
-    if low.size:
-        raise DegeneratePointError(f"field {field_labels(model)[low[0]]} degenerates at this point")
-    return fields, np.concatenate([y.grad, w.grad])
+    y = head.value[:, :, None] * upper - tail.value[:, :-1, None] * diag    # coefficient rows
+    w = (head.value[:, :, None] * np.outer(th[:-1], th) * upper
+         - wtail.value[:, :-1, None] * diag) * scale[:, None]
+    fields = np.concatenate([np.repeat(y, 2, axis=-1) * z[:, None],
+                             np.repeat(w, 2, axis=-1) * apply_complex_structure(z)[:, None]], 1)
+    u = np.concatenate([y_pair.grad, w_pair.grad], axis=1)
+    shape = point.z.shape[:-1] + (model.q, 2 * m)
+    return fields.reshape(shape), u.reshape(shape)
+
+
+def _first(bad) -> tuple | None:
+    """The index of the first flagged point of a mask (``()`` for one), or None."""
+    return np.unravel_index(np.argmax(bad), bad.shape) if bad.any() else None
 
 
 @dataclass
 class AdaptedFrame:
-    """Orthonormal frame adapted to the foliation at a point: the normalized
-    generating field plus the normalized horizontal fields, with the
-    unnormalized horizontal fields and their exact Jacobians."""
+    """Orthonormal frame adapted to the foliation at a point, or a stack of
+    them: the normalized generating field and horizontal fields, with the
+    unnormalized horizontal fields and the gradients u_j = DZ_j^T X."""
 
     vertical: np.ndarray
-    horizontal: np.ndarray          # shape (q, 2m)
+    horizontal: np.ndarray          # shape (..., q, 2m)
     field_norms: np.ndarray         # unnormalized |Z_i|
     vertical_norm: float            # |X|
     gram_residual: float
     tangency_residual: float
-    fields: np.ndarray              # unnormalized Z_i, shape (q, 2m)
-    jacobians: np.ndarray           # DZ_i, shape (q, 2m, 2m)
+    fields: np.ndarray              # unnormalized Z_i, shape (..., q, 2m)
+    u: np.ndarray                   # DZ_i^T X, shape (..., q, 2m)
 
 
 def adapted_frame(model: WeightedHopfModel, point: SpherePoint) -> AdaptedFrame:
-    """X and the ``fields_YW`` fields at the point, normalized; a basis off
-    orthonormal or sphere-tangent by more than ``FRAME_TOL`` is degenerate."""
+    """X and the ``fields_YW`` fields at the points, normalized.  The first
+    point with a coordinate modulus below ``degeneracy_margin(m)``, a squared
+    field norm below the floor margin^3 min(theta)^4 that it implies, or a
+    basis off orthonormal or sphere-tangent by more than ``FRAME_TOL``
+    raises ``DegeneratePointError`` for the first of these (resample it)."""
+    eps_deg = degeneracy_margin(model.m)
     x_amb = generating_field(model, point)
-    fields, jacobians = fields_YW(model, point)
-    nx = np.linalg.norm(x_amb)
-    norms = np.sqrt(np.vecdot(fields, fields))
-    horizontal = fields / norms[:, None]
-    vertical = x_amb / nx
-    basis = np.vstack([vertical, horizontal])
-    gram_residual = float(np.max(np.abs(basis @ basis.T - np.eye(len(basis)))))
-    zr = realify(point.z)
-    tangency_residual = float(np.max(np.abs(basis @ zr)))
-    if gram_residual > FRAME_TOL or tangency_residual > FRAME_TOL:
-        raise DegeneratePointError(
-            f"frame fails orthonormality/tangency: gram={gram_residual:.3e}, "
-            f"tangency={tangency_residual:.3e}"
-        )
-    return AdaptedFrame(vertical, horizontal, norms, float(nx), gram_residual,
-                        tangency_residual, fields, jacobians)
+    fields, u = fields_YW(model, point, x_amb)
+    nx = np.sqrt(np.vecdot(x_amb, x_amb))
+    norms_sq = np.vecdot(fields, fields)
+    norms = np.sqrt(norms_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero field fails the floor
+        horizontal = fields / norms[..., None]
+    vertical = x_amb / nx[..., None]
+    basis = np.concatenate([vertical[..., None, :], horizontal], axis=-2)
+    gram = np.max(np.abs(basis @ basis.mT - np.eye(model.q + 1)), axis=(-2, -1))
+    tangency = np.max(np.abs(basis @ realify(point.z)[..., None]), axis=(-2, -1))
+    low_mod = np.min(point.moduli_sq, axis=-1) < eps_deg
+    low_field = norms_sq < eps_deg**3 * min(model.theta) ** 4
+    k = _first(low_mod | low_field.any(-1) | (gram > FRAME_TOL) | (tangency > FRAME_TOL))
+    if k is not None:
+        if low_mod[k]:
+            raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
+        if low_field[k].any():
+            label = field_labels(model)[np.argmax(low_field[k])]
+            raise DegeneratePointError(f"field {label} degenerates at this point")
+        raise DegeneratePointError(f"frame fails orthonormality/tangency: "
+                                   f"gram={gram[k]:.3e}, tangency={tangency[k]:.3e}")
+    return AdaptedFrame(vertical, horizontal, norms, _value(nx), _value(gram),
+                        _value(tangency), fields, u)
 
 
 def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
                          *, frame: AdaptedFrame | None = None) -> tuple[ONeillTensor, float]:
-    """Integrability tensor of the foliation at a point, by definition:
-    A_{e_i} e_j is half the vertical part of the bracket, so in the
-    normalized frame
+    """Integrability tensor of the foliation at a point, or a stack of them,
+    by definition: A_{e_i} e_j is half the vertical part of the bracket, so
+    in the normalized frame
 
         a[i, j] = <[Z_i, Z_j], X> / (2 |Z_i| |Z_j| |X|).
 
@@ -243,37 +253,31 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
 
     checked against the tensor norm.  With unit weights the tensor is also
     checked against minus the complex structure, a[i, j] = -<J e_i, e_j>.
-    Either disagreement raises ``BracketRouteError``.  Only the vertical
-    pairing of each bracket is formed, from the frame's own field values and
-    Jacobians: with
-    [Z_i, Z_j] = DZ_j Z_i - DZ_i Z_j and u_j = DZ_j^T X, the pairing is
-    <Z_i, u_j> - <Z_j, u_i>.
+    Either disagreement raises ``BracketRouteError`` at the first point that
+    shows it.  Only the vertical pairing of each bracket is formed: with
+    u_j = DZ_j^T X, <[Z_i, Z_j], X> = <Z_i, u_j> - <Z_j, u_i>.
     """
     if frame is None:
         frame = adapted_frame(model, point)
-    q = model.q
-    u = frame.jacobians.transpose(0, 2, 1) @ (frame.vertical * frame.vertical_norm)
-    zu = frame.fields @ u.T                              # zu[i, j] = <Z_i, u_j>
-    pairing = zu - zu.T
-    i, j = np.triu_indices(q, 1)
-    denom = frame.field_norms[i] * frame.field_norms[j]
-    upper = pairing[i, j] / (2.0 * denom * frame.vertical_norm)
-    a = np.zeros((q, q, 1))
-    a[i, j, 0] = upper
-    a[j, i, 0] = -upper
-    display = float(np.sum(pairing[i, j] ** 2 / denom**2)) / (2.0 * frame.vertical_norm**2)
-    A = ONeillTensor(a)
-    if abs(A.norm_sq - display) > 1e-10 * max(1.0, display):
-        raise BracketRouteError(
-            f"bracket-norm routes disagree: {A.norm_sq} vs {display}"
-        )
+    zu = frame.fields @ frame.u.mT                       # zu[i, j] = <Z_i, u_j>
+    pairing = zu - zu.mT
+    norms, nx = frame.field_norms, np.asarray(frame.vertical_norm)
+    a = pairing / (2.0 * norms[..., :, None] * norms[..., None, :] * nx[..., None, None])
+    i, j = np.triu_indices(model.q, 1)
+    denom = norms[..., i] * norms[..., j]
+    display = np.sum(pairing[..., i, j] ** 2 / denom**2, axis=-1) / (2.0 * nx**2)
+    A = ONeillTensor(a[..., None])
+    norm_sq = np.asarray(A.norm_sq)
+    k = _first(np.abs(norm_sq - display) > 1e-10 * np.maximum(1.0, display))
+    if k is not None:
+        raise BracketRouteError(f"bracket-norm routes disagree: {norm_sq[k]} vs {display[k]}")
     if model.is_hopf:
-        jh = apply_complex_structure(frame.horizontal)
-        err = float(np.max(np.abs(A.a[:, :, 0] + jh @ frame.horizontal.T)))
-        if err > 1e-10:
+        err = np.max(np.abs(A.a[..., i, j, 0] + kahler_form(model, frame).coeffs), axis=-1)
+        k = _first(err > 1e-10)
+        if k is not None:
             raise BracketRouteError(
-                f"unit-weight tensor differs from minus the complex structure by {err:.3e}")
-    return A, display
+                f"unit-weight tensor differs from minus the complex structure by {err[k]:.3e}")
+    return A, _value(display)
 
 
 def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
@@ -296,20 +300,22 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
     tz = th2 * zz
     z_tail, t_tail = suffix_sum(zz), suffix_sum(tz)          # Z_{j+1}, T_{j+1}
     z_incl, t_incl = zz + z_tail, tz + t_tail                # Z_j, T_j
-    term1 = th2[m - 2] * th2[m - 1] * (zz[m - 2] + zz[m - 1]) / (tz[m - 2] + tz[m - 1])
+    last = slice(m - 2, m)
+    term1 = th2[m - 2] * th2[m - 1] * np.sum(zz[..., last], -1) / np.sum(tz[..., last], -1)
     j = slice(0, m - 2)
-    term2 = np.sum(th2[j] * t_tail[j] * z_incl[j] / (t_incl[j] * z_tail[j]))
+    term2 = np.sum(th2[j] * t_tail[..., j] * z_incl[..., j] / (t_incl[..., j] * z_tail[..., j]), -1)
     rows, cols = np.ogrid[:m - 1, :m]
-    d = np.sum(np.where(cols > rows, (th2[:-1, None] - th2) * zz, 0.0), axis=1)
+    d = np.sum(np.where(cols > rows, (th2[:-1, None] - th2) * zz[..., None, :], 0.0), axis=-1)
     i = slice(0, m - 1)
-    inner_i = suffix_sum(zz[i] * d**2 / (z_tail[i] * z_incl[i]))   # sum over i > j
-    term3 = np.sum(zz[j] * inner_i[j] / (t_tail[j] * t_incl[j]))
-    return float(2.0 * (term1 + term2 + term3) / np.sum(tz))
+    inner_i = suffix_sum(zz[..., i] * d**2 / (z_tail[..., i] * z_incl[..., i]))  # sum over i > j
+    term3 = np.sum(zz[..., j] * inner_i[..., j] / (t_tail[..., j] * t_incl[..., j]), -1)
+    return _value(2.0 * (term1 + term2 + term3) / np.sum(tz, -1))
 
 
 def kahler_form(model: WeightedHopfModel, frame: AdaptedFrame) -> AlternatingForm:
     """The canonical 2-form of the Hopf fibration on the horizontal fiber,
-    w(e_i, e_j) = <i e_i, e_j>; nondegenerate with |w|^2 = q/2.
+    w(e_i, e_j) = <J e_i, e_j>, read from the matrix (J H) H^T of the frame
+    H (the -a of ``oneill_from_brackets``); nondegenerate, |w|^2 = q/2.
 
     Only defined for the unweighted action (all weights 1), where the
     horizontal space is invariant under the complex structure.
@@ -318,7 +324,7 @@ def kahler_form(model: WeightedHopfModel, frame: AdaptedFrame) -> AlternatingFor
         raise ValueError("the canonical 2-form requires all weights equal to 1")
     i, j = np.triu_indices(model.q, 1)
     jh = apply_complex_structure(frame.horizontal)
-    return AlternatingForm(2, model.q, np.einsum("rk,rk->r", jh[i], frame.horizontal[j]))
+    return AlternatingForm(2, model.q, (jh @ frame.horizontal.mT)[..., i, j])
 
 
 def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
@@ -330,13 +336,12 @@ def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
     D_V V = i theta V / |X| plus a multiple of V, which the horizontal
     projection removes; no field is differentiated."""
     x_amb = generating_field(model, point)
-    nx = np.linalg.norm(x_amb)
+    nx = np.sqrt(np.vecdot(x_amb, x_amb))[..., None]
     v = x_amb / nx
     x = realify(point.z)
     dvv = apply_complex_structure(np.repeat(model.theta, 2) * v) / nx   # D_V V, up to V
-    dvv = dvv - (dvv @ x) * x               # sphere projection (unit normal z)
-    kappa = dvv - (dvv @ v) * v             # horizontal projection
-    return kappa
+    dvv = dvv - np.vecdot(dvv, x)[..., None] * x     # sphere projection (unit normal z)
+    return dvv - np.vecdot(dvv, v)[..., None] * v    # horizontal projection
 
 
 def sample_point(model: WeightedHopfModel, rng_seed) -> SpherePoint:

@@ -89,14 +89,17 @@ def random_trials(rng: np.random.Generator, q: int, p: int, vdims) -> list[Trial
     """Trials drawn in order, trial k drawing a space-form curvature, the
     (q, q, vdims[k]) normals of A, the normals of a p-form and the matrix
     pair of R_K; one ``Trials`` per vdim, in order of first appearance.
-    Only the draws are held: each stack of dense curvature arrays is made
-    by its ``build``."""
-    draws: dict[int, list] = {}
+    Each draw goes straight into its row of the ``Trials`` arrays; each
+    stack of dense curvature arrays is made by its ``build``."""
+    vdims = list(vdims)
+    stacks = {v: Trials(q, p, *(np.empty((vdims.count(v), *shape)) for shape in
+                                ((), (q, q, v), (comb(q, p),), (2, q, q))))
+              for v in dict.fromkeys(vdims)}
+    rows = {v: iter(range(len(t.c))) for v, t in stacks.items()}
     for vdim in vdims:
-        draws.setdefault(vdim, []).append((
-            _draw_curvature_constant(rng),
-            rng.standard_normal((q, q, vdim)),
-            rng.standard_normal(comb(q, p)),
-            _draw_matrix_pair(rng, q),
-        ))
-    return [Trials(q, p, *map(np.array, zip(*rows))) for rows in draws.values()]
+        t, r = stacks[vdim], next(rows[vdim])
+        t.c[r] = _draw_curvature_constant(rng)
+        t.m[r] = rng.standard_normal((q, q, vdim))
+        t.x[r] = rng.standard_normal(comb(q, p))
+        t.h[r] = _draw_matrix_pair(rng, q)
+    return list(stacks.values())

@@ -10,22 +10,28 @@ for bit, and ``dense_curvature_action``, the Bochner action contracted
 through the dense q^4 tensor, which reads none of the (c, A) structure the
 package's action is computed from.  ``cor31_scan`` estimates the maximum
 of the package's own ``prop31_value`` by sampling, the definition route
-that ``cor31_max`` reads off an eigenvalue.
+that ``cor31_max`` reads off an eigenvalue.  ``jacobian_fields_YW``
+evaluates the Hopf frame fields on the package's dual numbers with their
+full Jacobians, the definition that the point pass ``hopf.fields_YW``,
+which differentiates only the pairings <Z_j, X>, must equal.
 
 The one-at-a-time draws (``random_instance`` and its parts) build on the
 draw helpers of ``folcurv.synthetic``, so a stack of ``random_trials``
 holds, row by row, the numbers they draw.  The ``einsum`` definitions of
 the O'Neill terms and the Gram pairings, and the one-form-at-a-time
 exterior loop of ``verify``, are the references of the package's Gram
-products and stacked exterior checks.
+products and stacked exterior checks; ``random_trials_rows`` holds the
+trial draws as rows before stacking them, the reference of the
+preallocated ``random_trials``.
 """
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
 from folcurv.curvature import RiemannTensor, space_form
+from folcurv.dual import seed_point, suffix_sum
 from folcurv.exterior import (
     AlternatingForm,
     contractions,
@@ -36,8 +42,10 @@ from folcurv.exterior import (
     wedge,
     wedge_matrices,
 )
+from folcurv.hopf import realify
 from folcurv.oneill import ONeillTensor, prop31_value
 from folcurv.synthetic import (
+    Trials,
     _build_kulkarni_nomizu,
     _build_skew,
     _draw_curvature_constant,
@@ -178,6 +186,30 @@ def fd_directional(field_fn, x, u, h=1e-6):
 def fd_lie_bracket(f_u, f_v, x, h=1e-6):
     """[U, V](x) = D_U V - D_V U by finite differences."""
     return fd_directional(f_v, x, f_u(x), h) - fd_directional(f_u, x, f_v(x), h)
+
+
+def jacobian_fields_YW(model, point):
+    """The 2m-2 horizontal frame fields at one point, ordered as
+    ``field_labels``, with their full Jacobians from one dual-number
+    evaluation: ``(fields, jacobians)`` of shapes (q, 2m) and (q, 2m, 2m).
+    Row l of Y (and of W) is a coefficient row times z (times i z); the last
+    row of W is W_{m-1} as defined, with its own coefficients."""
+    m = model.m
+    th = np.asarray(model.theta)
+    z = seed_point(realify(point.z))
+    iz = z.times_i()
+    mod = z.abs2()
+    tail = suffix_sum(mod)
+    wtail = suffix_sum(mod * th**2)
+    rows, cols = np.ogrid[:m - 1, :m]
+    diag, upper = (cols == rows) * 1.0, (cols > rows) * 1.0
+    last = (np.arange(m - 1) == m - 2) * 1.0
+    weight = np.outer(th[:-1], th) * upper
+    weight[m - 2, m - 1] = th[m - 2]
+    w_diag = wtail[:-1] * (1.0 - last) + mod[m - 1] * (th[m - 1] * last)
+    y = (z * (mod[:-1, None] * upper - tail[:-1, None] * diag)).interleaved()
+    w = (iz * (mod[:-1, None] * weight - w_diag[:, None] * diag)).interleaved()
+    return np.concatenate([y.value, w.value]), np.concatenate([y.grad, w.grad])
 
 
 def oneill_closed_form_loop(model, point) -> float:
@@ -354,3 +386,17 @@ def exterior_maxima_loop(rng, q, rounds):
             wedge(w1, t1).coeffs - ((-1) ** (w1.degree * t1.degree)) * wedge(t1, w1).coeffs))))
     return {"hodge_involution": invol, "hodge_contraction_rule": prop22, "leibniz": leibniz,
             "contraction_sum": contr, "graded_anticommutativity": anticomm}
+
+
+def random_trials_rows(rng, q, p, vdims):
+    """``random_trials`` as the trial draws held in rows of small arrays and
+    stacked per vdim at the end, with the same generator calls."""
+    draws = {}
+    for vdim in vdims:
+        draws.setdefault(vdim, []).append((
+            _draw_curvature_constant(rng),
+            rng.standard_normal((q, q, vdim)),
+            rng.standard_normal(comb(q, p)),
+            _draw_matrix_pair(rng, q),
+        ))
+    return [Trials(q, p, *map(np.array, zip(*rows))) for rows in draws.values()]

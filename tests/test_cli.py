@@ -345,21 +345,102 @@ def test_one_transverse_tensor_per_evaluation(monkeypatch):
     assert all(Rt._components is None for Rt in tensors)
 
 
-def test_one_dual_evaluation_per_point(monkeypatch):
-    # per point the frame seeds the point once and evaluates the q horizontal
-    # fields together; X is linear and needs no dual pass
+def test_one_dual_evaluation_per_chunk(monkeypatch):
+    # a chunk of points is seeded once, and the q horizontal fields of all
+    # its points are evaluated together; X is linear and needs no dual pass
     seeds = []
     real_seed = hopf.seed_point
 
-    def counting_seed(*args):
-        seeds.append(1)
-        return real_seed(*args)
+    def counting_seed(x):
+        seeds.append(len(x))
+        return real_seed(x)
 
     monkeypatch.setattr(hopf, "seed_point", counting_seed)
     for weights in ([], ["--theta", "1,1,0.5"]):
         seeds.clear()
         assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"] + weights) == 0
-        assert len(seeds) == 2          # 1 per point
+        assert seeds == [2]             # one chunk of both points
+    monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", 1)
+    seeds.clear()
+    assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
+    assert seeds == [1, 1]              # chunks of one point
+
+
+THETA_16 = ",".join(f"{1 - 0.05 * i:.2f}" for i in range(16))
+
+
+def chunk_size(model):
+    """The number of points of a full chunk of ``cli._point_chunks``."""
+    return len(next(cli._point_chunks(model, 0, 10**6))[1].z)
+
+
+def per_point_values(rep):
+    """Every check (name, pass, lhs, rhs), every finding and every per-point
+    summary list of a hopf report."""
+    return ([(c["name"], c["pass"], c["lhs"], c["rhs"]) for c in rep["checks"]],
+            rep["findings"],
+            {k: v["per_point"] for k, v in rep["summary"].items() if isinstance(v, dict)})
+
+
+@pytest.mark.parametrize("argv", [["--m", "10"], ["--m", "16", "--theta", THETA_16]])
+def test_chunks_give_the_one_point_values(tmp_path, monkeypatch, argv):
+    # one sample short of a full chunk, a full chunk, and one more: each run
+    # reports what chunks of one point report (the benchmark's two hopf
+    # configurations: 22 points a chunk at m = 10, 8 at m = 16)
+    size = chunk_size(cli._model(cli.build_parser().parse_args(["hopf", *argv])))
+    assert size > 1
+    out = tmp_path / "h.json"
+    for samples in (size - 1, size, size + 1):
+        reports = []
+        for nbytes in (cli.VERIFY_CHUNK_BYTES, 1):
+            monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", nbytes)
+            assert run(["hopf", *argv, "--samples", str(samples), "--seed", "3",
+                        "--out", str(out), "--quiet"]) == 0
+            reports.append(per_point_values(load(out)))
+        assert reports[0] == reports[1], samples
+
+
+@pytest.mark.parametrize("argv", [["hopf", "--m", "16", "--theta", THETA_16],
+                                  ["bounds", "--theorem", "3.1", "--m", "16", "--p", "2"]])
+def test_a_degenerate_point_mid_chunk_fails_as_one_at_a_time(capsys, monkeypatch, argv):
+    # the third of six points, in the middle of one chunk, has a coordinate
+    # modulus below the margin: the run ends with the line that chunks of
+    # one point end with
+    real = cli.sample_point
+    drawn = []
+
+    def sampled(model, rng):
+        pt = real(model, rng)
+        drawn.append(pt)
+        if len(drawn) == 3:
+            z = pt.z.copy()
+            z[1] *= 0.1 * np.sqrt(hopf.degeneracy_margin(model.m)) / abs(z[1])
+            pt = hopf.SpherePoint(z / np.linalg.norm(z))
+        return pt
+
+    monkeypatch.setattr(cli, "sample_point", sampled)
+    errors = []
+    for nbytes in (cli.VERIFY_CHUNK_BYTES, 1):
+        monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", nbytes)
+        drawn.clear()
+        assert run(argv + ["--samples", "6", "--quiet"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        f"sampling failure: coordinate modulus below margin {hopf.degeneracy_margin(16)}\n")
+
+
+def test_bracket_route_as_closed_form_drops_every_finding(tmp_path, monkeypatch):
+    # the benchmark self-test's probe reads |A|^2 off the tensor of a stack,
+    # one value a point; in place of the printed closed form it leaves no
+    # closed-form-discrepancy finding, where the real one finds one a point
+    argv = ["hopf", "--m", "16", "--theta", THETA_16, "--samples", "10", "--quiet"]
+    out = tmp_path / "h.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert [f["values"]["point"] for f in load(out)["findings"]] == list(range(10))
+    monkeypatch.setattr(cli, "oneill_closed_form",
+                        lambda model, pt: cli.oneill_from_brackets(model, pt)[0].norm_sq)
+    assert run(argv + ["--out", str(out)]) == 0
+    assert load(out)["findings"] == []
 
 
 def test_mean_curvature_takes_no_dual_pass(monkeypatch):
@@ -630,15 +711,16 @@ def test_oversized_dense_curvature_is_refused(tmp_path, dense_builds, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["hopf", "--m", "129"],
-    ["hopf", "--m", "400", "--theta", ",".join(["1"] + ["0.5"] * 399)],
-    ["bounds", "--theorem", "3.1", "--m", "129", "--p", "2"],
-    ["bounds", "--theorem", "3.2", "--m", "129", "--p", "2"],
-    ["bounds", "--theorem", "cor3.1", "--m", "129"],
+    ["hopf", "--m", "513"],
+    ["hopf", "--m", "1000", "--theta", ",".join(["1"] + ["0.5"] * 999)],
+    ["bounds", "--theorem", "3.1", "--m", "513", "--p", "2"],
+    ["bounds", "--theorem", "3.2", "--m", "513", "--p", "2"],
+    ["bounds", "--theorem", "cor3.1", "--m", "513"],
 ])
 def test_oversized_dual_pass_is_refused(capsys, monkeypatch, argv):
-    # at m > 128 a gradient of the frame's dual pass, 16 (m-1) m^2 bytes,
-    # would pass 32 MiB, so the run ends with one error line before any point
+    # at m > 512 the largest array of a point, the frame's (2m-1) x (2m-1)
+    # Gram matrix of floats, would pass 8 MiB, so the run ends with one error
+    # line before any point
     def allocated(*args, **kwargs):
         raise AssertionError("a point was drawn or its dual pass begun")
 
@@ -648,6 +730,24 @@ def test_oversized_dual_pass_is_refused(capsys, monkeypatch, argv):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(cli.DUAL_PASS_BYTES) in lines[0]
+
+
+@pytest.mark.parametrize("argv", [["hopf", "--m", "128"],
+                                  ["bounds", "--theorem", "4.1", "--m", "128", "--p", "2"]])
+def test_a_large_point_holds_no_jacobian_stack(tmp_path, argv):
+    # the point pass differentiates only the pairings <Z_j, X>: at m = 128 a
+    # run peaks far below the 133 MB of a (q, 2m, 2m) Jacobian stack
+    import tracemalloc
+
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--samples", "1", "--out", str(out), "--quiet"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["pass"] for c in load(out)["checks"])
+    assert peak < 254 * 256 * 256 * 8 / 4, peak
 
 
 def test_unwritable_out_is_an_input_error(capsys, tmp_path):

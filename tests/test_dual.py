@@ -133,18 +133,31 @@ def test_indexing_keeps_the_gradient_axis():
 
 
 def test_suffix_sum_against_a_scalar_loop():
+    # the sums run along the last value axis; leading axes are stacked points
     rng = np.random.default_rng(5)
     for m in (1, 2, 5):
-        x = random_dual(rng, (m, 2), n=4)
+        x = random_dual(rng, (2, m), n=4)
         s = suffix_sum(x)
         plain = suffix_sum(x.value)
         for l in range(m):
-            value = sum((x.value[k] for k in range(l + 1, m)), start=np.zeros(2))
-            grad = sum((x.grad[k] for k in range(l + 1, m)), start=np.zeros((2, 4)))
-            assert np.allclose(s.value[l], value, rtol=1e-15, atol=1e-15)
-            assert np.allclose(s.grad[l], grad, rtol=1e-15, atol=1e-15)
+            value = sum((x.value[:, k] for k in range(l + 1, m)), start=np.zeros(2))
+            grad = sum((x.grad[:, k] for k in range(l + 1, m)), start=np.zeros((2, 4)))
+            assert np.allclose(s.value[:, l], value, rtol=1e-15, atol=1e-15)
+            assert np.allclose(s.grad[:, l], grad, rtol=1e-15, atol=1e-15)
         assert np.array_equal(plain, s.value)
-        assert np.array_equal(s.value[-1], np.zeros(2))
+        assert np.array_equal(s.value[:, -1], np.zeros(2))
+        assert np.array_equal(suffix_sum(x.value[0]), plain[0])
+
+
+def test_seed_point_seeds_each_point_of_a_stack():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 8))
+    stacked = seed_point(x)
+    for r in range(3):
+        one = seed_point(x[r])
+        for part in ("re", "im"):
+            assert np.array_equal(getattr(stacked, part).value[r], getattr(one, part).value)
+            assert np.array_equal(getattr(stacked, part).grad[r], getattr(one, part).grad)
 
 
 def test_interleaved_real_form():

@@ -20,8 +20,8 @@ from folcurv.hopf import (
     WeightedHopfModel,
     adapted_frame,
     degeneracy_margin,
-    field_labels,
     fields_YW,
+    field_labels,
     generating_field,
     kahler_form,
     mean_curvature,
@@ -32,7 +32,7 @@ from folcurv.hopf import (
 )
 from folcurv.oneill import bminus_norm, bplus_norm, prop31_value, prop41_sides
 
-from oracles import fd_directional, fd_lie_bracket, oneill_closed_form_loop
+from oracles import fd_directional, fd_lie_bracket, jacobian_fields_YW, oneill_closed_form_loop
 
 
 def at(model, x):
@@ -164,7 +164,7 @@ def test_generating_field_is_its_dual_number_evaluation():
 def test_m2_half_half_point_norms():
     model = WeightedHopfModel(2, (1.0, 1.0))
     pt = SpherePoint(np.array([1.0 + 0j, 1.0 + 0j]) / np.sqrt(2.0))
-    (y1, w1), _ = fields_YW(model, pt)
+    (y1, w1), _ = fields_YW(model, pt, generating_field(model, pt))
     assert y1 @ y1 == pytest.approx(0.25, abs=1e-14)
     assert w1 @ w1 == pytest.approx(0.25, abs=1e-14)
 
@@ -187,30 +187,114 @@ def test_frame_orthonormality_and_tangency():
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_every_field_jacobian_against_finite_differences(m):
     # X and every row of Y and W, the literal W_{m-1} included, at random
-    # weights; each Jacobian column against a central difference.  X is
-    # linear, so its Jacobian is the constant block matrix of i theta.
+    # weights, each derivative against a central difference: X is linear,
+    # so its Jacobian is the constant block matrix of i theta; the pass's
+    # u_j is the gradient of the pairing <Z_j, x> with x = X(point) held
+    # fixed; and the oracle's full Jacobians, column by column.
     rng = np.random.default_rng(100 + m)
     model = WeightedHopfModel(m, (1.0, *rng.uniform(0.2, 1.0, m - 1)))
     pt = sample_point(model, rng)
     x0 = realify(pt.z)
     x = generating_field(model, pt)
-    fields, jacobians = fields_YW(model, pt)
-    assert fields.shape == (model.q, 2 * m) and jacobians.shape == (model.q, 2 * m, 2 * m)
-    assert x.shape == (2 * m,)
+    fields, u = fields_YW(model, pt, x)
+    oracle_fields, jacobians = jacobian_fields_YW(model, pt)
+    assert fields.shape == u.shape == (model.q, 2 * m) and x.shape == (2 * m,)
     i_theta = np.kron(np.diag(model.theta), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
-    def row(i):
-        if i == 0:
-            return lambda y: generating_field(model, at(model, y))
-        return lambda y: fields_YW(model, at(model, y))[0][i - 1]
+    def field_x(y):
+        return generating_field(model, at(model, y))
 
-    values, jac = np.vstack([x, fields]), np.concatenate([i_theta[None], jacobians])
-    labels = ("X",) + field_labels(model)
-    for i, label in enumerate(labels):
-        assert np.array_equal(row(i)(x0), values[i])
-        for d in range(2 * m):
-            fd = fd_directional(row(i), x0, np.eye(2 * m)[d])
-            assert np.max(np.abs(jac[i][:, d] - fd)) < 1e-8, (label, d)
+    def pairings(y):
+        return fields_YW(model, at(model, y), x)[0] @ x
+
+    def oracle(y):
+        return jacobian_fields_YW(model, at(model, y))[0]
+
+    assert np.array_equal(field_x(x0), x)
+    assert np.array_equal(oracle(x0), oracle_fields)
+    for d in range(2 * m):
+        e = np.eye(2 * m)[d]
+        assert np.max(np.abs(i_theta[:, d] - fd_directional(field_x, x0, e))) < 1e-8, d
+        assert np.max(np.abs(u[:, d] - fd_directional(pairings, x0, e))) < 1e-8, d
+        assert np.max(np.abs(jacobians[:, :, d] - fd_directional(oracle, x0, e))) < 1e-8, d
+
+
+@pytest.mark.parametrize("m", range(2, 21))
+def test_contracted_pass_is_the_jacobian_contraction(m):
+    # the field values and u = J^T X0 of the full-Jacobian definition, at
+    # random weights, with the literal last row of W
+    rng = np.random.default_rng(300 + m)
+    model = WeightedHopfModel(m, (1.0, *rng.uniform(0.1, 1.0, m - 1)))
+    for _ in range(3):
+        pt = sample_point(model, rng)
+        x = generating_field(model, pt)
+        fields, u = fields_YW(model, pt, x)
+        ref_fields, jacobians = jacobian_fields_YW(model, pt)
+        ref_u = jacobians.transpose(0, 2, 1) @ x
+        assert np.max(np.abs(fields - ref_fields)) <= 1e-14 * np.max(np.abs(ref_fields))
+        assert np.max(np.abs(u - ref_u)) <= 1e-14 * np.max(np.abs(ref_u))
+
+
+def test_a_stack_of_points_is_the_points_one_at_a_time():
+    # every evaluator works row by row: a stack of n points gives, within
+    # 1e-15 of their scale, what n one-point calls give
+    rng = np.random.default_rng(5)
+    for m, theta in [(2, (1.0, 0.6)), (3, (1.0, 1.0, 1.0)), (5, (1.0, 0.9, 0.7, 0.5, 0.2)),
+                     (8, (1.0,) * 8)]:
+        model = WeightedHopfModel(m, theta)
+        pts = [sample_point(model, rng) for _ in range(5)]
+        stack = SpherePoint(np.array([p.z for p in pts]))
+        frame = adapted_frame(model, stack)
+        A, display = oneill_from_brackets(model, stack, frame=frame)
+        closed, kappa = oneill_closed_form(model, stack), mean_curvature(model, stack)
+        assert A.a.shape == (5, model.q, model.q, 1) and closed.shape == display.shape == (5,)
+        for r, pt in enumerate(pts):
+            one = adapted_frame(model, pt)
+            A1, display1 = oneill_from_brackets(model, pt, frame=one)
+            pairs = [(frame.fields[r], one.fields), (frame.u[r], one.u),
+                     (frame.horizontal[r], one.horizontal), (frame.vertical[r], one.vertical),
+                     (frame.field_norms[r], one.field_norms),
+                     (frame.vertical_norm[r], one.vertical_norm),
+                     (frame.gram_residual[r], one.gram_residual),
+                     (frame.tangency_residual[r], one.tangency_residual),
+                     (A.a[r], A1.a), (A.norm_sq[r], A1.norm_sq), (display[r], display1),
+                     (closed[r], oneill_closed_form(model, pt)),
+                     (kappa[r], mean_curvature(model, pt))]
+            if model.is_hopf:
+                pairs.append((kahler_form(model, frame).coeffs[r],
+                              kahler_form(model, one).coeffs))
+            for got, want in pairs:
+                assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+
+def test_the_first_degenerate_point_of_a_stack_raises_its_own_error(monkeypatch):
+    # a stack raises what its first degenerate point raises alone: here a
+    # coordinate modulus below the margin in the middle of the stack, then
+    # a frame tolerance that some points miss and others meet
+    model = WeightedHopfModel(3, (1.0, 0.8, 0.5))
+    rng = np.random.default_rng(9)
+    z = np.array([sample_point(model, rng).z for _ in range(6)])
+    low = np.array([0.2, 0.0, 0.0]) * np.sqrt(degeneracy_margin(3)) + np.array([0, 1j, 1.0])
+    z[3] = low / np.linalg.norm(low)
+    with pytest.raises(DegeneratePointError) as one:
+        adapted_frame(model, SpherePoint(z[3]))
+    with pytest.raises(DegeneratePointError) as stacked:
+        adapted_frame(model, SpherePoint(z))
+    assert str(stacked.value) == str(one.value) == (
+        f"coordinate modulus below margin {degeneracy_margin(3)}")
+    z = np.delete(z, 3, axis=0)
+    gram = adapted_frame(model, SpherePoint(z)).gram_residual
+    monkeypatch.setattr(hopf, "FRAME_TOL", float(np.median(gram)))
+    messages = []
+    for row in z:
+        try:
+            adapted_frame(model, SpherePoint(row))
+        except DegeneratePointError as exc:
+            messages.append(str(exc))
+    assert 0 < len(messages) < len(z)
+    with pytest.raises(DegeneratePointError, match="orthonormality") as stacked:
+        adapted_frame(model, SpherePoint(z))
+    assert str(stacked.value) == messages[0]
 
 
 def test_last_w_row_is_its_literal_definition():
@@ -222,14 +306,15 @@ def test_last_w_row_is_its_literal_definition():
         expect = np.zeros(m, dtype=complex)
         expect[m - 2] = -theta[m - 1] * zz[m - 1] * 1j * z[m - 2]
         expect[m - 1] = theta[m - 2] * zz[m - 2] * 1j * z[m - 1]
-        assert np.allclose(fields_YW(model, pt)[0][-1], realify(expect), rtol=0, atol=1e-15)
+        fields, _ = fields_YW(model, pt, generating_field(model, pt))
+        assert np.allclose(fields[-1], realify(expect), rtol=0, atol=1e-15)
 
 
 def test_degenerate_point_rejected():
     model = WeightedHopfModel(2, (1.0, 1.0))
     pt = SpherePoint(np.array([1.0 + 0j, 0.0 + 0j]))
     with pytest.raises(DegeneratePointError):
-        fields_YW(model, pt)
+        adapted_frame(model, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +368,13 @@ def test_brackets_against_finite_differences():
     model = WeightedHopfModel(3, (1.0, 0.9, 0.6))
     pt = sample_point(model, rng)
 
-    def as_field(i):
-        return lambda x: fields_YW(model, at(model, x))[0][i]
-
     x0 = realify(pt.z)
     x = generating_field(model, pt)
-    fields, _ = fields_YW(model, pt)
+
+    def as_field(i):
+        return lambda y: fields_YW(model, at(model, y), x)[0][i]
+
+    fields, _ = fields_YW(model, pt, x)
     norms = np.linalg.norm(fields, axis=1)
     A, _ = oneill_from_brackets(model, pt)
     q = model.q

@@ -31,7 +31,12 @@ from folcurv.oneill import (
 )
 from folcurv.synthetic import _build_kulkarni_nomizu, _draw_matrix_pair, random_trials
 
-from oracles import dense_curvature_action, random_curvature, random_instance
+from oracles import (
+    dense_curvature_action,
+    random_curvature,
+    random_instance,
+    random_trials_rows,
+)
 
 # every stacked evaluator, as a function of one (R_M, A, a, R_K) stack or instance
 EVALUATORS = {
@@ -157,6 +162,25 @@ def test_stacked_draws_are_the_one_at_a_time_draws(q, p):
     assert all(seen[v] == len(built[v][2].coeffs) for v in seen)
     # the generator is left where the one-at-a-time draws leave it
     assert stacked_rng.standard_normal() == single_rng.standard_normal()
+
+
+@pytest.mark.parametrize("q", [2, 4, 5])
+def test_preallocated_draws_are_the_stacked_rows(q):
+    # each draw written into its row of the Trials arrays is the stack of
+    # the same draws held as rows, bit for bit, with the generator left in
+    # the same place, for every vdim pattern verify makes and a shuffled one
+    patterns = ([1], [2, 2], [1 + k % 3 for k in range(10)], [3, 1, 3, 2, 1, 3])
+    for p in range(q + 1):
+        for vdims in patterns:
+            one, two = np.random.default_rng(q + p), np.random.default_rng(q + p)
+            got, want = random_trials(one, q, p, vdims), random_trials_rows(two, q, p, vdims)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.q == w.q and g.p == w.p
+                for name in ("c", "m", "x", "h"):
+                    a, b = getattr(g, name), getattr(w, name)
+                    assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+            assert one.standard_normal() == two.standard_normal()
 
 
 @pytest.mark.parametrize("q", [2, 4, 5, 16])
