@@ -16,6 +16,7 @@ failure.  Everything printed is also present in the structured report.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -45,7 +46,6 @@ from .hopf import (
     FRAME_TOL,
     BracketRouteError,
     DegeneratePointError,
-    SpherePoint,
     WeightedHopfModel,
     adapted_frame,
     kahler_form,
@@ -55,7 +55,6 @@ from .hopf import (
     sample_point,
 )
 from .oneill import (
-    ONeillTensor,
     _check_pq,
     bminus_norm,
     bminus_norm_closed,
@@ -79,11 +78,11 @@ from .synthetic import random_form, random_trials
 VERIFY_Q_RANGE = (2, 16)
 # the largest array a sample point holds is the frame's (2m-1) x (2m-1) Gram
 # matrix; a model whose Gram matrix would pass this is refused (m <= 512)
-DUAL_PASS_BYTES = 8 * 2**20
+FRAME_GRAM_BYTES = 8 * 2**20
 # verify evaluates the trials of a (q, p) cell in chunks whose two stacks of
 # dense curvature arrays (R_t, R_K) take at most this many bytes; hopf and
 # bounds, chunks of points whose pass peaks near eight (q, 2m) arrays a point
-VERIFY_CHUNK_BYTES = 2**19
+CHUNK_BYTES = 2**19
 
 
 def _refuse_below_one(args, flag):
@@ -104,13 +103,13 @@ def _tolerance(args, default: float) -> float:
 
 def _model(args) -> WeightedHopfModel:
     """The model of --m and --theta; one whose frame Gram matrix, the largest
-    array a point holds, would pass ``DUAL_PASS_BYTES`` is refused as an
+    array a point holds, would pass ``FRAME_GRAM_BYTES`` is refused as an
     input error (exit 2) before anything is allocated."""
     m = args.m
     nbytes = 8 * (2 * m - 1) ** 2
-    if nbytes > DUAL_PASS_BYTES:
+    if nbytes > FRAME_GRAM_BYTES:
         raise ValueError(f"{args.command}: a point at m={m} holds a frame Gram matrix of "
-                         f"{nbytes} bytes, over the {DUAL_PASS_BYTES}-byte limit (m <= 512)")
+                         f"{nbytes} bytes, over the {FRAME_GRAM_BYTES}-byte limit (m <= 512)")
     theta = (1.0,) * m if args.theta is None else tuple(float(t) for t in args.theta.split(","))
     return WeightedHopfModel(m, theta)
 
@@ -126,13 +125,13 @@ def _point_streams(seed: int, n: int):
 
 
 def _point_chunks(model: WeightedHopfModel, seed: int, n: int):
-    """The n sample points, each drawn by ``sample_point`` from its own
-    ``_point_streams`` child, as (index of the first, stack) chunks."""
-    size = max(1, VERIFY_CHUNK_BYTES // (8 * 8 * model.q * 2 * model.m))
+    """The n sample points as (index of the first, stack) chunks, each chunk
+    drawn by one ``sample_point`` call, every point from its own
+    ``_point_streams`` child."""
+    size = max(1, CHUNK_BYTES // (8 * 8 * model.q * 2 * model.m))
     streams = _point_streams(seed, n)
     for k0 in range(0, n, size):
-        zs = [sample_point(model, next(streams)).z for _ in range(min(size, n - k0))]
-        yield k0, SpherePoint(np.array(zs))
+        yield k0, sample_point(model, list(itertools.islice(streams, size)))
 
 
 def _refuse_unwritable_out(args):
@@ -278,7 +277,7 @@ def cmd_verify(args) -> int:
     # curvature and integrability identities over seeded random instances,
     # drawn and evaluated a chunk of trials at a time, one stack per vdim
     for q in qs:
-        chunk = max(1, VERIFY_CHUNK_BYTES // (2 * 8 * q**4))
+        chunk = max(1, CHUNK_BYTES // (2 * 8 * q**4))
         for p in range(1, min(4, q)):
             rng = np.random.default_rng(next(streams))
             worst, least = {}, {}
@@ -330,7 +329,13 @@ def cmd_hopf(args) -> int:
         norms_bracket += norms
         norms_closed += closed
         kappa_norms += kappas
-        forms = kahler_form(model, frame).coeffs if model.is_hopf else ()
+        if model.is_hopf:
+            # one transverse tensor, one Scal_t and one Bochner action a chunk;
+            # each residual is an exactly rounded sum of its point's row
+            Rn = transverse_riemann(space_form(q, K0), A)
+            scal = Rn.scalar().tolist()
+            w = kahler_form(model, frame).coeffs
+            act = curvature_action_on_form(Rn, AlternatingForm(2, q, w)).coeffs
         rows = zip(norms, closed, kappas, frame.gram_residual.tolist())
         for r, (norm, cf, kappa, gram) in enumerate(rows):
             k = k0 + r
@@ -345,15 +350,12 @@ def cmd_hopf(args) -> int:
                 builder.residual_check(
                     f"hopf.oneill_norm_value.point{k}", norm - 2.0 * (model.m - 1), 1e-9)
                 builder.residual_check(f"hopf.mean_curvature_zero.point{k}", kappa, 1e-10)
-                Rn = transverse_riemann(space_form(q, K0), ONeillTensor(A.a[r]))
                 builder.residual_check(f"hopf.transverse_scalar.point{k}",
-                                       Rn.scalar() - (q * (q - 1) + 3.0 * norm), 1e-9)
-                w = AlternatingForm(2, q, forms[r])
-                act = curvature_action_on_form(Rn, w)
+                                       scal[r] - (q * (q - 1) + 3.0 * norm), 1e-9)
                 builder.residual_check(f"hopf.kahler_parallel.point{k}",
-                                       float(np.linalg.norm(act.coeffs)), 1e-9)
-                builder.residual_check(
-                    f"hopf.kahler_curvature_pairing.point{k}", inner(act, w), 1e-9)
+                                       math.sqrt(math.fsum((act[r] * act[r]).tolist())), 1e-9)
+                builder.residual_check(f"hopf.kahler_curvature_pairing.point{k}",
+                                       math.fsum((act[r] * w[r]).tolist()), 1e-9)
     nb = np.asarray(norms_bracket)
     summary = {
         "oneill_norm_sq": {
@@ -375,14 +377,16 @@ def cmd_hopf(args) -> int:
 # -- bounds ---------------------------------------------------------------------
 
 class Bound(NamedTuple):
-    """A row of the theorem table."""
+    """A row of the theorem table.  ``evaluate(ctx, A)`` takes the O'Neill
+    tensor of a chunk of points and returns {check id: (lhs, rhs)}, each side
+    one value a point or one value for all of them."""
 
-    evaluate: Callable  # (ctx, A) -> {check id: (lhs, rhs)} at a sampled point
+    evaluate: Callable
     needs_p: bool = False  # takes --p under the q >= 4, 2 <= p <= q-2 hypothesis
     finding: tuple[str, str] = ("negative-gap", "bound violated at a sampled point")
 
 
-def _scal_t(q: int, A) -> float:
+def _scal_t(q: int, A):
     """Scal_t over the unit sphere, summed from the structure of R_t."""
     return transverse_riemann(space_form(q, K0), A).scalar()
 
@@ -424,12 +428,16 @@ def cmd_bounds(args) -> int:
     ctx = SimpleNamespace(n=2 * args.m - 1, q=q, p=args.p)
     for k0, pts in _point_chunks(model, args.seed, args.samples):
         A, _ = oneill_from_brackets(model, pts)
-        for k, Ak in enumerate(map(ONeillTensor, A.a), start=k0):
-            for name, (lhs, rhs) in row.evaluate(ctx, Ak).items():
-                check = builder.bound_check(f"bounds.{name}.point{k}", lhs, rhs, tol)
+        norms = A.norm_sq.tolist()
+        sides = {name: [np.broadcast_to(x, len(norms)).tolist() for x in pair]
+                 for name, pair in row.evaluate(ctx, A).items()}
+        for r, norm in enumerate(norms):
+            k = k0 + r
+            for name, (lhs, rhs) in sides.items():
+                check = builder.bound_check(f"bounds.{name}.point{k}", lhs[r], rhs[r], tol)
                 if not check["pass"]:
                     builder.finding(*row.finding, {"point": k, "check": check["name"],
-                                                   "oneill_norm_sq": Ak.norm_sq})
+                                                   "oneill_norm_sq": norm})
     gaps = [c["gap"] for c in builder.checks]
     _emit(args, builder, {"gap": {"min": min(gaps), "max": max(gaps), "per_check": gaps},
                           "all_passed": builder.all_passed})

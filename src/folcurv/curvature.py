@@ -5,16 +5,16 @@ term on forms.
 Sign convention: on an orthonormal frame, R[l, i, l, i] is the sectional
 curvature of the plane (e_l, e_i); the unit round metric has R[l, i, l, i] = 1.
 Every ambient here is a space form of curvature c, so the transverse
-tensor is O'Neill's formula on the pair (c, a), a the O'Neill components:
+tensor is O'Neill's formula on the pair (c, A), A the O'Neill tensor:
 
     Rt[i,j,k,l] = c (d_ik d_jl - d_il d_jk) + 2 g(A_i e_j, A_k e_l)
                   - g(A_j e_k, A_i e_l) - g(A_k e_i, A_j e_l)
 
 whose symmetries and first Bianchi identity follow from the skewness of A
-(asserted when the components are built, not assumed).
+(enforced by ``ONeillTensor``, and asserted when the components are built).
 
 ``space_form`` makes the tensor of the pair (c, None), and
-``transverse_riemann`` the one of (c, a); its q^4 components are built only
+``transverse_riemann`` the one of (c, A); its q^4 components are built only
 when something reads them.  The Bochner action, the scalar curvature and the
 Ricci and bivector contractions of a space form read the pair only.
 
@@ -29,7 +29,6 @@ import numpy as np
 from .exterior import (
     AlternatingForm,
     _contract,
-    _gram,
     _pair,
     _value,
     _wedge_coeffs,
@@ -58,15 +57,14 @@ class RiemannTensor:
     stack of them, R[n, i, j, k, l].
 
     It is given by its components, or by its ``structure`` alone: the pair
-    (c, a) of a space form of curvature c plus the O'Neill terms of the
-    components a, with a = None (and ``dimension`` = q) for the space form
-    itself.  The structure is None for a tensor given only by its
+    (c, A) of a space form of curvature c plus the O'Neill terms of the
+    ``ONeillTensor`` A, with A = None (and ``dimension`` = q) for the space
+    form itself.  The structure is None for a tensor given only by its
     components.  A structured tensor builds its components on first read.
 
     Every array of components, given or built, is checked for the
     pair/antisymmetry relations and for the first Bianchi identity on every
-    row, each up to ``CHECK_TOL``; violations raise.  A given ``a`` must be
-    exactly skew in its first two indices.
+    row, each up to ``CHECK_TOL``; violations raise.
     """
 
     __slots__ = ("_components", "dimension", "structure")
@@ -76,15 +74,10 @@ class RiemannTensor:
             self._components = _checked(components)
             self.dimension = self._components.shape[-1]
         elif structure is None:
-            raise ValueError("a curvature tensor needs its components or its structure (c, a)")
+            raise ValueError("a curvature tensor needs its components or its structure (c, A)")
         else:
-            a = structure[1]
-            if a is None:
-                self.dimension = int(dimension)
-            elif not np.array_equal(a, -np.swapaxes(a, -3, -2)):
-                raise ValueError("O'Neill components must be exactly skew in (i, j)")
-            else:
-                self.dimension = a.shape[-2]
+            A = structure[1]
+            self.dimension = int(dimension) if A is None else A.q
             self._components = None
         self.structure = structure
 
@@ -94,13 +87,15 @@ class RiemannTensor:
         with the Ricci trace of a transverse one against the closed form
         c (q-1) I + 3 sum_l g(A_l e_i, A_l e_j).  A failed check keeps none."""
         if self._components is None:
-            c, a = self.structure
+            c, A = self.structure
             q = self.dimension
             R = np.multiply.outer(c, _unit_components(q))
-            R = _checked(R if a is None else _add_oneill_terms(R, a))
-            if a is not None:
+            if A is not None:  # R_t replaces the space form before the check, so
+                R = _add_oneill_terms(R, A.gram)  # A's kept G adds no array to its peak
+            R = _checked(R)
+            if A is not None:
                 ric = (np.multiply.outer(c, (q - 1) * np.eye(q))
-                       + 3.0 * np.einsum("...lis,...ljs->...ij", a, a))
+                       + 3.0 * np.einsum("...lis,...ljs->...ij", A.a, A.a))
                 err = np.max(np.abs(ric - np.einsum("...lilj->...ij", R)))
                 if err > CHECK_TOL:
                     raise ValueError(
@@ -164,10 +159,10 @@ def _unit_components(q: int) -> np.ndarray:
     return np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
 
 
-def _add_oneill_terms(R: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """R + 2 G(ij, kl) - G(jk, il) - G(ki, jl), G(ij, kl) = sum_s a[i,j,s]
-    a[k,l,s], from one Gram product G and two axis-permuted views of it."""
-    G = _gram(a, 2)
+def _add_oneill_terms(R: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """R + 2 G(ij, kl) - G(jk, il) - G(ki, jl) for the Gram product
+    G(ij, kl) = sum_s a[i,j,s] a[k,l,s] (``ONeillTensor.gram``), from G and
+    two axis-permuted views of it."""
     Rt = 2.0 * G
     Rt += R
     Rt -= np.moveaxis(G, -2, -4)        # G[j, k, i, l]
@@ -175,16 +170,17 @@ def _add_oneill_terms(R: np.ndarray, a: np.ndarray) -> np.ndarray:
     return Rt
 
 
-def _diagonal(q: int, c, a) -> np.ndarray:
-    """The entries R[l, i, l, i] of the tensor of structure (c, a), each
+def _diagonal(q: int, c, A) -> np.ndarray:
+    """The entries R[l, i, l, i] of the tensor of structure (c, A), each
     from the three O'Neill terms of the defining formula,
 
         c (1 - d_li) + 2 G(li, li) - G(il, li) - G(ll, ii),
 
     summed separately, never through the closed-form Ricci."""
     K = np.multiply.outer(c, 1.0 - np.eye(q))
-    if a is None:
+    if A is None:
         return K
+    a = A.a
     d = np.einsum("...lls->...ls", a)
     return (K + 2.0 * np.einsum("...lis,...lis->...li", a, a)
             - np.einsum("...ils,...lis->...li", a, a)
@@ -212,7 +208,7 @@ def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
 
 def transverse_riemann(RM: RiemannTensor, A) -> RiemannTensor:
     """The transverse curvature of a space form RM of curvature c and the
-    integrability tensor A, the tensor of structure (c, A.a), checked at
+    integrability tensor A, the tensor of structure (c, A), checked at
     ``CHECK_TOL`` when its components are read; any other ambient is refused."""
     if A.q != RM.dimension:
         raise ValueError("integrability tensor dimension does not match curvature")
@@ -221,7 +217,7 @@ def transverse_riemann(RM: RiemannTensor, A) -> RiemannTensor:
         why = ("this tensor carries only its components" if RM.structure is None
                else "this tensor is not a space form: it carries O'Neill terms")
         raise ValueError(f"the transverse curvature needs a space-form ambient; {why}")
-    return RiemannTensor(structure=(c, A.a))
+    return RiemannTensor(structure=(c, A))
 
 
 def transverse_ricci(RM: RiemannTensor, A) -> tuple[np.ndarray, float]:
@@ -264,6 +260,7 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     out = (p * (q - p)) * np.asarray(c)[..., None] * a.coeffs
     if A is None or p == 0:
         return AlternatingForm(p, q, out)
+    A = A.a                                                     # (..., i, j, s)
 
     def derive(E, y):  # D_E x from y = _contract(x), each leading axis broadcast
         return _wedge_frame(np.einsum("...kl,...lR->...kR", E, y), q, p)
@@ -275,10 +272,13 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     total += 2.0 * derive(np.einsum("...kms,...mls->...kl", A, A), y)
     if p >= 2:
         iu, ju = np.triu_indices(q, 1)                          # the order of rank I
-        X2 = _contract(y, q, p - 1)[..., iu, ju, :]             # a(e_i, e_j, .), i < j
-        W2 = A[..., iu, ju, :]                                  # (..., I, s)
-        contracted = np.einsum("...Is,...IJ->...sJ", W2, X2)    # i_s a
-        total += 4.0 * _wedge_coeffs(np.swapaxes(W2, -1, -2), contracted, q, 2, p - 2).sum(-2)
+        # i_s a as dot products of contiguous rows over I = (i < j): each sum
+        # is then the same at every stack length, which an einsum's is not
+        X2 = np.ascontiguousarray(np.swapaxes(
+            _contract(y, q, p - 1)[..., iu, ju, :], -1, -2))  # a(e_i, e_j, .), (..., J, I)
+        W2 = np.ascontiguousarray(np.moveaxis(A[..., iu, ju, :], -1, -2))    # (..., s, I)
+        contracted = np.vecdot(W2[..., :, None, :], X2[..., None, :, :])    # (..., s, J)
+        total += 4.0 * _wedge_coeffs(W2, contracted, q, 2, p - 2).sum(-2)
     return AlternatingForm(p, q, out - total)
 
 

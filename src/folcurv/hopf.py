@@ -344,15 +344,27 @@ def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
     return dvv - np.vecdot(dvv, v)[..., None] * v    # horizontal projection
 
 
-def sample_point(model: WeightedHopfModel, rng_seed) -> SpherePoint:
-    """Uniform point of the sphere, rejection-resampled until every
-    coordinate modulus squared clears ``degeneracy_margin(m)``."""
-    rng = np.random.default_rng(rng_seed)  # a Generator is returned unaltered
+def sample_point(model: WeightedHopfModel, rngs) -> SpherePoint:
+    """Uniform points of the sphere: one point (m,) for a generator or seed,
+    a stack (n, m) for a list of n of them.  Each point draws 2m normals
+    from its own generator and normalizes them on their own, so it has the
+    bits of a one-point draw, and is redrawn from its own generator until
+    every coordinate modulus squared clears ``degeneracy_margin(m)``.  The
+    margin is tested on the whole stack once a round of draws, and the
+    stack is checked once, as one ``SpherePoint``."""
+    one = not isinstance(rngs, list)
+    # default_rng returns a Generator unaltered
+    gens = [np.random.default_rng(r) for r in ([rngs] if one else rngs)]
     eps_deg = degeneracy_margin(model.m)
+    g = np.empty((len(gens), 2 * model.m))
+    todo = range(len(gens))
     for _ in range(10_000):
-        g = rng.standard_normal(2 * model.m)
-        g /= np.linalg.norm(g)
+        for r in todo:
+            x = gens[r].standard_normal(2 * model.m)
+            x /= np.linalg.norm(x)
+            g[r] = x
         z = complexify(g)
-        if np.min(np.abs(z) ** 2) >= eps_deg:
-            return SpherePoint(z)
+        todo = np.flatnonzero(np.min(np.abs(z) ** 2, axis=-1) < eps_deg)
+        if not todo.size:
+            return SpherePoint(z[0] if one else z)
     raise DegeneratePointError("rejection budget exhausted while sampling")

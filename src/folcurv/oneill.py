@@ -75,11 +75,13 @@ class ONeillTensor:
     rank-q horizontal frame and a (n-q)-dimensional vertical frame; a
     four-dimensional ``a`` is a stack of them, a[n, i, j, s].
 
-    Skewness in (i, j) is exact and enforced; the action on vertical vectors
-    is derived, not stored: g(A_{e_i} V_s, e_j) = -a[i, j, s].
+    Skewness in (i, j) is exact and enforced.  ``a`` is a read-only view of
+    the given array, which is not to be written afterwards either, since
+    ``gram`` is kept.  The action on vertical vectors is derived, not
+    stored: g(A_{e_i} V_s, e_j) = -a[i, j, s].
     """
 
-    __slots__ = ("a", "q", "vdim")
+    __slots__ = ("a", "q", "vdim", "_G")
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
@@ -87,9 +89,22 @@ class ONeillTensor:
             raise ValueError(f"expected shape ([n,] q, q, vdim), got {a.shape}")
         if not np.array_equal(a, -np.swapaxes(a, -3, -2)):
             raise ValueError("integrability tensor must be exactly skew in (i, j)")
+        a = a.view()
+        a.flags.writeable = False
         self.a = a
         self.q = a.shape[-2]
         self.vdim = a.shape[-1]
+        self._G = None
+
+    @property
+    def gram(self) -> np.ndarray:
+        """G[i, j, k, l] = sum_s a[i,j,s] a[k,l,s], one matmul built on first
+        read and kept (read-only): the O'Neill terms of the transverse tensor
+        and the B+ and B- closed forms read axis-permuted views of it."""
+        if self._G is None:
+            self._G = _gram(self.a, 2)
+            self._G.flags.writeable = False
+        return self._G
 
     @property
     def norm_sq(self):
@@ -158,7 +173,7 @@ def bplus_norm_closed(A: ONeillTensor, a: AlternatingForm):
     G = np.einsum("...kis,...kjs->...ij", A.a, A.a)
     out = _pair(G, _gram(contractions(a, 1), 1), 2)
     if a.degree >= 2:
-        H = np.moveaxis(_gram(A.a, 2), -3, -1)          # G[i, l, j, k]
+        H = np.moveaxis(A.gram, -3, -1)                 # G[i, l, j, k]
         out = out + _pair(H, _gram(contractions(a, 2), 2), 4)
     return out
 
@@ -195,7 +210,7 @@ def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm):
         return _zeros(a)
     G = np.einsum("...ils,...jls->...ij", A.a, A.a)
     half = (p - 1) * _pair(G, _gram(contractions(a, 1), 1), 2)
-    H = np.swapaxes(_gram(A.a, 2), -3, -1)          # G[i, l, k, j]
+    H = np.swapaxes(A.gram, -3, -1)                 # G[i, l, k, j]
     half = half - _pair(H, _gram(contractions(a, 2), 2), 4)
     return 2.0 * half
 

@@ -323,26 +323,38 @@ def test_one_transverse_tensor_per_evaluation(monkeypatch):
     # verify makes one stacked tensor per stack of trials, covering each
     # instance once (6 instances per trial) for the master identity and the
     # term-vs-action check together; hopf with unit weights makes one per
-    # point, and its checks read the structure (1, A) only, never building
-    # the components
-    real = curvature.transverse_riemann
-    tensors = []
+    # chunk of points and takes one Bochner action on it, and its checks
+    # read the structure (1, A) only, never building the components
+    real, real_action = curvature.transverse_riemann, curvature.curvature_action_on_form
+    tensors, actions = [], []
 
     def counting(*args, **kwargs):
         Rt = real(*args, **kwargs)
         tensors.append(Rt)
         return Rt
 
+    def counting_action(R, w):
+        actions.append(w.stack)
+        return real_action(R, w)
+
     for module in (curvature, oneill, cli):
         monkeypatch.setattr(module, "transverse_riemann", counting)
+    monkeypatch.setattr(cli, "curvature_action_on_form", counting_action)
     assert run(["verify", "--trials", "7", "--quiet"]) == 0
-    a = [Rt.structure[1] for Rt in tensors]
+    a = [Rt.structure[1].a for Rt in tensors]
     assert sum(len(x) if x.ndim == 4 else 1 for x in a) == 6 * 7
     assert len(tensors) < 6 * 7
     tensors.clear()
+    actions.clear()
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert len(tensors) == 2
+    assert len(tensors) == 1 and tensors[0].structure[1].a.shape[0] == 2
+    assert actions == [(2,)]
     assert all(Rt._components is None for Rt in tensors)
+    tensors.clear()
+    actions.clear()
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
+    assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
+    assert len(tensors) == 2 and actions == [(1,), (1,)]   # chunks of one point
 
 
 def test_one_dual_evaluation_per_chunk(monkeypatch):
@@ -360,7 +372,7 @@ def test_one_dual_evaluation_per_chunk(monkeypatch):
         seeds.clear()
         assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"] + weights) == 0
         assert seeds == [2]             # one chunk of both points
-    monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", 1)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
     seeds.clear()
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
     assert seeds == [1, 1]              # chunks of one point
@@ -392,11 +404,36 @@ def test_chunks_give_the_one_point_values(tmp_path, monkeypatch, argv):
     out = tmp_path / "h.json"
     for samples in (size - 1, size, size + 1):
         reports = []
-        for nbytes in (cli.VERIFY_CHUNK_BYTES, 1):
-            monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", nbytes)
+        for nbytes in (cli.CHUNK_BYTES, 1):
+            monkeypatch.setattr(cli, "CHUNK_BYTES", nbytes)
             assert run(["hopf", *argv, "--samples", str(samples), "--seed", "3",
                         "--out", str(out), "--quiet"]) == 0
             reports.append(per_point_values(load(out)))
+        assert reports[0] == reports[1], samples
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "4.1", "--m", "10", "--p", "2"],
+    ["--theorem", "4.1", "--m", "16", "--theta", THETA_16, "--p", "3"],
+    ["--theorem", "cor3.1", "--m", "10"],
+    ["--theorem", "cor3.1", "--m", "16", "--theta", THETA_16],
+])
+def test_bound_chunks_give_the_one_point_values(tmp_path, monkeypatch, argv):
+    # a row is evaluated once a chunk: 4.1 reads Scal_t off one stacked
+    # transverse tensor, cor3.1 takes one stacked eigvalsh; around a full
+    # chunk, each report is the report of chunks of one point
+    size = chunk_size(cli._model(cli.build_parser().parse_args(["bounds", *argv])))
+    assert size > 1
+    out = tmp_path / "b.json"
+    for samples in (size - 1, size, size + 1):
+        reports = []
+        for nbytes in (cli.CHUNK_BYTES, 1):
+            monkeypatch.setattr(cli, "CHUNK_BYTES", nbytes)
+            assert run(["bounds", *argv, "--samples", str(samples), "--seed", "3",
+                        "--out", str(out), "--quiet"]) == 0
+            rep = load(out)
+            del rep["summary"]["elapsed_seconds"]
+            reports.append(rep)
         assert reports[0] == reports[1], samples
 
 
@@ -407,23 +444,26 @@ def test_a_degenerate_point_mid_chunk_fails_as_one_at_a_time(capsys, monkeypatch
     # modulus below the margin: the run ends with the line that chunks of
     # one point end with
     real = cli.sample_point
-    drawn = []
+    chunks = []
 
-    def sampled(model, rng):
-        pt = real(model, rng)
-        drawn.append(pt)
-        if len(drawn) == 3:
-            z = pt.z.copy()
-            z[1] *= 0.1 * np.sqrt(hopf.degeneracy_margin(model.m)) / abs(z[1])
-            pt = hopf.SpherePoint(z / np.linalg.norm(z))
-        return pt
+    def sampled(model, rngs):
+        pts = real(model, rngs)
+        k = 2 - sum(chunks)            # the run's third point, if in this chunk
+        chunks.append(len(rngs))
+        if 0 <= k < len(rngs):
+            z = pts.z.copy()
+            z[k, 1] *= 0.1 * np.sqrt(hopf.degeneracy_margin(model.m)) / abs(z[k, 1])
+            z[k] /= np.linalg.norm(z[k])
+            pts = hopf.SpherePoint(z)
+        return pts
 
     monkeypatch.setattr(cli, "sample_point", sampled)
     errors = []
-    for nbytes in (cli.VERIFY_CHUNK_BYTES, 1):
-        monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", nbytes)
-        drawn.clear()
+    for nbytes, drawn in ((cli.CHUNK_BYTES, [6]), (1, [1, 1, 1])):
+        monkeypatch.setattr(cli, "CHUNK_BYTES", nbytes)
+        chunks.clear()
         assert run(argv + ["--samples", "6", "--quiet"]) == 1
+        assert chunks == drawn
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == (
         f"sampling failure: coordinate modulus below margin {hopf.degeneracy_margin(16)}\n")
@@ -456,21 +496,28 @@ def test_mean_curvature_takes_no_dual_pass(monkeypatch):
 
 def test_sample_streams_are_spawned_lazily(capsys, monkeypatch):
     # 200000 samples would hold about 74 MB of spawned seed sequences ahead of
-    # the first point; spawning one child per point holds none
+    # the first point; spawning one child per point as its chunk is drawn
+    # holds one chunk of streams (341 at m = 3) when the first point is drawn
     import tracemalloc
 
-    def first_point(*args, **kwargs):
+    size = chunk_size(hopf.WeightedHopfModel(3, (1.0, 1.0, 1.0)))
+    given = []
+
+    def first_point(model, rngs):
+        given.append(len(rngs))
         raise hopf.DegeneratePointError("stop at the first point")
 
     monkeypatch.setattr(cli, "sample_point", first_point)
     for argv in (["hopf", "--m", "3", "--theta", "1,1,0.5"],
                  ["bounds", "--theorem", "3.1", "--m", "3", "--p", "2"]):
+        given.clear()
         tracemalloc.start()
         try:
             assert run(argv + ["--samples", "200000", "--quiet"]) == 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert given == [size]
         assert peak < 4 * 2**20, (argv[0], peak)
         assert "stop at the first point" in capsys.readouterr().err
 
@@ -729,7 +776,7 @@ def test_oversized_dual_pass_is_refused(capsys, monkeypatch, argv):
     assert run(argv + ["--samples", "1", "--quiet"]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert str(cli.DUAL_PASS_BYTES) in lines[0]
+    assert str(cli.FRAME_GRAM_BYTES) in lines[0]
 
 
 @pytest.mark.parametrize("argv", [["hopf", "--m", "128"],

@@ -370,10 +370,10 @@ def test_action_commutes_with_the_hodge_star(case):
 def test_stacked_action_rows_equal_one_instance(case):
     R, x, _ = case
     out = curvature_action_on_form(R, x).coeffs
-    c, a = R.structure
+    c, A = R.structure
     q, p = x.dimension, x.degree
     for i in range(len(out)):
-        one = curvature_action_on_form(transverse_riemann(space_form(q, c[i]), ONeillTensor(a[i])),
+        one = curvature_action_on_form(transverse_riemann(space_form(q, c[i]), ONeillTensor(A.a[i])),
                                        AlternatingForm(p, q, x.coeffs[i])).coeffs
         assert np.allclose(out[i], one, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(one))))
 
@@ -436,7 +436,7 @@ def test_structured_scalar_is_the_dense_diagonal_without_building_it():
             c = float(rng.uniform(-1.5, 1.5)) if n is None else rng.uniform(-1.5, 1.5, n)
             rows = [random_skew_oneill(rng, q, 2).a for _ in range(n or 1)]
             A = ONeillTensor(rows[0] if n is None else np.array(rows))
-            R = RiemannTensor(structure=(c, A.a))
+            R = RiemannTensor(structure=(c, A))
             scal = R.scalar()
             assert R._components is None
             dense = np.einsum("...lili->...", transverse_riemann(space_form(q, c), A).components)
@@ -448,7 +448,7 @@ def test_structured_components_are_built_once_on_first_read():
     rng = np.random.default_rng(67)
     q, c = 5, 0.4
     A = random_skew_oneill(rng, q, 2)
-    R = RiemannTensor(structure=(c, A.a))
+    R = RiemannTensor(structure=(c, A))
     assert R.dimension == q and R._components is None
     # the action reads the pair only
     curvature_action_on_form(R, random_form(rng, q, 2))
@@ -467,7 +467,12 @@ def test_structure_is_checked():
     a = np.zeros((3, 3, 1))
     a[0, 1, 0] = 1.0  # no skew partner
     with pytest.raises(ValueError, match="skew"):
-        RiemannTensor(structure=(1.0, a))
+        RiemannTensor(structure=(1.0, ONeillTensor(a)))
+    # the O'Neill tensor of a structure cannot be written out of skewness
+    A = ONeillTensor(a - np.swapaxes(a, 0, 1))
+    assert RiemannTensor(structure=(1.0, A)).dimension == 3
+    with pytest.raises(ValueError, match="read-only"):
+        A.a[0, 1, 0] = 2.0
 
 
 def test_space_form_contractions_read_from_c():

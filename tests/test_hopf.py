@@ -98,6 +98,41 @@ def test_sample_point_determinism_and_margins():
         assert abs(np.linalg.norm(pt.z) - 1.0) < 1e-12
 
 
+def _one_point_draw(model, rng):
+    """The one-point rejection draw written out, with its number of draws:
+    2m normals, normalized, redrawn until every modulus squared clears
+    the margin."""
+    for draws in range(1, 10_000):
+        g = rng.standard_normal(2 * model.m)
+        g /= np.linalg.norm(g)
+        z = g[0::2] + 1j * g[1::2]
+        if np.min(np.abs(z) ** 2) >= degeneracy_margin(model.m):
+            return z, draws
+    raise AssertionError("no draw cleared the margin")
+
+
+@pytest.mark.parametrize("m", [3, 16, 40])
+def test_a_stack_is_drawn_point_by_point_from_its_own_streams(m):
+    # a list of generators gives the stack of the one-point draws, bit for
+    # bit, each rejected point redrawn from its own generator, which is
+    # left where the one-point draw leaves it; one generator gives one point
+    model = WeightedHopfModel(m, (1.0,) * m)
+    redrawn = 0
+    for n in (1, 2, 7, 20):
+        seeds = range(100 * n, 100 * n + n)
+        gens = [np.random.default_rng(s) for s in seeds]
+        refs = [np.random.default_rng(s) for s in seeds]
+        pts = sample_point(model, gens)
+        want, draws = zip(*(_one_point_draw(model, rng) for rng in refs))
+        assert pts.z.shape == (n, m) and np.array_equal(pts.z, np.array(want))
+        assert [g.standard_normal() for g in gens] == [r.standard_normal() for r in refs]
+        redrawn += sum(draws) - n
+        one = sample_point(model, np.random.default_rng(seeds[0]))
+        assert one.z.shape == (m,) and np.array_equal(one.z, want[0])
+    if m >= 16:  # about a quarter of the draws miss the margin
+        assert redrawn > 0
+
+
 def test_degeneracy_margin_shrinks_with_m_squared_above_16():
     # the margin is exactly 1e-3 up to m = 16, so small-m draws are unchanged
     assert all(degeneracy_margin(m) == 1e-3 for m in range(2, 17))

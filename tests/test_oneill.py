@@ -17,7 +17,7 @@ from folcurv.curvature import (
     transverse_ricci,
     transverse_riemann,
 )
-from folcurv import exterior
+from folcurv import exterior, oneill
 from folcurv.curvature import _add_oneill_terms
 from folcurv.exterior import AlternatingForm, contractions, inner, interior_vector, wedge
 from folcurv.hopf import WeightedHopfModel, oneill_from_brackets, sample_point
@@ -41,7 +41,7 @@ from folcurv.oneill import (
     two_form_rewrite,
     vertical_contraction_term,
 )
-from folcurv.synthetic import random_form
+from folcurv.synthetic import random_form, random_trials
 
 from oracles import (
     basis_form,
@@ -649,7 +649,7 @@ def test_gram_products_match_their_einsum_definitions(q):
         for n in (None, 3):
             A, RK, c = _gram_draws(rng, q, vdim, n)
             R = space_form(q, c).components
-            assert _within(_add_oneill_terms(R, A.a), einsum_oneill_terms(R, A.a))
+            assert _within(_add_oneill_terms(R, A.gram), einsum_oneill_terms(R, A.a))
             assert _within(exterior._gram(A.a, 2), einsum_gram(A.a, 2))
             for p in range(1, min(q, 3) + 1):
                 a = AlternatingForm(p, q, rng.standard_normal(
@@ -664,3 +664,27 @@ def test_gram_products_match_their_einsum_definitions(q):
                     assert _within(bivector_curvature_sum(RK, a),
                                    einsum_bivector_curvature_sum(RK, a),
                                    np.sqrt(np.sum(RK.components ** 2)) * a.norm_sq)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_gram_product_per_oneill_tensor(monkeypatch, p):
+    # R_t and the B+ and B- closed forms of a stack read the Gram product its
+    # ONeillTensor keeps: A.a is multiplied by itself once, and the kept
+    # product is the plain one, read-only
+    real = oneill._gram
+    operands = []
+
+    def counting(X, k):
+        operands.append(X)
+        return real(X, k)
+
+    monkeypatch.setattr(oneill, "_gram", counting)
+    (trials,) = random_trials(np.random.default_rng(p), 5, p, [2] * 4)
+    RM, A, a, _ = trials.build()
+    Rt = transverse_riemann(RM, A)
+    master_identity_residual(RM, A, a, Rt=Rt)
+    bplus_norm_closed(A, a)
+    bminus_norm_closed(A, a)
+    assert Rt.components is not None
+    assert sum(X is A.a for X in operands) == 1
+    assert np.array_equal(A.gram, exterior._gram(A.a, 2)) and not A.gram.flags.writeable

@@ -3,6 +3,7 @@ the same instances give one at a time, and the stacked draws of ``verify``
 are the instances drawn one at a time."""
 
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -139,6 +140,31 @@ def test_changing_one_row_changes_only_that_row(name, q, p, vdim):
     assert _close(after[j], _single(one)), name
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 12, 18])
+def test_stacked_action_rows_are_the_one_form_actions_bit_for_bit(q):
+    # hopf reads each point's Kahler residuals off its row of one stacked
+    # action, so no row may depend on the stack around it: every row of
+    # stacks of 1, 2, 7 and 20 is the action on that one form, bit for bit
+    n = 20
+    for p in range(min(q, 4) + 1):
+        for vdim in (1, 2, 3):
+            rng = np.random.default_rng(1000 * q + 10 * p + vdim)
+            m = rng.standard_normal((n, q, q, vdim))
+            a = (m - np.swapaxes(m, 1, 2)) / 2.0
+            x = rng.standard_normal((n, comb(q, p)))
+            c = rng.uniform(-1.5, 1.5, n)
+
+            def action(rows):
+                Rt = transverse_riemann(space_form(q, c[rows]), ONeillTensor(a[rows]))
+                return curvature_action_on_form(Rt, AlternatingForm(p, q, x[rows])).coeffs
+
+            one = [action(i) for i in range(n)]
+            for lo, size in ((0, 1), (5, 2), (3, 7), (0, n)):
+                stacked = action(slice(lo, lo + size))
+                for i, row in enumerate(stacked, start=lo):
+                    assert np.array_equal(row, one[i]), (p, vdim, lo, size, i)
+
+
 @pytest.mark.parametrize("q,p", [(4, 1), (4, 3), (5, 2), (6, 3)])
 def test_stacked_draws_are_the_one_at_a_time_draws(q, p):
     # a chunk of trials with every vdim, drawn stacked and one at a time
@@ -203,8 +229,8 @@ def test_kulkarni_nomizu_draws_and_squares_are_their_definitions(q):
 def test_verify_reports_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch):
     # the chunks change where the stacks split, not the draws or the checks
     reports = []
-    for nbytes in (cli.VERIFY_CHUNK_BYTES, 1):
-        monkeypatch.setattr(cli, "VERIFY_CHUNK_BYTES", nbytes)
+    for nbytes in (cli.CHUNK_BYTES, 1):
+        monkeypatch.setattr(cli, "CHUNK_BYTES", nbytes)
         out = tmp_path / f"r{nbytes}.json"
         assert cli.main(["verify", "--trials", "7", "--q", "4", "--seed", "2",
                          "--out", str(out), "--quiet"]) == 0
