@@ -16,6 +16,7 @@ failure.  Everything printed is also present in the structured report.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -445,6 +446,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@functools.cache  # once a process; ``choices`` reads the live BOUNDS
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="folcurv",

@@ -2,17 +2,15 @@
 
 A ``Dual`` carries a value of shape S and its gradient, of shape S + (n,):
 one tangent row per entry.  Seeding the coordinates of a point with the
-identity tangent basis evaluates a whole family of functions together with
-their full Jacobians in one sweep, one array operation per step of the
-formula (vectorized forward mode; Griewank & Walther, *Evaluating
-Derivatives*, ch. 3).  Values broadcast as numpy arrays do, and the gradient
-axis stays last.  Exact (to rounding) for the polynomial vector fields
-differentiated here; ``sqrt`` extends the reach to normalized fields.
-
+identity tangent basis (``seed_point``) evaluates a family of functions with
+their full Jacobians in one sweep (vectorized forward mode; Griewank &
+Walther, *Evaluating Derivatives*, ch. 3).  No command runs a sweep: the Hopf
+point pass takes its gradients in closed form.  The test oracle's full field
+Jacobians and the benchmark's tracer read these products, and a frame with
+more vertical fields (the quaternionic Hopf model) is planned on them.
 ``CDual`` packs two duals into a complex array with the few operations the
-sphere fields need: products, multiplication by i, squared modulus,
-indexing, and the interleaved real form.  ``suffix_sum`` gives the strict
-tail sums sum_{k>l} x_k of an array or a dual along its last value axis.
+sphere fields need; ``suffix_sum`` gives the strict tail sums
+sum_{k>l} x_k of an array or a dual along its last value axis.
 """
 
 from __future__ import annotations

@@ -17,19 +17,21 @@ frame are polynomial in the realified coordinates:
 
 for l in 1..m-1 and p in 1..m-2.  X is linear (its Jacobian is i theta); the
 integrability tensor is half the vertical part of the brackets of Y and W,
-whose pairings with X need only the exact gradients of <Z_j, X>.  Each
-evaluator takes a point or a stack of them.  The frame degenerates where
-coordinates vanish, so points are rejection-sampled away from the
-degenerate strata, by a margin on |z_k|^2 that shrinks with 1/m^2 above 16.
+whose pairings with X need only the gradients of <Z_j, X>, in closed
+form.  Each evaluator takes a point or a stack of them.  The frame
+degenerates where coordinates vanish, so points are rejection-sampled away
+from the degenerate strata, by a margin on |z_k|^2 that shrinks with 1/m^2
+above 16.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dual import seed_point, suffix_sum
+from .dual import suffix_sum
 from .exterior import AlternatingForm, _value
 from .oneill import ONeillTensor
 
@@ -87,6 +89,12 @@ class WeightedHopfModel:
     def is_hopf(self) -> bool:
         return all(t == 1.0 for t in self.theta)
 
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """theta, theta^2, theta on each (re, im) pair, and the W row scales."""
+        th = np.asarray(self.theta)
+        return th, th**2, np.repeat(th, 2), np.append(np.ones(self.m - 2), 1.0 / th[-1])
+
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -139,7 +147,7 @@ def generating_field(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray
     """The generating field X = i theta z, shape (..., 2m).  It is linear in z, so
     its Jacobian is the constant matrix of multiplication by i theta, and it
     never degenerates on the sphere."""
-    return apply_complex_structure(np.repeat(model.theta, 2) * realify(point.z))
+    return apply_complex_structure(model.weights[2] * realify(point.z))
 
 
 # -- the point pass: frame field values and their pairings with X, differentiated
@@ -150,39 +158,36 @@ def fields_YW(model: WeightedHopfModel, point: SpherePoint, x: np.ndarray):
     ``field_labels``, and the gradients u_j = DZ_j^T x of their pairings
     with x (..., 2m) held fixed: ``(fields, u)``, both (..., q, 2m).
 
-    Row l of Y (of W) is a coefficient row times z (times i z): the diagonal
-    entry is minus the tail sum_{k>l} |z_k|^2 (weighted by theta_k^2 for W),
-    the entries right of it are |z_l|^2 (times theta_l theta_k for W), and
-    W_{m-1} as defined is that row over theta_m.  With g_k = <z_k, x_k> and
-    h_k = <i z_k, x_k> the pairings are suffix sums,
-        <Y_l, x> = |z_l|^2 sum_{k>l} g_k - (sum_{k>l} |z_k|^2) g_l,
-        <W_p, x> = theta_p |z_p|^2 sum_{k>p} theta_k h_k - (sum_{k>p} theta_k^2 |z_k|^2) h_p,
-    so one forward-mode sweep of O(m) duals with 2m tangents gives every u_j
-    and no field Jacobian is formed.  ``adapted_frame`` checks the points."""
+    Row l of Y (of W) is a coefficient row y (w) times z (times i z): minus
+    the tail t_l = sum_{k>l} |z_k|^2 (for W t'_l, weighted by theta_k^2) on the
+    diagonal, |z_l|^2 (times theta_l theta_k for W) right of it; W_{m-1} as
+    defined is that row over theta_m.  With g_k = <z_k, x_k>, h_k = <i z_k, x_k> and the
+    suffix sums S_l = sum_{k>l} g_k, H_p = sum_{k>p} theta_k h_k, the pairings
+    |z_l|^2 S_l - t_l g_l and theta_p |z_p|^2 H_p - t'_p h_p have the
+    gradients u = C_Y z + y x (Y rows) and C_W z - w J x (W rows), C_Y holding
+    2 S_l on the diagonal and -2 g_l right of it, C_W 2 theta_p H_p and
+    -2 theta_k^2 h_p (times the row's scale).  ``adapted_frame`` checks the points."""
     m = model.m
-    th = np.asarray(model.theta)
-    scale = np.append(np.ones(m - 2), 1.0 / th[-1])  # W_{m-1} = general row / theta_m
-    z = realify(point.z).reshape(-1, 2 * m)
-    x = np.reshape(x, (-1, 2 * m))
-    zc = seed_point(z)
-    mod = zc.abs2()                                  # |z_k|^2
-    tail = suffix_sum(mod)                           # sum_{k>l} |z_k|^2
-    wtail = suffix_sum(mod * th**2)                  # sum_{k>l} theta_k^2 |z_k|^2
-    g = zc.re * x[:, 0::2] + zc.im * x[:, 1::2]      # <z_k, x_k>
-    h = zc.re * x[:, 1::2] - zc.im * x[:, 0::2]      # <i z_k, x_k>
-    head = mod[:, :-1]
-    y_pair = head * suffix_sum(g)[:, :-1] - tail[:, :-1] * g[:, :-1]
-    w_pair = (head * suffix_sum(h * th)[:, :-1] * th[:-1] - wtail[:, :-1] * h[:, :-1]) * scale
-    rows, cols = np.ogrid[:m - 1, :m]
-    diag, upper = (cols == rows) * 1.0, (cols > rows) * 1.0
-    y = head.value[:, :, None] * upper - tail.value[:, :-1, None] * diag    # coefficient rows
-    w = (head.value[:, :, None] * np.outer(th[:-1], th) * upper
-         - wtail.value[:, :-1, None] * diag) * scale[:, None]
-    fields = np.concatenate([np.repeat(y, 2, axis=-1) * z[:, None],
-                             np.repeat(w, 2, axis=-1) * apply_complex_structure(z)[:, None]], 1)
-    u = np.concatenate([y_pair.grad, w_pair.grad], axis=1)
+    th, th2, _, scale = model.weights
+    z = point.z.reshape(-1, m)
+    re, im = z.real, z.imag
+    x = np.reshape(x, (-1, m, 2))
+    mod = re * re + im * im                          # |z_k|^2
+    g = re * x[..., 0] + im * x[..., 1]              # <z_k, x_k>
+    h = re * x[..., 1] - im * x[..., 0]              # <i z_k, x_k>
+    # rows of y, w, C_Y, C_W: a tail on the diagonal, a head times weights right of it
+    tails = suffix_sum(np.stack([-mod, -mod * th2, 2.0 * g, 2.0 * th * h], 1))[..., :-1, None]
+    tails[:, 3] *= th[:-1, None]
+    heads = np.stack([mod, mod, -2.0 * g, -2.0 * h], 1)[..., :-1, None]
+    upper = np.tri(m, m - 1, -1).T
+    k = heads * np.stack([upper, np.outer(th[:-1], th) * upper, upper, th2 * upper])
+    k += tails * np.eye(m - 1, m)
+    k[:, 1::2] *= scale[:, None]
+    x = x[..., 0] + 1j * x[..., 1]      # complex rows; their float view is realify's layout
+    fields = k[:, :2] * np.stack([z, 1j * z], 1)[:, :, None]      # y z and w i z
+    u = k[:, 2:] * z[:, None, None] + k[:, :2] * np.stack([x, -1j * x], 1)[:, :, None]
     shape = point.z.shape[:-1] + (model.q, 2 * m)
-    return fields.reshape(shape), u.reshape(shape)
+    return fields.view(float).reshape(shape), u.view(float).reshape(shape)
 
 
 def _first(bad) -> tuple | None:
@@ -204,6 +209,13 @@ class AdaptedFrame:
     tangency_residual: float
     fields: np.ndarray              # unnormalized Z_i, shape (..., q, 2m)
     u: np.ndarray                   # DZ_i^T X, shape (..., q, 2m)
+
+    @cached_property
+    def complex_pairing(self) -> AlternatingForm:
+        """The 2-form <J e_i, e_j> of the horizontal frame H, read once from (J H) H^T."""
+        h = self.horizontal
+        i, j = np.triu_indices(h.shape[-2], 1)
+        return AlternatingForm(2, h.shape[-2], (apply_complex_structure(h) @ h.mT)[..., i, j])
 
 
 def adapted_frame(model: WeightedHopfModel, point: SpherePoint) -> AdaptedFrame:
@@ -295,7 +307,7 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
     1e-8 is a reportable finding about this formula, never silently patched.
     """
     m = model.m
-    th2 = np.asarray(model.theta) ** 2
+    th2 = model.weights[1]
     zz = point.moduli_sq
     tz = th2 * zz
     z_tail, t_tail = suffix_sum(zz), suffix_sum(tz)          # Z_{j+1}, T_{j+1}
@@ -314,17 +326,15 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
 
 def kahler_form(model: WeightedHopfModel, frame: AdaptedFrame) -> AlternatingForm:
     """The canonical 2-form of the Hopf fibration on the horizontal fiber,
-    w(e_i, e_j) = <J e_i, e_j>, read from the matrix (J H) H^T of the frame
-    H (the -a of ``oneill_from_brackets``); nondegenerate, |w|^2 = q/2.
+    w(e_i, e_j) = <J e_i, e_j>, the frame's ``complex_pairing`` (the -a of
+    ``oneill_from_brackets``); nondegenerate, |w|^2 = q/2.
 
     Only defined for the unweighted action (all weights 1), where the
     horizontal space is invariant under the complex structure.
     """
     if not model.is_hopf:
         raise ValueError("the canonical 2-form requires all weights equal to 1")
-    i, j = np.triu_indices(model.q, 1)
-    jh = apply_complex_structure(frame.horizontal)
-    return AlternatingForm(2, model.q, (jh @ frame.horizontal.mT)[..., i, j])
+    return frame.complex_pairing
 
 
 def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
@@ -339,7 +349,7 @@ def mean_curvature(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray:
     nx = np.sqrt(np.vecdot(x_amb, x_amb))[..., None]
     v = x_amb / nx
     x = realify(point.z)
-    dvv = apply_complex_structure(np.repeat(model.theta, 2) * v) / nx   # D_V V, up to V
+    dvv = apply_complex_structure(model.weights[2] * v) / nx           # D_V V, up to V
     dvv = dvv - np.vecdot(dvv, x)[..., None] * x     # sphere projection (unit normal z)
     return dvv - np.vecdot(dvv, v)[..., None] * v    # horizontal projection
 

@@ -12,8 +12,10 @@ package's action is computed from.  ``cor31_scan`` estimates the maximum
 of the package's own ``prop31_value`` by sampling, the definition route
 that ``cor31_max`` reads off an eigenvalue.  ``jacobian_fields_YW``
 evaluates the Hopf frame fields on the package's dual numbers with their
-full Jacobians, the definition that the point pass ``hopf.fields_YW``,
-which differentiates only the pairings <Z_j, X>, must equal.
+full Jacobians, the definition whose contraction J^T X the closed-form
+gradients u_j of the point pass ``hopf.fields_YW`` must equal.
+``dumps_report_walk`` spells a report by one recursive ``isinstance`` walk
+that appends piece by piece, the reference of ``report.dumps_report``.
 
 The one-at-a-time draws (``random_instance`` and its parts) build on the
 draw helpers of ``folcurv.synthetic``, so a stack of ``random_trials``
@@ -26,7 +28,7 @@ preallocated ``random_trials``.
 """
 
 import itertools
-from math import comb, factorial
+from math import comb, factorial, isfinite
 
 import numpy as np
 
@@ -400,3 +402,49 @@ def random_trials_rows(rng, q, p, vdims):
             _draw_matrix_pair(rng, q),
         ))
     return [Trials(q, p, *map(np.array, zip(*rows))) for rows in draws.values()]
+
+
+# -- the report text, one piece at a time ------------------------------------------
+
+
+def _walk(obj, out):
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if not isfinite(obj):
+            raise ValueError(f"report holds a non-finite float ({obj!r}), which JSON cannot carry")
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            _walk(str(k), out)
+            out.append(": ")
+            _walk(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _walk(v, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def dumps_report_walk(report) -> str:
+    """JSON text with floats at 17 significant digits, by ``isinstance``
+    dispatch at every value; raises ``ValueError`` on a non-finite float."""
+    out = []
+    _walk(report, out)
+    return "".join(out)

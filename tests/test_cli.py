@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import folcurv.cli as cli
-from folcurv import curvature, exterior, hopf, oneill
+from folcurv import curvature, dual, exterior, hopf, oneill
 from folcurv.report import dumps_report
 
-from oracles import exterior_maxima_loop
+from oracles import dumps_report_walk, exterior_maxima_loop
 
 
 def run(args):
@@ -357,25 +358,25 @@ def test_one_transverse_tensor_per_evaluation(monkeypatch):
     assert len(tensors) == 2 and actions == [(1,), (1,)]   # chunks of one point
 
 
-def test_one_dual_evaluation_per_chunk(monkeypatch):
-    # a chunk of points is seeded once, and the q horizontal fields of all
-    # its points are evaluated together; X is linear and needs no dual pass
-    seeds = []
-    real_seed = hopf.seed_point
+def test_one_fields_pass_per_chunk(monkeypatch):
+    # the q horizontal fields of all the points of a chunk, and their pairing
+    # gradients, come from one fields_YW call; X is linear and takes none
+    passes = []
+    real_fields = hopf.fields_YW
 
-    def counting_seed(x):
-        seeds.append(len(x))
-        return real_seed(x)
+    def counting_fields(model, point, x):
+        passes.append(len(point.z))
+        return real_fields(model, point, x)
 
-    monkeypatch.setattr(hopf, "seed_point", counting_seed)
+    monkeypatch.setattr(hopf, "fields_YW", counting_fields)
     for weights in ([], ["--theta", "1,1,0.5"]):
-        seeds.clear()
+        passes.clear()
         assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"] + weights) == 0
-        assert seeds == [2]             # one chunk of both points
+        assert passes == [2]            # one chunk of both points
     monkeypatch.setattr(cli, "CHUNK_BYTES", 1)
-    seeds.clear()
+    passes.clear()
     assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"]) == 0
-    assert seeds == [1, 1]              # chunks of one point
+    assert passes == [1, 1]             # chunks of one point
 
 
 THETA_16 = ",".join(f"{1 - 0.05 * i:.2f}" for i in range(16))
@@ -483,15 +484,19 @@ def test_bracket_route_as_closed_form_drops_every_finding(tmp_path, monkeypatch)
     assert load(out)["findings"] == []
 
 
-def test_mean_curvature_takes_no_dual_pass(monkeypatch):
-    # D_V V = i theta V / |X| in closed form, so no point is seeded
-    def seeded(*args):
-        raise AssertionError("mean_curvature seeded a dual pass")
+def test_no_command_builds_a_dual(monkeypatch):
+    # the point pass takes u_j in closed form and D_V V = i theta V / |X| is
+    # closed too, so no hopf run, unit or weighted, and no bounds row builds
+    # a dual number
+    def built(*args):
+        raise AssertionError("a command built a Dual")
 
-    monkeypatch.setattr(hopf, "seed_point", seeded)
-    for theta in ((1.0, 1.0, 0.5), (1.0, 1.0, 1.0)):
-        model = hopf.WeightedHopfModel(3, theta)
-        hopf.mean_curvature(model, hopf.sample_point(model, 0))
+    monkeypatch.setattr(dual.Dual, "__init__", built)
+    for theta in ([], ["--theta", "1,1,0.5"]):
+        assert run(["hopf", "--m", "3", "--samples", "2", "--quiet"] + theta) == 0
+    for theorem in BOUND_ROWS:
+        assert run(["bounds", "--theorem", theorem, "--m", "3", "--p", "2",
+                    "--samples", "2", "--quiet"]) == 0
 
 
 def test_sample_streams_are_spawned_lazily(capsys, monkeypatch):
@@ -879,6 +884,29 @@ def test_hopf_takes_no_tol(capsys):
 def test_report_refuses_non_finite_floats(value):
     with pytest.raises(ValueError, match="non-finite"):
         dumps_report({"summary": {"gap": [1.0, value]}})
+
+
+_FLOATS = st.floats() | st.floats().map(np.float64)
+_LEAVES = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | _FLOATS
+           | st.text(st.sampled_from(['a', 'n', '"', '\\', ' ', '\u00e9']), max_size=6)
+           | st.lists(st.floats(), max_size=5))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                    | st.lists(kids, max_size=4).map(tuple)
+                    | st.dictionaries(st.text(max_size=4), kids, max_size=4), max_leaves=24))
+def test_report_text_is_the_walk(tree):
+    # the type-dispatched spelling against the isinstance walk: strings with
+    # quotes and backslashes, ints, bools, None, tuples, np.float64 and float
+    # lists give the same text, and a non-finite float is refused by both
+    try:
+        want = dumps_report_walk({"summary": tree})
+    except ValueError:
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_report({"summary": tree})
+        return
+    assert dumps_report({"summary": tree}) == want
 
 
 def test_report_floats_have_17_significant_digits(tmp_path):

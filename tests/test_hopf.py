@@ -3,6 +3,7 @@ integrability tensor by both routes, and the geometric certificates."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folcurv.curvature import (
     curvature_action_on_form,
@@ -268,6 +269,27 @@ def test_contracted_pass_is_the_jacobian_contraction(m):
         ref_u = jacobians.transpose(0, 2, 1) @ x
         assert np.max(np.abs(fields - ref_fields)) <= 1e-14 * np.max(np.abs(ref_fields))
         assert np.max(np.abs(u - ref_u)) <= 1e-14 * np.max(np.abs(ref_u))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.integers(2, 40).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(0.1, 1.0), min_size=m - 1, max_size=m - 1),
+    st.integers(1, 5), st.integers(0, 2**32 - 1))))
+def test_closed_form_gradients_are_the_dual_jacobian_contraction(case):
+    # the closed-form u_j against J^T X of the dual-number Jacobians, at any
+    # weights in [0.1, 1] and stacks of 1 to 5 points; each row of a stack
+    # is its one-point call bit for bit
+    weights, n, seed = case
+    model = WeightedHopfModel(len(weights) + 1, (1.0, *weights))
+    stack = sample_point(model, [np.random.default_rng([seed, r]) for r in range(n)])
+    x = generating_field(model, stack)
+    fields, u = fields_YW(model, stack, x)
+    for r in range(n):
+        one = SpherePoint(stack.z[r])
+        fields1, u1 = fields_YW(model, one, x[r])
+        assert np.array_equal(fields[r], fields1) and np.array_equal(u[r], u1)
+        ref_u = jacobian_fields_YW(model, one)[1].transpose(0, 2, 1) @ x[r]
+        assert np.max(np.abs(u1 - ref_u)) <= 1e-14 * np.max(np.abs(u1))
 
 
 def test_a_stack_of_points_is_the_points_one_at_a_time():
