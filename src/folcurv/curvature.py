@@ -172,19 +172,18 @@ def _add_oneill_terms(R: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _diagonal(q: int, c, A) -> np.ndarray:
     """The entries R[l, i, l, i] of the tensor of structure (c, A), each
-    from the three O'Neill terms of the defining formula,
+    from the O'Neill terms of the defining formula,
 
-        c (1 - d_li) + 2 G(li, li) - G(il, li) - G(ll, ii),
+        c (1 - d_li) + 2 G(li, li) - G(il, li),
 
-    summed separately, never through the closed-form Ricci."""
+    summed separately, never through the closed-form Ricci; its third term
+    -G(ll, ii) is zero, as A is exactly skew."""
     K = np.multiply.outer(c, 1.0 - np.eye(q))
     if A is None:
         return K
     a = A.a
-    d = np.einsum("...lls->...ls", a)
     return (K + 2.0 * np.einsum("...lis,...lis->...li", a, a)
-            - np.einsum("...ils,...lis->...li", a, a)
-            - np.einsum("...ls,...is->...li", d, d))
+            - np.einsum("...ils,...lis->...li", a, a))
 
 
 def space_form(q: int, c) -> RiemannTensor:
@@ -263,7 +262,7 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     A = A.a                                                     # (..., i, j, s)
 
     def derive(E, y):  # D_E x from y = _contract(x), each leading axis broadcast
-        return _wedge_frame(np.einsum("...kl,...lR->...kR", E, y), q, p)
+        return _wedge_frame(E @ y, q, p)
 
     w = np.moveaxis(A, -1, -3)                                  # (..., s, k, l)
     y = _contract(a.coeffs, q, p)

@@ -169,14 +169,6 @@ class AlternatingForm:
         c = np.array(coeffs, dtype=float)
         self.coeffs = c if c.ndim == 2 and c.shape[1] == n else c.reshape(n)
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def one_form(cls, dimension: int, components) -> "AlternatingForm":
-        a = cls(1, dimension)
-        a.coeffs[:] = np.asarray(components, dtype=float)
-        return a
-
     # -- access -------------------------------------------------------------
 
     def component(self, *indices: int) -> float:

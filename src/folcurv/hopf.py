@@ -43,7 +43,6 @@ __all__ = [
     "BracketRouteError",
     "realify",
     "complexify",
-    "field_labels",
     "degeneracy_margin",
     "generating_field",
     "fields_YW",
@@ -129,12 +128,6 @@ def apply_complex_structure(x: np.ndarray) -> np.ndarray:
 FRAME_TOL = 1e-10  # the largest Gram or tangency residual of a frame (hopf.frame_gram)
 
 
-def field_labels(model: WeightedHopfModel) -> tuple[str, ...]:
-    """Horizontal frame field labels, ordered Y_1..Y_{m-1}, W_1..W_{m-1}."""
-    m = model.m
-    return tuple(f"Y{l}" for l in range(1, m)) + tuple(f"W{p}" for p in range(1, m))
-
-
 def degeneracy_margin(m: int) -> float:
     """The least |z_k|^2 a sample point may have: 1e-3 up to m = 16, then
     1e-3 (16/m)^2.  A uniform draw clears it with probability about
@@ -154,9 +147,9 @@ def generating_field(model: WeightedHopfModel, point: SpherePoint) -> np.ndarray
 
 
 def fields_YW(model: WeightedHopfModel, point: SpherePoint, x: np.ndarray):
-    """The 2m-2 horizontal frame fields at the points (..., m), ordered as
-    ``field_labels``, and the gradients u_j = DZ_j^T x of their pairings
-    with x (..., 2m) held fixed: ``(fields, u)``, both (..., q, 2m).
+    """The 2m-2 horizontal frame fields at the points (..., m), ordered
+    Y_1..Y_{m-1}, W_1..W_{m-1}, and the gradients u_j = DZ_j^T x of their
+    pairings with x (..., 2m) held fixed: ``(fields, u)``, both (..., q, 2m).
 
     Row l of Y (of W) is a coefficient row y (w) times z (times i z): minus
     the tail t_l = sum_{k>l} |z_k|^2 (for W t'_l, weighted by theta_k^2) on the
@@ -220,31 +213,26 @@ class AdaptedFrame:
 
 def adapted_frame(model: WeightedHopfModel, point: SpherePoint) -> AdaptedFrame:
     """X and the ``fields_YW`` fields at the points, normalized.  The first
-    point with a coordinate modulus below ``degeneracy_margin(m)``, a squared
-    field norm below the floor margin^3 min(theta)^4 that it implies, or a
-    basis off orthonormal or sphere-tangent by more than ``FRAME_TOL``
-    raises ``DegeneratePointError`` for the first of these (resample it)."""
+    point with a coordinate modulus below ``degeneracy_margin(m)``, or a
+    basis off orthonormal or sphere-tangent by more than ``FRAME_TOL`` (a
+    zero field's NaN residual among them), raises ``DegeneratePointError``
+    for the first of these (resample it)."""
     eps_deg = degeneracy_margin(model.m)
     x_amb = generating_field(model, point)
     fields, u = fields_YW(model, point, x_amb)
     nx = np.sqrt(np.vecdot(x_amb, x_amb))
-    norms_sq = np.vecdot(fields, fields)
-    norms = np.sqrt(norms_sq)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero field fails the floor
+    norms = np.sqrt(np.vecdot(fields, fields))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero field fails the Gram check
         horizontal = fields / norms[..., None]
     vertical = x_amb / nx[..., None]
     basis = np.concatenate([vertical[..., None, :], horizontal], axis=-2)
     gram = np.max(np.abs(basis @ basis.mT - np.eye(model.q + 1)), axis=(-2, -1))
     tangency = np.max(np.abs(basis @ realify(point.z)[..., None]), axis=(-2, -1))
     low_mod = np.min(point.moduli_sq, axis=-1) < eps_deg
-    low_field = norms_sq < eps_deg**3 * min(model.theta) ** 4
-    k = _first(low_mod | low_field.any(-1) | (gram > FRAME_TOL) | (tangency > FRAME_TOL))
+    k = _first(low_mod | ~(gram <= FRAME_TOL) | ~(tangency <= FRAME_TOL))
     if k is not None:
         if low_mod[k]:
             raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
-        if low_field[k].any():
-            label = field_labels(model)[np.argmax(low_field[k])]
-            raise DegeneratePointError(f"field {label} degenerates at this point")
         raise DegeneratePointError(f"frame fails orthonormality/tangency: "
                                    f"gram={gram[k]:.3e}, tangency={tangency[k]:.3e}")
     return AdaptedFrame(vertical, horizontal, norms, _value(nx), _value(gram),

@@ -22,7 +22,6 @@ from folcurv.hopf import (
     adapted_frame,
     degeneracy_margin,
     fields_YW,
-    field_labels,
     generating_field,
     kahler_form,
     mean_curvature,
@@ -33,7 +32,13 @@ from folcurv.hopf import (
 )
 from folcurv.oneill import bminus_norm, bplus_norm, prop31_value, prop41_sides
 
-from oracles import fd_directional, fd_lie_bracket, jacobian_fields_YW, oneill_closed_form_loop
+from oracles import (
+    fd_directional,
+    fd_lie_bracket,
+    field_labels,
+    jacobian_fields_YW,
+    oneill_closed_form_loop,
+)
 
 
 def at(model, x):
@@ -365,6 +370,23 @@ def test_last_w_row_is_its_literal_definition():
         expect[m - 1] = theta[m - 2] * zz[m - 2] * 1j * z[m - 1]
         fields, _ = fields_YW(model, pt, generating_field(model, pt))
         assert np.allclose(fields[-1], realify(expect), rtol=0, atol=1e-15)
+
+
+def test_a_zero_field_row_is_refused_by_the_gram_check(monkeypatch):
+    # with no field floor, a zero field's NaN frame row fails the Gram and
+    # tangency checks, which NaN cannot pass
+    model = WeightedHopfModel(3, (1.0, 0.8, 0.5))
+    pt = sample_point(model, 5)
+    true_fields = hopf.fields_YW
+
+    def zero_row(model, point, x):
+        fields, u = true_fields(model, point, x)
+        fields[..., 1, :] = 0.0
+        return fields, u
+
+    monkeypatch.setattr(hopf, "fields_YW", zero_row)
+    with pytest.raises(DegeneratePointError, match="gram=nan, tangency=nan"):
+        adapted_frame(model, pt)
 
 
 def test_degenerate_point_rejected():

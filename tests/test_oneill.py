@@ -19,7 +19,7 @@ from folcurv.curvature import (
 )
 from folcurv import exterior, oneill
 from folcurv.curvature import _add_oneill_terms
-from folcurv.exterior import AlternatingForm, contractions, inner, interior_vector, wedge
+from folcurv.exterior import AlternatingForm, contractions, flat, inner, interior_vector, wedge
 from folcurv.hopf import WeightedHopfModel, oneill_from_brackets, sample_point
 from folcurv.oneill import (
     ONeillTensor,
@@ -415,7 +415,7 @@ def test_cor31_max_is_attained_at_the_top_eigenvector():
         best = cor31_max(RM, A)
         scale = max(1.0, abs(best))
         assert abs(best - w[-1]) <= 1e-12 * scale
-        top = prop31_value(RM, A, AlternatingForm.one_form(q, V[:, -1]))
+        top = prop31_value(RM, A, flat(V[:, -1], q))
         assert abs(top - best) <= 1e-12 * scale
 
 
@@ -492,7 +492,7 @@ def _bplus_norm_loop(A, a):
         acc = AlternatingForm(a.degree, q)
         for i in range(q):
             acc = acc + wedge(interior_vector(np.eye(q)[i], a),
-                              AlternatingForm.one_form(q, A.a[i, :, s]))
+                              flat(A.a[i, :, s], q))
         total += acc.norm_sq
     return total
 
@@ -515,7 +515,7 @@ def _contraction_chain_loop(A, a):
                 acc = acc + w
             ua = u @ V
             end += float(ua @ ua)
-            midw += wedge(AlternatingForm.one_form(q, u),
+            midw += wedge(flat(u, q),
                           AlternatingForm(p - 1, q, V[i])).norm_sq
         out["mixed_term_per_s"].append(float(acc @ acc) if P is not None else 0.0)
         out["q_sum_bivector_per_s"].append(q * mid)
