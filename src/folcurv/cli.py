@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -115,24 +114,17 @@ def _model(args) -> WeightedHopfModel:
     return WeightedHopfModel(m, theta)
 
 
-def _point_streams(seed: int, n: int):
-    """The random generators of the n sample points, each from the next child
-    of ``SeedSequence(seed)``.  Children are spawned one at a time, so no
-    per-sample state is held ahead of its point; repeated ``spawn(1)`` gives
-    the same children as one ``spawn(n)``."""
-    root = np.random.SeedSequence(seed)
-    for _ in range(n):
-        yield np.random.default_rng(root.spawn(1)[0])
-
-
 def _point_chunks(model: WeightedHopfModel, seed: int, n: int):
     """The n sample points as (index of the first, stack) chunks, each chunk
-    drawn by one ``sample_point`` call, every point from its own
-    ``_point_streams`` child."""
+    drawn by one ``sample_point`` call, every point from its own child of
+    ``SeedSequence(seed)``.  A chunk's children are spawned as it is drawn, so
+    no per-sample state is held ahead of its chunk; repeated spawns give the
+    same children as one ``spawn(n)``."""
     size = max(1, CHUNK_BYTES // (8 * 8 * model.q * 2 * model.m))
-    streams = _point_streams(seed, n)
+    root = np.random.SeedSequence(seed)
     for k0 in range(0, n, size):
-        yield k0, sample_point(model, list(itertools.islice(streams, size)))
+        rngs = [np.random.default_rng(child) for child in root.spawn(min(size, n - k0))]
+        yield k0, sample_point(model, rngs)
 
 
 def _refuse_unwritable_out(args):
@@ -179,49 +171,51 @@ def _exterior_maxima(rng: np.random.Generator, q: int, rounds: int) -> dict[str,
     """The largest residual of each exterior-algebra property over ``rounds``
     rounds of draws, keyed by check name in report order.  A round draws a
     unit p-form and a vector for each degree p, then degrees (pw, pt), a
-    unit form of each and a vector; every draw is made first, and each
-    property is evaluated on one stack per degree p or per pair (pw, pt).
-    Each degree's draws go into one array: held as many small row arrays,
-    they fragmented the heap and raised the peak RSS of repeated runs."""
-    forms = [np.empty((rounds, math.comb(q, p))) for p in range(q + 1)]
-    vectors = np.empty((q + 1, rounds, q))
-    by_pair: dict[tuple[int, int], list] = {}
-    for r in range(rounds):
-        for p in range(q + 1):
-            forms[p][r] = random_form(rng, q, p).coeffs
-            vectors[p, r] = rng.standard_normal(q)
-        pw = int(rng.integers(1, q))
-        pt = int(rng.integers(1, q - pw + 1))
-        by_pair.setdefault((pw, pt), []).append((
-            random_form(rng, q, pw).coeffs, random_form(rng, q, pt).coeffs,
-            rng.standard_normal(q)))
-
-    def worst(lhs, rhs) -> float:
-        return float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
-
+    unit form of each and a vector.  The rounds are drawn and evaluated a
+    chunk at a time, a chunk's 2^q form coefficients a round within
+    ``CHUNK_BYTES``: every draw of a chunk is made first, and each property
+    is evaluated on one stack per degree p or per pair (pw, pt).  Each
+    degree's draws go into one array: held as many small row arrays, they
+    fragmented the heap and raised the peak RSS of repeated runs."""
     out = dict.fromkeys(("hodge_involution", "hodge_contraction_rule", "leibniz",
                          "contraction_sum", "graded_anticommutativity"), 0.0)
-    for p, x in enumerate(vectors):
-        a = AlternatingForm(p, q, forms[p])
-        out["hodge_involution"] = max(out["hodge_involution"],
-                                      worst(hodge(hodge(a)), (-1) ** (p * (q - p)) * a))
-        if p < q:
-            out["hodge_contraction_rule"] = max(out["hodge_contraction_rule"], worst(
-                interior_vector(x, hodge(a)), ((-1) ** p) * hodge(wedge(flat(x, q), a))))
-        if p >= 1:
-            V = contractions(a, 1)
-            total = np.vecdot(V, V).sum(-1)
-            out["contraction_sum"] = max(out["contraction_sum"],
-                                         float(np.max(np.abs(total - p * a.norm_sq))))
-    for (pw, pt), rows in by_pair.items():
-        cw, ct, x = map(np.array, zip(*rows))
-        w, t = AlternatingForm(pw, q, cw), AlternatingForm(pt, q, ct)
-        wt = wedge(w, t)
-        out["leibniz"] = max(out["leibniz"], worst(
-            interior_vector(x, wt),
-            wedge(interior_vector(x, w), t) + ((-1) ** pw) * wedge(w, interior_vector(x, t))))
-        out["graded_anticommutativity"] = max(out["graded_anticommutativity"],
-                                              worst(wt, ((-1) ** (pw * pt)) * wedge(t, w)))
+
+    def worst(name, lhs, rhs):
+        out[name] = max(out[name], float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+
+    size = max(1, CHUNK_BYTES // (8 * 2**q))
+    for r0 in range(0, rounds, size):
+        n = min(size, rounds - r0)
+        forms = [np.empty((n, math.comb(q, p))) for p in range(q + 1)]
+        vectors = np.empty((q + 1, n, q))
+        by_pair: dict[tuple[int, int], list] = {}
+        for r in range(n):
+            for p in range(q + 1):
+                forms[p][r] = random_form(rng, q, p).coeffs
+                vectors[p, r] = rng.standard_normal(q)
+            pw = int(rng.integers(1, q))
+            pt = int(rng.integers(1, q - pw + 1))
+            by_pair.setdefault((pw, pt), []).append((
+                random_form(rng, q, pw).coeffs, random_form(rng, q, pt).coeffs,
+                rng.standard_normal(q)))
+        for p, x in enumerate(vectors):
+            a = AlternatingForm(p, q, forms[p])
+            worst("hodge_involution", hodge(hodge(a)), (-1) ** (p * (q - p)) * a)
+            if p < q:
+                worst("hodge_contraction_rule", interior_vector(x, hodge(a)),
+                      ((-1) ** p) * hodge(wedge(flat(x, q), a)))
+            if p >= 1:
+                V = contractions(a, 1)
+                total = np.vecdot(V, V).sum(-1)
+                out["contraction_sum"] = max(out["contraction_sum"],
+                                             float(np.max(np.abs(total - p * a.norm_sq))))
+        for (pw, pt), rows in by_pair.items():
+            cw, ct, x = map(np.array, zip(*rows))
+            w, t = AlternatingForm(pw, q, cw), AlternatingForm(pt, q, ct)
+            wt = wedge(w, t)
+            worst("leibniz", interior_vector(x, wt),
+                  wedge(interior_vector(x, w), t) + ((-1) ** pw) * wedge(w, interior_vector(x, t)))
+            worst("graded_anticommutativity", wt, ((-1) ** (pw * pt)) * wedge(t, w))
     return out
 
 

@@ -5,9 +5,10 @@ one tangent row per entry.  Seeding the coordinates of a point with the
 identity tangent basis (``seed_point``) evaluates a family of functions with
 their full Jacobians in one sweep (vectorized forward mode; Griewank &
 Walther, *Evaluating Derivatives*, ch. 3).  No command runs a sweep: the Hopf
-point pass takes its gradients in closed form.  The test oracle's full field
-Jacobians and the benchmark's tracer read these products, and a frame with
-more vertical fields (the quaternionic Hopf model) is planned on them.
+point pass takes its gradients in closed form.  The sweeps have two readers:
+the test oracle ``jacobian_fields_YW`` in ``tests/oracles.py``, which seeds
+the full field Jacobians with them, and ``perfbench/tracer.py``, which wraps
+these products by name.
 ``CDual`` packs two duals into a complex array with the few operations the
 sphere fields need; ``suffix_sum`` gives the strict tail sums
 sum_{k>l} x_k of an array or a dual along its last value axis.

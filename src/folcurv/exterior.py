@@ -210,17 +210,10 @@ class AlternatingForm:
         self._check_compatible(other)
         return AlternatingForm(self.degree, self.dimension, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "AlternatingForm") -> "AlternatingForm":
-        self._check_compatible(other)
-        return AlternatingForm(self.degree, self.dimension, self.coeffs - other.coeffs)
-
     def __mul__(self, c) -> "AlternatingForm":
         return AlternatingForm(self.degree, self.dimension, self.coeffs * float(c))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "AlternatingForm":
-        return AlternatingForm(self.degree, self.dimension, -self.coeffs)
 
     def __repr__(self):
         return (

@@ -197,9 +197,9 @@ class AdaptedFrame:
     vertical: np.ndarray
     horizontal: np.ndarray          # shape (..., q, 2m)
     field_norms: np.ndarray         # unnormalized |Z_i|
-    vertical_norm: float            # |X|
-    gram_residual: float
-    tangency_residual: float
+    vertical_norm: float | np.ndarray       # |X|; on a stack, one value a point
+    gram_residual: float | np.ndarray       # on a stack, one value a point
+    tangency_residual: float | np.ndarray   # on a stack, one value a point
     fields: np.ndarray              # unnormalized Z_i, shape (..., q, 2m)
     u: np.ndarray                   # DZ_i^T X, shape (..., q, 2m)
 

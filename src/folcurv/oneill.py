@@ -113,7 +113,7 @@ class ONeillTensor:
         return _value(np.sum(self.a * self.a, axis=(-3, -2, -1)))
 
     def __repr__(self):
-        return f"ONeillTensor(q={self.q}, vdim={self.vdim}, |A|^2={self.norm_sq:.6g})"
+        return f"ONeillTensor(q={self.q}, vdim={self.vdim}, stack={self.a.shape[:-3]})"
 
 
 # -- elementary quantities -----------------------------------------------------

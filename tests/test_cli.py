@@ -84,6 +84,29 @@ def test_stacked_exterior_checks_are_the_one_at_a_time_loop(q, rounds):
     assert stacked.bit_generator.state == loop.bit_generator.state
 
 
+def test_exterior_rounds_are_drawn_a_chunk_at_a_time(monkeypatch):
+    # a chunk of three rounds at q = 4: the first hodge call takes one chunk,
+    # not every round, and the maxima and the generator's end state are the loop's
+    q, rounds = 4, 10
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 3 * 8 * 2**q)
+    stacks, real = [], cli.hodge
+
+    def hodge(a):
+        stacks.append(a.stack)
+        return real(a)
+
+    monkeypatch.setattr(cli, "hodge", hodge)
+    chunked, loop = np.random.default_rng(11), np.random.default_rng(11)
+    got = cli._exterior_maxima(chunked, q, rounds)
+    want = exterior_maxima_loop(loop, q, rounds)
+    assert stacks[0] == (3,)
+    assert {s[0] for s in stacks} == {3, 1}
+    assert list(got) == list(want)
+    for name, r in want.items():
+        assert abs(got[name] - r) <= 1e-15, name
+    assert chunked.bit_generator.state == loop.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # hopf
 # ---------------------------------------------------------------------------
@@ -526,10 +549,18 @@ def test_sample_streams_are_spawned_lazily(capsys, monkeypatch):
         assert "stop at the first point" in capsys.readouterr().err
 
 
-def test_lazy_streams_match_one_eager_spawn():
+def test_lazy_streams_match_one_eager_spawn(monkeypatch):
+    # chunks of two points: five points span two chunk boundaries, and each
+    # chunk's spawn continues the children where the last one stopped
+    model = hopf.WeightedHopfModel(3, (1.0, 1.0, 1.0))
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * 8 * 8 * model.q * 2 * model.m)
+    monkeypatch.setattr(cli, "sample_point",
+                        lambda model, rngs: [rng.standard_normal(3) for rng in rngs])
     children = np.random.SeedSequence(7).spawn(5)
     eager = [np.random.default_rng(c).standard_normal(3) for c in children]
-    lazy = [rng.standard_normal(3) for rng in cli._point_streams(7, 5)]
+    chunks = list(cli._point_chunks(model, 7, 5))
+    assert [(k0, len(pts)) for k0, pts in chunks] == [(0, 2), (2, 2), (4, 1)]
+    lazy = [x for _, pts in chunks for x in pts]
     assert np.array_equal(np.array(eager), np.array(lazy))
 
 
@@ -715,16 +746,20 @@ def test_bound_findings_name_their_point(tmp_path, monkeypatch):
             for f in rep["findings"]] == [(0, -1.5, 0.0), (1, -1.5, 0.0)]
 
 
-def test_cor31_rhs_is_the_exact_maximum(tmp_path):
-    # the rhs at each point is cor31_max at the point drawn from that point's stream
+def test_cor31_rhs_is_the_exact_maximum(tmp_path, monkeypatch):
+    # the rhs at each point is cor31_max at the point drawn from that point's
+    # child of one eager spawn, over chunks of two points
     out = tmp_path / "c.json"
     argv = ["bounds", "--theorem", "cor3.1", "--m", "4", "--theta", "1,0.9,0.6,0.3",
             "--samples", "3", "--seed", "5", "--out", str(out), "--quiet"]
-    assert run(argv) == 0
     model = hopf.WeightedHopfModel(4, (1.0, 0.9, 0.6, 0.3))
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * 8 * 8 * model.q * 2 * model.m)
+    assert chunk_size(model) == 2
+    assert run(argv) == 0
     expect = []
-    for rng in cli._point_streams(5, 3):
-        A, _ = hopf.oneill_from_brackets(model, hopf.sample_point(model, rng))
+    for child in np.random.SeedSequence(5).spawn(3):
+        point = hopf.sample_point(model, np.random.default_rng(child))
+        A, _ = hopf.oneill_from_brackets(model, point)
         expect.append(oneill.cor31_max(curvature.space_form(model.q, 1.0), A))
     assert [c["rhs"] for c in load(out)["checks"]] == expect
 

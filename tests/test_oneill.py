@@ -76,6 +76,13 @@ def test_skewness_is_enforced_exactly():
         ONeillTensor(bad)
 
 
+@pytest.mark.parametrize("stack", [(), (1,), (3,)])
+def test_repr_names_shape_not_norm(stack):
+    # on a stack norm_sq is an array, which a float format cannot print
+    A = ONeillTensor(np.zeros(stack + (4, 4, 2)))
+    assert repr(A) == f"ONeillTensor(q=4, vdim=2, stack={stack})"
+
+
 def test_derived_vertical_action():
     A = random_skew_oneill(np.random.default_rng(1), 4, 2)
     for i in range(4):

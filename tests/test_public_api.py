@@ -2,11 +2,11 @@
 
 A name is read when module-level code under ``src/folcurv`` loads it, or a
 top-level function or class that is itself read does, followed to a
-fixpoint; the re-exports in ``__init__.py`` do not count.  A name in a
-module's ``__all__`` that is not read is a function that no command runs,
-even when another unread function loads it; it is wired into one or deleted.
-The exceptions are pinned here, each with its reason, so that a new one
-fails this test."""
+fixpoint.  A name in a module's ``__all__`` that is not read is a function
+that no command runs, even when another unread function loads it; it is
+wired into one or deleted.  The exceptions are pinned here, each with its
+reason, so that a new one fails this test.  Each name has one home, its
+module: ``__init__.py`` holds only the package docstring."""
 
 import ast
 from pathlib import Path
@@ -41,8 +41,6 @@ def _loads(node) -> set:
 def _exports_and_reads():
     exports, read, bodies = {}, set(), {}
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
@@ -66,3 +64,9 @@ def test_every_export_is_read_in_the_package():
     unread = {(module, name) for module, names in exports.items()
               for name in names if name not in read}
     assert unread == UNREAD_EXPORTS
+
+
+def test_package_holds_only_its_docstring():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1

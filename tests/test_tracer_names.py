@@ -2,15 +2,20 @@
 
 ``perfbench/tracer.py`` wraps the contraction tables it lists in ``TABLES``
 and the class methods it lists in ``METHODS`` by name; a name deleted from
-the package would break ``perfbench/run.py --trace``.  ``perfbench/worker.py``
-sums the spans of the functions it names into its per-layer metrics; a name
-that is no longer exported would read 0.  Both files are read only."""
+the package would break ``perfbench/run.py --trace``.  It also wraps every
+module it lists in ``LAYERS``, which only ``folcurv.cli``'s own imports
+load, since ``import folcurv`` loads none.  ``perfbench/worker.py`` sums the
+spans of the functions it names into its per-layer metrics; a name that is
+no longer exported would read 0.  Both files are read only."""
 
 import ast
 import functools
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +81,25 @@ def test_worker_names_are_exported(tracer):
         elif len(path) == 2 and path[1] not in getattr(mod, path[0]).__dict__:
             missing.add(name)
     assert missing == STALE_WORKER_NAMES
+
+
+def test_cli_loads_every_layer_the_tracer_wraps():
+    # a fresh interpreter that imports only folcurv.cli, as perfbench's worker
+    # does: a layer it does not load would fail install() with a KeyError
+    script = f"""
+import importlib.util, sys
+import folcurv.cli
+loaded = set(sys.modules)
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+missing = [layer for layer in tracer.LAYERS if f"{{tracer.PACKAGE}}.{{layer}}" not in loaded]
+assert not missing, missing
+t = tracer.Tracer()
+t.install()
+t.uninstall()
+"""
+    env = dict(os.environ, PYTHONPATH=str(TRACER.parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
