@@ -30,7 +30,6 @@ from .exterior import (
     AlternatingForm,
     _contract,
     _pair,
-    _value,
     _wedge_coeffs,
     _wedge_frame,
     _zeros,
@@ -85,7 +84,7 @@ class RiemannTensor:
     def components(self) -> np.ndarray:
         """The q^4 array; a structured tensor builds and checks it here, once,
         with the Ricci trace of a transverse one against the closed form
-        c (q-1) I + 3 sum_l g(A_l e_i, A_l e_j).  A failed check keeps none."""
+        c (q-1) I + 3 S, S = ``A.square``.  A failed check keeps none."""
         if self._components is None:
             c, A = self.structure
             q = self.dimension
@@ -94,10 +93,9 @@ class RiemannTensor:
                 R = _add_oneill_terms(R, A.gram)  # A's kept G adds no array to its peak
             R = _checked(R)
             if A is not None:
-                ric = (np.multiply.outer(c, (q - 1) * np.eye(q))
-                       + 3.0 * np.einsum("...lis,...ljs->...ij", A.a, A.a))
+                ric = np.multiply.outer(c, (q - 1) * np.eye(q)) + 3.0 * A.square
                 err = np.max(np.abs(ric - np.einsum("...lilj->...ij", R)))
-                if err > CHECK_TOL:
+                if not err <= CHECK_TOL:  # NaN fails too
                     raise ValueError(
                         f"transverse Ricci disagrees with Riemann trace by {err:.3e}")
             self._components = R
@@ -118,8 +116,8 @@ class RiemannTensor:
         """Scal = sum_{l,i} R[l,i,l,i].  A structured tensor sums the entries
         of ``_diagonal``, O(q^2), and never builds its components."""
         if self.structure is None:
-            return _value(np.einsum("...lili->...", self._components))
-        return _value(np.sum(_diagonal(self.dimension, *self.structure), axis=(-2, -1)))
+            return np.einsum("...lili->...", self._components)
+        return np.sum(_diagonal(self.dimension, *self.structure), axis=(-2, -1))
 
     def __repr__(self):
         return f"RiemannTensor(q={self.dimension}, space_form={self.space_form_curvature})"
@@ -127,7 +125,7 @@ class RiemannTensor:
 
 def _checked(components) -> np.ndarray:
     """The curvature array, after its symmetries and first Bianchi identity
-    are checked at ``CHECK_TOL`` on every row; a violation raises."""
+    are checked at ``CHECK_TOL`` on every row; a violation, or a NaN, raises."""
     R = np.asarray(components, dtype=float)
     q = R.shape[-1]
     if R.ndim not in (4, 5) or R.shape[-4:] != (q, q, q, q):
@@ -135,7 +133,7 @@ def _checked(components) -> np.ndarray:
     skew_ij = _max_abs(R + np.einsum("...jikl->...ijkl", R))
     skew_kl = _max_abs(R + np.einsum("...ijlk->...ijkl", R))
     pair = _max_abs(R - np.einsum("...klij->...ijkl", R))
-    if max(skew_ij, skew_kl, pair) > CHECK_TOL:
+    if not (skew_ij <= CHECK_TOL and skew_kl <= CHECK_TOL and pair <= CHECK_TOL):
         raise ValueError(
             "curvature symmetries violated: "
             f"skew(i,j)={skew_ij:.3e}, skew(k,l)={skew_kl:.3e}, pair={pair:.3e}"
@@ -143,7 +141,7 @@ def _checked(components) -> np.ndarray:
     cyclic = R + np.einsum("...jkil->...ijkl", R)
     cyclic += np.einsum("...kijl->...ijkl", R)
     bianchi = _max_abs(cyclic)
-    if bianchi > CHECK_TOL:
+    if not bianchi <= CHECK_TOL:
         raise ValueError(f"first Bianchi identity violated: residual {bianchi:.3e}")
     return R
 
@@ -192,7 +190,7 @@ def space_form(q: int, c) -> RiemannTensor:
     stack of their space forms.  The components are built on first read."""
     if q < 2:
         raise ValueError("space form needs dimension >= 2")
-    return RiemannTensor(structure=(_value(c), None), dimension=q)
+    return RiemannTensor(structure=(np.asarray(c, dtype=float), None), dimension=q)
 
 
 def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:
@@ -245,9 +243,10 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     with w_s = A[:, :, s] a skew endomorphism, D_E a = sum_kl E[k,l]
     e^k ^ (e_l . a) its derivation (D_s = D_{w_s}), i_s a =
     1/2 sum_kl w_s[k,l] a(e_k, e_l, .), and w_s ^ the wedge with the 2-form
-    of coefficients w_s[i,j], i < j.  D_E and i_s go through the frame
-    contraction of ``exterior``, never the q^4 components; a tensor
-    without the pair is refused.
+    of coefficients w_s[i,j], i < j.  As sum_s w_s w_s = -S, S the O'Neill
+    square ``A.square``, the middle term is -2 D_S a.  D_E and i_s go
+    through the frame contraction of ``exterior``, never the q^4
+    components; a tensor without the pair is refused.
     """
     q, p = a.dimension, a.degree
     if Rnabla.dimension != q:
@@ -259,7 +258,7 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     out = (p * (q - p)) * np.asarray(c)[..., None] * a.coeffs
     if A is None or p == 0:
         return AlternatingForm(p, q, out)
-    A = A.a                                                     # (..., i, j, s)
+    S, A = A.square, A.a                                        # A: (..., i, j, s)
 
     def derive(E, y):  # D_E x from y = _contract(x), each leading axis broadcast
         return _wedge_frame(E @ y, q, p)
@@ -268,7 +267,7 @@ def curvature_action_on_form(Rnabla: RiemannTensor, a: AlternatingForm) -> Alter
     y = _contract(a.coeffs, q, p)
     Dx = derive(w, y[..., None, :, :])                          # D_s a, one row per s
     total = derive(w, _contract(Dx, q, p)).sum(-2)
-    total += 2.0 * derive(np.einsum("...kms,...mls->...kl", A, A), y)
+    total -= 2.0 * derive(S, y)
     if p >= 2:
         iu, ju = np.triu_indices(q, 1)                          # the order of rank I
         # i_s a as dot products of contiguous rows over I = (i < j): each sum
@@ -288,7 +287,7 @@ def ricci_contraction(R: RiemannTensor, a: AlternatingForm):
         return _zeros(a)
     c = R.space_form_curvature
     if c is not None:
-        return _value(c * ((R.dimension - 1) * a.degree) * a.norm_sq)
+        return c * ((R.dimension - 1) * a.degree) * a.norm_sq
     V = contractions(a, 1)
     return _pair(np.einsum("...ij,...jA->...iA", R.ricci(), V), V, 2)
 
@@ -300,7 +299,7 @@ def bivector_curvature_sum(R: RiemannTensor, a: AlternatingForm):
         return _zeros(a)
     c = R.space_form_curvature
     if c is not None:
-        return _value(c * (2 * a.degree * (a.degree - 1)) * a.norm_sq)
+        return c * (2 * a.degree * (a.degree - 1)) * a.norm_sq
     P = contractions(a, 2)
     q = a.dimension
     P = P.reshape(P.shape[:-3] + (q * q, -1))

@@ -108,22 +108,16 @@ def _wedge_coeffs(x: np.ndarray, y: np.ndarray, q: int, p: int, r: int) -> np.nd
     return terms.reshape(terms.shape[:-1] + (comb(q, p + r), comb(p + r, p))).sum(-1)
 
 
-def _value(x):
-    """A float for one instance, the array itself for a stack."""
-    x = np.asarray(x)
-    return float(x) if x.ndim == 0 else x
-
-
 def _zeros(a: "AlternatingForm"):
     """0.0 for one form, one zero per row for a stack."""
-    return _value(np.zeros(a.stack))
+    return np.zeros(a.stack)[()]
 
 
 def _pair(T: np.ndarray, U: np.ndarray, axes: int):
     """The sum of T * U over the last ``axes`` axes, one value per stacked
     row; leading axes broadcast."""
-    return _value(np.vecdot(T.reshape(T.shape[:T.ndim - axes] + (-1,)),
-                            U.reshape(U.shape[:U.ndim - axes] + (-1,))))
+    return np.vecdot(T.reshape(T.shape[:T.ndim - axes] + (-1,)),
+                     U.reshape(U.shape[:U.ndim - axes] + (-1,)))
 
 
 def _gram(X: np.ndarray, k: int) -> np.ndarray:
@@ -156,18 +150,20 @@ class AlternatingForm:
 
     __slots__ = ("degree", "dimension", "coeffs", "_tables")
 
-    def __init__(self, degree: int, dimension: int, coeffs=None):
+    def __init__(self, degree: int, dimension: int, coeffs):
         if not 0 <= degree <= dimension:
             raise ValueError(f"degree {degree} out of range for dimension {dimension}")
         self.degree = degree
         self.dimension = dimension
         self._tables = {}
         n = comb(dimension, degree)
-        if coeffs is None:
-            self.coeffs = np.zeros(n)
-            return
         c = np.array(coeffs, dtype=float)
-        self.coeffs = c if c.ndim == 2 and c.shape[1] == n else c.reshape(n)
+        if c.ndim == 0 and n == 1:
+            c = c.reshape(1)
+        if c.ndim not in (1, 2) or c.shape[-1] != n:
+            raise ValueError(f"a degree-{degree} form on dimension {dimension} needs "
+                             f"coefficients of shape ({n},) or (n, {n}), got {c.shape}")
+        self.coeffs = c
 
     # -- access -------------------------------------------------------------
 
@@ -195,7 +191,7 @@ class AlternatingForm:
 
     @property
     def norm_sq(self):
-        return _value(np.vecdot(self.coeffs, self.coeffs))
+        return np.vecdot(self.coeffs, self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -248,7 +244,7 @@ def inner(a: AlternatingForm, b: AlternatingForm):
     """The p-form inner product with the 1/p! normalization: a dot product
     of coefficients over increasing multi-indices (one per stacked row)."""
     a._check_compatible(b)
-    return _value(np.vecdot(a.coeffs, b.coeffs))
+    return np.vecdot(a.coeffs, b.coeffs)
 
 
 def hodge(a: AlternatingForm) -> AlternatingForm:

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .dual import suffix_sum
-from .exterior import AlternatingForm, _value
+from .exterior import AlternatingForm
 from .oneill import ONeillTensor
 
 __all__ = [
@@ -190,16 +190,15 @@ def _first(bad) -> tuple | None:
 
 @dataclass
 class AdaptedFrame:
-    """Orthonormal frame adapted to the foliation at a point, or a stack of
-    them: the normalized generating field and horizontal fields, with the
-    unnormalized horizontal fields and the gradients u_j = DZ_j^T X."""
+    """The horizontal fields of the orthonormal frame adapted to the
+    foliation at a point, or a stack of them, with |X|, the unnormalized
+    fields and the gradients u_j = DZ_j^T X.  ``adapted_frame`` checks the
+    frame's tangency before it returns it; only the Gram residual is kept."""
 
-    vertical: np.ndarray
     horizontal: np.ndarray          # shape (..., q, 2m)
     field_norms: np.ndarray         # unnormalized |Z_i|
     vertical_norm: float | np.ndarray       # |X|; on a stack, one value a point
     gram_residual: float | np.ndarray       # on a stack, one value a point
-    tangency_residual: float | np.ndarray   # on a stack, one value a point
     fields: np.ndarray              # unnormalized Z_i, shape (..., q, 2m)
     u: np.ndarray                   # DZ_i^T X, shape (..., q, 2m)
 
@@ -235,8 +234,7 @@ def adapted_frame(model: WeightedHopfModel, point: SpherePoint) -> AdaptedFrame:
             raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
         raise DegeneratePointError(f"frame fails orthonormality/tangency: "
                                    f"gram={gram[k]:.3e}, tangency={tangency[k]:.3e}")
-    return AdaptedFrame(vertical, horizontal, norms, _value(nx), _value(gram),
-                        _value(tangency), fields, u)
+    return AdaptedFrame(horizontal, norms, nx, gram, fields, u)
 
 
 def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
@@ -261,7 +259,7 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
         frame = adapted_frame(model, point)
     zu = frame.fields @ frame.u.mT                       # zu[i, j] = <Z_i, u_j>
     pairing = zu - zu.mT
-    norms, nx = frame.field_norms, np.asarray(frame.vertical_norm)
+    norms, nx = frame.field_norms, frame.vertical_norm
     a = pairing / (2.0 * norms[..., :, None] * norms[..., None, :] * nx[..., None, None])
     i, j = np.triu_indices(model.q, 1)
     denom = norms[..., i] * norms[..., j]
@@ -277,7 +275,7 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
         if k is not None:
             raise BracketRouteError(
                 f"unit-weight tensor differs from minus the complex structure by {err[k]:.3e}")
-    return A, _value(display)
+    return A, display
 
 
 def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
@@ -309,7 +307,7 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
     i = slice(0, m - 1)
     inner_i = suffix_sum(zz[..., i] * d**2 / (z_tail[..., i] * z_incl[..., i]))  # sum over i > j
     term3 = np.sum(zz[..., j] * inner_i[..., j] / (t_tail[..., j] * t_incl[..., j]), -1)
-    return _value(2.0 * (term1 + term2 + term3) / np.sum(tz, -1))
+    return 2.0 * (term1 + term2 + term3) / np.sum(tz, -1)
 
 
 def kahler_form(model: WeightedHopfModel, frame: AdaptedFrame) -> AlternatingForm:

@@ -19,8 +19,8 @@ ambient, the ambient of every instance and model here.
 
 Every evaluator takes instances with one leading stack axis (tensors, forms
 or both, broadcast row by row) and then returns an array with one value per
-row; on one instance it returns a float.  Each contraction step has two
-operands.
+row; on one instance it returns numpy's float64, a float.  Each contraction
+step has two operands.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .exterior import (
     AlternatingForm,
     _gram,
     _pair,
-    _value,
     _wedge_coeffs,
     _zeros,
     contractions,
@@ -107,10 +106,17 @@ class ONeillTensor:
         return self._G
 
     @property
+    def square(self) -> np.ndarray:
+        """The O'Neill square S[i, j] = sum_{l,s} a[l,i,s] a[l,j,s], by
+        skewness sum_{l,s} a[i,l,s] a[j,l,s]: one matmul over the flattened
+        (l, s), computed on each read."""
+        return _gram(self.a.reshape(self.a.shape[:-2] + (-1,)), 1)
+
+    @property
     def norm_sq(self):
         """|A|^2 = sum a[i,j,s]^2; coincides with sum_{i,s} |A_{e_i} V_s|^2 by
         the derived vertical action."""
-        return _value(np.sum(self.a * self.a, axis=(-3, -2, -1)))
+        return np.sum(self.a * self.a, axis=(-3, -2, -1))
 
     def __repr__(self):
         return f"ONeillTensor(q={self.q}, vdim={self.vdim}, stack={self.a.shape[:-3]})"
@@ -170,8 +176,7 @@ def bplus_norm_closed(A: ONeillTensor, a: AlternatingForm):
     """
     if a.degree < 1:
         raise ValueError("B+ needs a form of degree >= 1")
-    G = np.einsum("...kis,...kjs->...ij", A.a, A.a)
-    out = _pair(G, _gram(contractions(a, 1), 1), 2)
+    out = _pair(A.square, _gram(contractions(a, 1), 1), 2)
     if a.degree >= 2:
         H = np.moveaxis(A.gram, -3, -1)                 # G[i, l, j, k]
         out = out + _pair(H, _gram(contractions(a, 2), 2), 4)
@@ -208,8 +213,7 @@ def bminus_norm_closed(A: ONeillTensor, a: AlternatingForm):
     p = a.degree
     if p < 2:
         return _zeros(a)
-    G = np.einsum("...ils,...jls->...ij", A.a, A.a)
-    half = (p - 1) * _pair(G, _gram(contractions(a, 1), 1), 2)
+    half = (p - 1) * _pair(A.square, _gram(contractions(a, 1), 1), 2)
     H = np.swapaxes(A.gram, -3, -1)                 # G[i, l, k, j]
     half = half - _pair(H, _gram(contractions(a, 2), 2), 4)
     return 2.0 * half
@@ -234,21 +238,15 @@ def prop31_value(RM: RiemannTensor, A: ONeillTensor, a: AlternatingForm):
     )
 
 
-def master_identity_residual(
-    RM: RiemannTensor,
-    A: ONeillTensor,
-    a: AlternatingForm,
-    *,
-    Rt: RiemannTensor | None = None,
-):
+def master_identity_residual(RM: RiemannTensor, A: ONeillTensor, a: AlternatingForm, *,
+                             Rt: RiemannTensor):
     """Residual of the module's central identity (see module docstring),
     with the Bochner pairing computed from the transverse curvature data;
-    it vanishes on every skew A and form.  RM is a space form; ``Rt`` is
-    ``transverse_riemann(RM, A)`` when the caller has already built it.
+    it vanishes on every skew A and form.  RM is a space form and ``Rt`` is
+    ``transverse_riemann(RM, A)``, built once by the caller for every check
+    that reads it.
     """
     # S1 - 1/2 S2 + 2 V - M is -E(a), so the residual is <R(a), a> - |B+|^2 + E(a)
-    if Rt is None:
-        Rt = transverse_riemann(RM, A)
     return curvature_term(Rt, a) - bplus_norm(A, a) + prop31_value(RM, A, a)
 
 
@@ -339,16 +337,15 @@ def cor31_max(RM: RiemannTensor, A: ONeillTensor):
     """Maximum of the obstruction quantity E over unit 1-forms; a strictly
     negative one rules out a parallel basic 1-form under positive sectional
     curvature.  In degree 1, S2 and M vanish, so on a space form RM of
-    curvature c, E(v) = v^T (-c (q-1) I - 2 G) v with G[j, k] =
-    sum_{l,s} a[l,j,s] a[l,k,s], whose maximum is -c (q-1) - 2 lambda_min(G).
-    Any other ambient is refused."""
+    curvature c, E(v) = v^T (-c (q-1) I - 2 S) v with S = ``A.square``,
+    whose maximum is -c (q-1) - 2 lambda_min(S).  Any other ambient is
+    refused."""
     c = RM.space_form_curvature
     if c is None:
         raise ValueError("the obstruction maximum needs a space-form ambient")
     if A.q != RM.dimension:
         raise ValueError("integrability tensor dimension does not match curvature")
-    G = np.einsum("...ljs,...lks->...jk", A.a, A.a)
-    return _value(-c * (A.q - 1) - 2.0 * np.linalg.eigvalsh(G)[..., 0])
+    return -c * (A.q - 1) - 2.0 * np.linalg.eigvalsh(A.square)[..., 0]
 
 
 # -- estimate and identity checks ------------------------------------------------
@@ -375,7 +372,7 @@ def two_form_rewrite(RM: RiemannTensor, a: AlternatingForm) -> dict:
         v = contractions(a, 2)[..., i, j, :]
         theta_route = 2.0 * _pair(v, M @ v, 2)
     rho1 = np.linalg.eigvalsh(M)[..., -1]
-    bound = _value(p * (p - 1) * rho1 * a.norm_sq)
+    bound = p * (p - 1) * rho1 * a.norm_sq
     return {"half_s2": half_s2, "theta_route": theta_route, "bound": bound}
 
 
@@ -421,4 +418,4 @@ def hodge_trace_residual(RM: RiemannTensor, a: AlternatingForm):
     which pairs the Ricci contraction of a form with that of its Hodge dual.
     """
     lhs = ricci_contraction(RM, a) + ricci_contraction(RM, hodge(a))
-    return _value(lhs - RM.scalar() * a.norm_sq)
+    return lhs - RM.scalar() * a.norm_sq

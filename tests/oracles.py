@@ -69,9 +69,9 @@ def basis_form(q, indices):
     unit coefficient at the tuple's position in ``itertools.combinations``."""
     indices = tuple(indices)
     lex = list(itertools.combinations(range(q), len(indices)))
-    a = AlternatingForm(len(indices), q)
-    a.coeffs[lex.index(indices)] = 1.0
-    return a
+    coeffs = np.zeros(len(lex))
+    coeffs[lex.index(indices)] = 1.0
+    return AlternatingForm(len(indices), q, coeffs)
 
 
 def wedge_table_rows(q, p, r):

@@ -146,7 +146,8 @@ def test_criterion_07_master_identity():
             rng = np.random.default_rng(7000 + 10 * q + p)
             for k in range(200):
                 RM, A, a = random_instance(rng, q, p, vdim=1 + k % 3)
-                assert abs(master_identity_residual(RM, A, a)) < 1e-10
+                Rt = transverse_riemann(RM, A)
+                assert abs(master_identity_residual(RM, A, a, Rt=Rt)) < 1e-10
 
 
 def test_criterion_08_b_tensor_norm_identities():

@@ -70,6 +70,28 @@ def test_bianchi_violation_raises():
         RiemannTensor(P)
 
 
+def test_nan_components_are_refused():
+    # a NaN compares False with the tolerance, so every check must fail on it
+    with pytest.raises(ValueError, match="symmetries"):
+        RiemannTensor(np.full((4, 4, 4, 4), np.nan))
+    R = space_form(4, 1.0).components.copy()
+    R[0, 1, 2, 3] = np.nan
+    with pytest.raises(ValueError, match="symmetries"):
+        RiemannTensor(R)
+
+
+def test_nan_transverse_tensor_is_refused(monkeypatch):
+    A = random_skew_oneill(np.random.default_rng(21), 4, 2)
+    Rt = transverse_riemann(space_form(4, np.nan), A)
+    with pytest.raises(ValueError, match="symmetries"):
+        Rt.components
+    assert Rt._components is None
+    # a NaN only in the closed-form Ricci fails the Ricci-trace check
+    monkeypatch.setattr(ONeillTensor, "square", property(lambda A: np.full((4, 4), np.nan)))
+    with pytest.raises(ValueError, match="transverse Ricci disagrees"):
+        transverse_riemann(space_form(4, 1.0), A).components
+
+
 # ---------------------------------------------------------------------------
 # curvature operator extremes
 # ---------------------------------------------------------------------------
@@ -403,7 +425,7 @@ def test_curvature_term_examples():
     b.coeffs /= np.linalg.norm(b.coeffs)
     assert curvature_term(R4, b) == pytest.approx(4.0, abs=1e-12)
     # zero form
-    z = AlternatingForm(2, 4)
+    z = AlternatingForm(2, 4, np.zeros(6))
     assert curvature_term(R4, z) == 0.0
 
 

@@ -33,9 +33,7 @@ from oracles import (
 
 
 def random_form(rng, q, p):
-    a = AlternatingForm(p, q)
-    a.coeffs[:] = rng.standard_normal(a.coeffs.shape)
-    return a
+    return AlternatingForm(p, q, rng.standard_normal(comb(q, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +80,7 @@ def test_component_antisymmetry_and_repeats():
 def test_scalar_and_volume_edge_degrees():
     c = AlternatingForm(0, 4, [2.5])
     assert c.coeffs.shape == (1,)
+    assert AlternatingForm(0, 4, 2.5).coeffs.shape == AlternatingForm(4, 4, 1.0).coeffs.shape == (1,)
     vol = basis_form(3, range(3))
     assert vol.component(0, 1, 2) == 1.0
     assert vol.component(1, 0, 2) == -1.0
@@ -90,6 +89,19 @@ def test_scalar_and_volume_edge_degrees():
 # ---------------------------------------------------------------------------
 # wedge
 # ---------------------------------------------------------------------------
+
+
+def test_coefficients_are_one_form_or_a_stack_of_forms():
+    # only (C(q, p),) and (n, C(q, p)) are read; a multi-axis array is
+    # refused even when its size is C(q, p), and so is a scalar for more
+    # than one coefficient
+    assert AlternatingForm(1, 4, np.ones(4)).stack == ()
+    assert AlternatingForm(1, 4, np.ones((1, 4))).stack == (1,)
+    assert AlternatingForm(1, 4, np.ones((3, 4))).stack == (3,)
+    for coeffs in (np.ones((2, 2)), np.ones((1, 2, 2)), np.ones((4, 1)), np.ones((2, 1, 4)),
+                   np.ones(3), np.ones((2, 3)), 1.0):
+        with pytest.raises(ValueError, match="coefficients of shape"):
+            AlternatingForm(1, 4, coeffs)
 
 
 def test_wedge_basis_cases():

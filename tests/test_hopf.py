@@ -218,11 +218,10 @@ def test_frame_orthonormality_and_tangency():
         pt = sample_point(model, rng)
         frame = adapted_frame(model, pt)
         assert frame.gram_residual < 1e-10
-        assert frame.tangency_residual < 1e-10
-        # vertical spans the same line as X
+        # the horizontal fields are tangent to the sphere and orthogonal to X
         x = generating_field(model, pt)
-        cosine = abs(frame.vertical @ x) / np.linalg.norm(x)
-        assert cosine == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(frame.horizontal @ realify(pt.z))) < 1e-10
+        assert np.max(np.abs(frame.horizontal @ x)) < 1e-10 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -297,6 +296,22 @@ def test_closed_form_gradients_are_the_dual_jacobian_contraction(case):
         assert np.max(np.abs(u1 - ref_u)) <= 1e-14 * np.max(np.abs(u1))
 
 
+@pytest.mark.parametrize("theta", [(1.0, 1.0, 1.0), (1.0, 0.7, 0.4)])
+def test_each_point_value_is_a_float_or_one_per_point(theta):
+    # every number hopf and bounds read off a point is a float for one
+    # point, never a 0-d array, and one value a point for a stack
+    model = WeightedHopfModel(3, theta)
+    stack = sample_point(model, [np.random.default_rng(11 + r) for r in range(3)])
+    for pt, want in ((SpherePoint(stack.z[0]), None), (stack, (3,))):
+        frame = adapted_frame(model, pt)
+        A, display = oneill_from_brackets(model, pt, frame=frame)
+        values = [frame.vertical_norm, frame.gram_residual, A.norm_sq, display,
+                  oneill_closed_form(model, pt),
+                  transverse_riemann(space_form(model.q, 1.0), A).scalar()]
+        for v in values:
+            assert isinstance(v, float) if want is None else v.shape == want
+
+
 def test_a_stack_of_points_is_the_points_one_at_a_time():
     # every evaluator works row by row: a stack of n points gives, within
     # 1e-15 of their scale, what n one-point calls give
@@ -314,11 +329,10 @@ def test_a_stack_of_points_is_the_points_one_at_a_time():
             one = adapted_frame(model, pt)
             A1, display1 = oneill_from_brackets(model, pt, frame=one)
             pairs = [(frame.fields[r], one.fields), (frame.u[r], one.u),
-                     (frame.horizontal[r], one.horizontal), (frame.vertical[r], one.vertical),
+                     (frame.horizontal[r], one.horizontal),
                      (frame.field_norms[r], one.field_norms),
                      (frame.vertical_norm[r], one.vertical_norm),
                      (frame.gram_residual[r], one.gram_residual),
-                     (frame.tangency_residual[r], one.tangency_residual),
                      (A.a[r], A1.a), (A.norm_sq[r], A1.norm_sq), (display[r], display1),
                      (closed[r], oneill_closed_form(model, pt)),
                      (kappa[r], mean_curvature(model, pt))]

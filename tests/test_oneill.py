@@ -91,6 +91,22 @@ def test_derived_vertical_action():
             assert np.all(-A.a[..., i, :, s] == A.a[:, i, s])
 
 
+@pytest.mark.parametrize("vdim", [1, 2, 3])
+def test_square_is_its_einsum_definition(vdim):
+    # S[i, j] = sum_{l,s} a[l,i,s] a[l,j,s], on one tensor and on a stack,
+    # each row of the stack the square of that row's tensor
+    rng = np.random.default_rng(40 + vdim)
+    A = random_skew_oneill(rng, 5, vdim)
+    assert np.allclose(A.square, np.einsum("lis,ljs->ij", A.a, A.a), rtol=0, atol=1e-14)
+    (trials,) = random_trials(rng, 5, 2, [vdim] * 4)
+    stack = trials.build()[1]
+    S = stack.square
+    assert S.shape == (4, 5, 5)
+    assert np.allclose(S, np.einsum("...lis,...ljs->...ij", stack.a, stack.a), rtol=0, atol=1e-14)
+    for r in range(4):
+        assert np.allclose(S[r], ONeillTensor(stack.a[r]).square, rtol=0, atol=1e-14)
+
+
 def test_norm_routes_agree():
     rng = np.random.default_rng(2)
     A = random_skew_oneill(rng, 5, 3)
@@ -144,7 +160,7 @@ def test_mixed_bivector_term_against_assembled_bivector():
         a = random_form(rng, q, p)
         expect = 0.0
         for s in range(A.vdim):
-            acc = AlternatingForm(p - 2, q)
+            acc = AlternatingForm(p - 2, q, np.zeros(comb(q, p - 2)))
             for i in range(q):
                 u = -A.a[..., i, :, s]
                 ei = np.zeros(q)
@@ -226,7 +242,8 @@ def test_master_identity_on_random_instances():
         for p in (1, 2, 3):
             for k in range(30):
                 RM, A, a = random_instance(rng, q, p, vdim=1 + k % 3)
-                assert abs(master_identity_residual(RM, A, a)) < 1e-10
+                Rt = transverse_riemann(RM, A)
+                assert abs(master_identity_residual(RM, A, a, Rt=Rt)) < 1e-10
 
 
 def test_master_identity_reduces_to_weitzenbock_for_zero_tensor():
@@ -235,7 +252,7 @@ def test_master_identity_reduces_to_weitzenbock_for_zero_tensor():
     RM = space_form(q, c)
     A = ONeillTensor(np.zeros((q, q, 1)))
     a = random_form(rng, q, p)
-    assert abs(master_identity_residual(RM, A, a)) < 1e-12
+    assert abs(master_identity_residual(RM, A, a, Rt=transverse_riemann(RM, A))) < 1e-12
     # with A = 0 the right side is the two ambient contractions alone
     assert curvature_term(RM, a) == pytest.approx(c * p * (q - p) * a.norm_sq,
                                                   abs=1e-12)
@@ -246,7 +263,7 @@ def test_prop31_zero_form_and_zero_tensor_space_form_value():
     q, c = 5, 0.9
     RM = space_form(q, c)
     A = ONeillTensor(np.zeros((q, q, 1)))
-    zero = AlternatingForm(2, q)
+    zero = AlternatingForm(2, q, np.zeros(comb(q, 2)))
     assert prop31_value(RM, A, zero) == 0.0
     # for a unit 1-form with A = 0 the value is -(q-1)c = -<R(a), a>:
     # the bivector sums underflow at p = 1, so only the Ricci part remains
@@ -496,7 +513,7 @@ def _bplus_norm_loop(A, a):
     q = a.dimension
     total = 0.0
     for s in range(A.vdim):
-        acc = AlternatingForm(a.degree, q)
+        acc = AlternatingForm(a.degree, q, np.zeros(comb(q, a.degree)))
         for i in range(q):
             acc = acc + wedge(interior_vector(np.eye(q)[i], a),
                               flat(A.a[i, :, s], q))

@@ -16,7 +16,7 @@ from folcurv.curvature import (
     space_form,
     transverse_riemann,
 )
-from folcurv.exterior import AlternatingForm
+from folcurv.exterior import AlternatingForm, inner
 from folcurv.oneill import (
     ONeillTensor,
     bminus_norm,
@@ -41,7 +41,8 @@ from oracles import (
 
 # every stacked evaluator, as a function of one (R_M, A, a, R_K) stack or instance
 EVALUATORS = {
-    "master_identity_residual": lambda RM, A, a, RK: master_identity_residual(RM, A, a),
+    "master_identity_residual":
+        lambda RM, A, a, RK: master_identity_residual(RM, A, a, Rt=transverse_riemann(RM, A)),
     "bplus_norm": lambda RM, A, a, RK: bplus_norm(A, a),
     "bplus_norm_closed": lambda RM, A, a, RK: bplus_norm_closed(A, a),
     "bminus_norm": lambda RM, A, a, RK: bminus_norm(A, a),
@@ -138,6 +139,33 @@ def test_changing_one_row_changes_only_that_row(name, q, p, vdim):
     one = evaluate(space_form(q, RM2.space_form_curvature[0]), ONeillTensor(A2.a[0]),
                    AlternatingForm(p, q, a2.coeffs[0]), RiemannTensor(RK2.components[0]))
     assert _close(after[j], _single(one)), name
+
+
+# every number the CLI reads off an evaluator, as a function of (R_M, A, a, R_K)
+CLI_VALUES = {
+    **{name: EVALUATORS[name] for name in (
+        "master_identity_residual", "bplus_norm", "bplus_norm_closed", "bminus_norm",
+        "bminus_norm_closed", "curvature_term", "hodge_trace_residual", "cor31_max")},
+    "action_pairing": lambda RM, A, a, RK:
+        inner(curvature_action_on_form(transverse_riemann(RM, A), a), a),
+    "transverse_scalar": lambda RM, A, a, RK: transverse_riemann(RM, A).scalar(),
+    "oneill_norm_sq": lambda RM, A, a, RK: A.norm_sq,
+    **{f"two_form_rewrite.{key}": lambda RM, A, a, RK, key=key: two_form_rewrite(RK, a)[key]
+       for key in ("half_s2", "theta_route", "bound")},
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_VALUES))
+@pytest.mark.parametrize("q,p,vdim", CELLS)
+def test_each_cli_value_is_a_float_or_one_per_row(name, q, p, vdim):
+    # one instance gives a float, a zero below the evaluator's degree
+    # included, never a 0-d array; a stack of n gives n values
+    evaluate, n = CLI_VALUES[name], 4
+    stack = _stack(q, p, vdim, n, seed=3 * q + p + vdim)
+    out = evaluate(*stack)
+    assert isinstance(out, np.ndarray) and out.shape == (n,), name
+    one = evaluate(*_row(*stack, 0))
+    assert isinstance(one, float), (name, type(one))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 12, 18])
