@@ -76,12 +76,12 @@ from .synthetic import random_form, random_trials
 # table at 32 bytes a row, has 2,018,016 rows (62 MiB, built in 0.3 s) at
 # q = 16, 5.7 M (174 MiB, 1.2 s) at q = 17 and 17.2 M (525 MiB) at q = 18
 VERIFY_Q_RANGE = (2, 16)
-# the largest array a sample point holds is the frame's (2m-1) x (2m-1) Gram
+# a point's largest arrays are the frame's (2m-1) x 2m basis and its Gram
 # matrix; a model whose Gram matrix would pass this is refused (m <= 512)
 FRAME_GRAM_BYTES = 8 * 2**20
 # verify evaluates the trials of a (q, p) cell in chunks whose two stacks of
 # dense curvature arrays (R_t, R_K) take at most this many bytes; hopf and
-# bounds, chunks of points whose pass peaks near eight (q, 2m) arrays a point
+# bounds, chunks of points of ``_point_bytes`` each
 CHUNK_BYTES = 2**19
 
 
@@ -114,13 +114,18 @@ def _model(args) -> WeightedHopfModel:
     return WeightedHopfModel(m, theta)
 
 
+def _point_bytes(model: WeightedHopfModel) -> int:
+    """Four (q, 2m) float arrays: the point pass holds at most that a point."""
+    return 4 * 8 * model.q * 2 * model.m
+
+
 def _point_chunks(model: WeightedHopfModel, seed: int, n: int):
-    """The n sample points as (index of the first, stack) chunks, each chunk
-    drawn by one ``sample_point`` call, every point from its own child of
-    ``SeedSequence(seed)``.  A chunk's children are spawned as it is drawn, so
-    no per-sample state is held ahead of its chunk; repeated spawns give the
-    same children as one ``spawn(n)``."""
-    size = max(1, CHUNK_BYTES // (8 * 8 * model.q * 2 * model.m))
+    """The n sample points as (index of the first, stack) chunks of
+    ``CHUNK_BYTES // _point_bytes`` points (at least one), each drawn by one
+    ``sample_point`` call, each point from its own child of ``SeedSequence(seed)``,
+    spawned as its chunk is drawn: no per-sample state is held ahead of its
+    chunk, and repeated spawns give the children of one ``spawn(n)``."""
+    size = max(1, CHUNK_BYTES // _point_bytes(model))
     root = np.random.SeedSequence(seed)
     for k0 in range(0, n, size):
         rngs = [np.random.default_rng(child) for child in root.spawn(min(size, n - k0))]

@@ -187,10 +187,11 @@ def _diagonal(q: int, c, A) -> np.ndarray:
 def space_form(q: int, c) -> RiemannTensor:
     """The space form of curvature c, R[i,j,k,l] = c (d_ik d_jl - d_il d_jk),
     given by its structure (c, None); an array of curvatures c gives the
-    stack of their space forms.  The components are built on first read."""
-    if q < 2:
-        raise ValueError("space form needs dimension >= 2")
-    return RiemannTensor(structure=(np.asarray(c, dtype=float), None), dimension=q)
+    stack of their space forms; c must be finite.  Components are built on first read."""
+    c = np.asarray(c, dtype=float)
+    if q < 2 or not np.all(np.isfinite(c)):
+        raise ValueError(f"a space form needs dimension >= 2 and a finite c, got q={q}, c={c}")
+    return RiemannTensor(structure=(c, None), dimension=q)
 
 
 def curvature_operator_matrix(R: RiemannTensor) -> np.ndarray:

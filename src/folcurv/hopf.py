@@ -26,10 +26,12 @@ above 16.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dual import suffix_sum
 from .exterior import AlternatingForm
@@ -84,15 +86,17 @@ class WeightedHopfModel:
     def q(self) -> int:
         return 2 * self.m - 2
 
-    @property
+    @cached_property
     def is_hopf(self) -> bool:
         return all(t == 1.0 for t in self.theta)
 
     @cached_property
     def weights(self) -> tuple[np.ndarray, ...]:
-        """theta, theta^2, theta on each (re, im) pair, and the W row scales."""
-        th = np.asarray(self.theta)
-        return th, th**2, np.repeat(th, 2), np.append(np.ones(self.m - 2), 1.0 / th[-1])
+        """theta, theta^2, theta on each (re, im) pair, and the (m-1, m) 0/1 mask of
+        k > l, a read-only window view of 2m-2 floats: nothing O(m^2) is kept."""
+        th, m = np.asarray(self.theta), self.m
+        above = sliding_window_view((np.arange(2 * m - 2) >= m - 1) * 1.0, m)[::-1]
+        return th, th**2, np.repeat(th, 2), above
 
 
 @dataclass(frozen=True)
@@ -159,28 +163,47 @@ def fields_YW(model: WeightedHopfModel, point: SpherePoint, x: np.ndarray):
     |z_l|^2 S_l - t_l g_l and theta_p |z_p|^2 H_p - t'_p h_p have the
     gradients u = C_Y z + y x (Y rows) and C_W z - w J x (W rows), C_Y holding
     2 S_l on the diagonal and -2 g_l right of it, C_W 2 theta_p H_p and
-    -2 theta_k^2 h_p (times the row's scale).  ``adapted_frame`` checks the points."""
+    -2 theta_k^2 h_p (over theta_m on the last row).  ``adapted_frame`` checks the points."""
     m = model.m
-    th, th2, _, scale = model.weights
+    th, th2, _, up = model.weights
     z = point.z.reshape(-1, m)
     re, im = z.real, z.imag
-    x = np.reshape(x, (-1, m, 2))
+    xr, xi = np.reshape(x, (-1, m, 2)).transpose(2, 0, 1)
     mod = re * re + im * im                          # |z_k|^2
-    g = re * x[..., 0] + im * x[..., 1]              # <z_k, x_k>
-    h = re * x[..., 1] - im * x[..., 0]              # <i z_k, x_k>
-    # rows of y, w, C_Y, C_W: a tail on the diagonal, a head times weights right of it
-    tails = suffix_sum(np.stack([-mod, -mod * th2, 2.0 * g, 2.0 * th * h], 1))[..., :-1, None]
-    tails[:, 3] *= th[:-1, None]
-    heads = np.stack([mod, mod, -2.0 * g, -2.0 * h], 1)[..., :-1, None]
-    upper = np.tri(m, m - 1, -1).T
-    k = heads * np.stack([upper, np.outer(th[:-1], th) * upper, upper, th2 * upper])
-    k += tails * np.eye(m - 1, m)
-    k[:, 1::2] *= scale[:, None]
-    x = x[..., 0] + 1j * x[..., 1]      # complex rows; their float view is realify's layout
-    fields = k[:, :2] * np.stack([z, 1j * z], 1)[:, :, None]      # y z and w i z
-    u = k[:, 2:] * z[:, None, None] + k[:, :2] * np.stack([x, -1j * x], 1)[:, :, None]
-    shape = point.z.shape[:-1] + (model.q, 2 * m)
-    return fields.view(float).reshape(shape), u.view(float).reshape(shape)
+    g = re * xr + im * xi                            # <z_k, x_k>
+    h = re * xi - im * xr                            # <i z_k, x_k>
+    # rows of y, w, C_Y, C_W: a head times weights right of the diagonal, a tail on it
+    heads = np.stack([mod, mod, -2.0 * g, -2.0 * h])[..., :-1, None]
+    tails = suffix_sum(np.stack([-mod, -mod * th2, 2.0 * g, 2.0 * th * h]))[..., :-1]
+    tails[3] *= th[:-1]
+    factors = np.stack([up, np.outer(th[:-1], th) * up, up, th2 * up])
+
+    def rows_of(kinds):  # (n, 2, m-1, m): the y and w, or the C_Y and C_W, rows
+        k = heads[kinds] * factors[kinds, None]
+        k.reshape(2, len(z), -1)[..., ::m + 1] = tails[kinds]
+        k[1, :, -1] *= 1.0 / th[-1]
+        return k.swapaxes(0, 1)
+
+    def times(k, re_part, im_part, out):  # out = k (re_part + i im_part), interleaved
+        np.multiply(k, re_part, out=out[..., 0])
+        np.multiply(k, im_part, out=out[..., 1])
+        return out
+
+    # u = C z + (y x, -w i x), then the fields y z and w i z, in interleaved real
+    # parts: the C rows go before the y, w rows come, so a point holds 2.5 arrays
+    u = times(rows_of(slice(2, 4)), re[:, None, None], im[:, None, None],
+              np.empty((len(z), 2, m - 1, m, 2)))
+    ky, fields = rows_of(slice(0, 2)), np.empty_like(u)
+    u += times(ky, np.stack([xr, xi], 1)[:, :, None], np.stack([xi, -xr], 1)[:, :, None], fields)
+    times(ky, np.stack([re, -im], 1)[:, :, None], np.stack([im, re], 1)[:, :, None], fields)
+    return tuple(a.reshape(point.z.shape[:-1] + (model.q, 2 * m)) for a in (fields, u))
+
+
+@lru_cache(maxsize=1)
+def _pairs(q: int) -> tuple[np.ndarray, np.ndarray]:  # i < j < q, the rank order of 2-forms
+    i, j = np.triu_indices(q, 1)
+    i.flags.writeable = j.flags.writeable = False       # one pair of arrays serves every call
+    return i, j
 
 
 def _first(bad) -> tuple | None:
@@ -190,42 +213,44 @@ def _first(bad) -> tuple | None:
 
 @dataclass
 class AdaptedFrame:
-    """The horizontal fields of the orthonormal frame adapted to the
-    foliation at a point, or a stack of them, with |X|, the unnormalized
-    fields and the gradients u_j = DZ_j^T X.  ``adapted_frame`` checks the
-    frame's tangency before it returns it; only the Gram residual is kept."""
+    """What the point pass keeps of the frame adapted to the foliation at a
+    point, or a stack of them: |X|, the unnormalized |Z_i|, the Gram residual,
+    and, over the pairs i < j in rank order, the brackets <[Z_i, Z_j], X> and
+    (unit weights only) the 2-form <J e_i, e_j>.  It keeps no (q, 2m) array."""
 
-    horizontal: np.ndarray          # shape (..., q, 2m)
     field_norms: np.ndarray         # unnormalized |Z_i|
     vertical_norm: float | np.ndarray       # |X|; on a stack, one value a point
     gram_residual: float | np.ndarray       # on a stack, one value a point
-    fields: np.ndarray              # unnormalized Z_i, shape (..., q, 2m)
-    u: np.ndarray                   # DZ_i^T X, shape (..., q, 2m)
-
-    @cached_property
-    def complex_pairing(self) -> AlternatingForm:
-        """The 2-form <J e_i, e_j> of the horizontal frame H, read once from (J H) H^T."""
-        h = self.horizontal
-        i, j = np.triu_indices(h.shape[-2], 1)
-        return AlternatingForm(2, h.shape[-2], (apply_complex_structure(h) @ h.mT)[..., i, j])
+    brackets: np.ndarray            # <[Z_i, Z_j], X>, i < j
+    complex_pairing: AlternatingForm | None
 
 
 def adapted_frame(model: WeightedHopfModel, point: SpherePoint) -> AdaptedFrame:
-    """X and the ``fields_YW`` fields at the points, normalized.  The first
-    point with a coordinate modulus below ``degeneracy_margin(m)``, or a
-    basis off orthonormal or sphere-tangent by more than ``FRAME_TOL`` (a
-    zero field's NaN residual among them), raises ``DegeneratePointError``
-    for the first of these (resample it)."""
-    eps_deg = degeneracy_margin(model.m)
+    """X and the ``fields_YW`` fields at the points, normalized, and the
+    brackets <[Z_i, Z_j], X> = <Z_i, u_j> - <Z_j, u_i>.  The first point with
+    a coordinate modulus below ``degeneracy_margin(m)``, or a basis off
+    orthonormal or sphere-tangent by more than ``FRAME_TOL`` (a zero field's
+    NaN residual among them), raises ``DegeneratePointError`` (resample it).
+    A point holds at most three (q, 2m) arrays (3.5 with unit weights)."""
+    eps_deg, q = degeneracy_margin(model.m), model.q
     x_amb = generating_field(model, point)
     fields, u = fields_YW(model, point, x_amb)
     nx = np.sqrt(np.vecdot(x_amb, x_amb))
     norms = np.sqrt(np.vecdot(fields, fields))
+    i, j = _pairs(q)
+    zu = fields @ u.mT                                   # zu[i, j] = <Z_i, u_j>
+    del u
+    brackets = zu[..., i, j]
+    brackets -= zu[..., j, i]
+    del zu
+    basis = np.empty(fields.shape[:-2] + (q + 1, 2 * model.m))
+    basis[..., 0, :] = x_amb / nx[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero field fails the Gram check
-        horizontal = fields / norms[..., None]
-    vertical = x_amb / nx[..., None]
-    basis = np.concatenate([vertical[..., None, :], horizontal], axis=-2)
-    gram = np.max(np.abs(basis @ basis.mT - np.eye(model.q + 1)), axis=(-2, -1))
+        np.divide(fields, norms[..., None], out=basis[..., 1:, :])
+    del fields
+    gram = basis @ basis.mT
+    gram.reshape(gram.shape[:-2] + (-1,))[..., ::q + 2] -= 1.0       # minus I
+    gram = np.max(np.abs(gram, out=gram), axis=(-2, -1))
     tangency = np.max(np.abs(basis @ realify(point.z)[..., None]), axis=(-2, -1))
     low_mod = np.min(point.moduli_sq, axis=-1) < eps_deg
     k = _first(low_mod | ~(gram <= FRAME_TOL) | ~(tangency <= FRAME_TOL))
@@ -234,7 +259,10 @@ def adapted_frame(model: WeightedHopfModel, point: SpherePoint) -> AdaptedFrame:
             raise DegeneratePointError(f"coordinate modulus below margin {eps_deg}")
         raise DegeneratePointError(f"frame fails orthonormality/tangency: "
                                    f"gram={gram[k]:.3e}, tangency={tangency[k]:.3e}")
-    return AdaptedFrame(horizontal, norms, nx, gram, fields, u)
+    h = basis[..., 1:, :]                                # the horizontal frame H
+    pairing = (AlternatingForm(2, q, (apply_complex_structure(h) @ h.mT)[..., i, j])
+               if model.is_hopf else None)              # <J e_i, e_j> from (J H) H^T
+    return AdaptedFrame(norms, nx, gram, brackets, pairing)
 
 
 def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
@@ -243,28 +271,28 @@ def oneill_from_brackets(model: WeightedHopfModel, point: SpherePoint,
     by definition: A_{e_i} e_j is half the vertical part of the bracket, so
     in the normalized frame
 
-        a[i, j] = <[Z_i, Z_j], X> / (2 |Z_i| |Z_j| |X|).
+        a[i, j] = <[Z_i, Z_j], X> / (2 |Z_i| |Z_j| |X|),
 
-    Also returns |A|^2 evaluated through the pairing display
+    from the frame's ``brackets``, with a[j, i] = -a[i, j].  Also returns
+    |A|^2 evaluated through the pairing display
 
         |A|^2 = 1/(2|X|^2) sum_{i<j} <[Z_i, Z_j], X>^2 / (|Z_i|^2 |Z_j|^2),
 
     checked against the tensor norm.  With unit weights the tensor is also
     checked against minus the complex structure, a[i, j] = -<J e_i, e_j>.
     Either disagreement raises ``BracketRouteError`` at the first point that
-    shows it.  Only the vertical pairing of each bracket is formed: with
-    u_j = DZ_j^T X, <[Z_i, Z_j], X> = <Z_i, u_j> - <Z_j, u_i>.
-    """
+    shows it."""
     if frame is None:
         frame = adapted_frame(model, point)
-    zu = frame.fields @ frame.u.mT                       # zu[i, j] = <Z_i, u_j>
-    pairing = zu - zu.mT
-    norms, nx = frame.field_norms, frame.vertical_norm
-    a = pairing / (2.0 * norms[..., :, None] * norms[..., None, :] * nx[..., None, None])
-    i, j = np.triu_indices(model.q, 1)
-    denom = norms[..., i] * norms[..., j]
-    display = np.sum(pairing[..., i, j] ** 2 / denom**2, axis=-1) / (2.0 * nx**2)
-    A = ONeillTensor(a[..., None])
+    q, pairing, nx = model.q, frame.brackets, frame.vertical_norm
+    i, j = _pairs(q)
+    d = frame.field_norms[..., i] * frame.field_norms[..., j]
+    display = np.sum(pairing**2 / d**2, axis=-1) / (2.0 * nx**2)
+    a = np.zeros(np.shape(nx) + (q, q, 1))
+    a[..., i, j, 0] = upper = pairing / (2.0 * d * nx[..., None])
+    a[..., j, i, 0] = 0.0 - upper         # +0.0 where a bracket vanishes, as a[i, j] has
+    del d, upper
+    A = ONeillTensor(a)
     norm_sq = np.asarray(A.norm_sq)
     k = _first(np.abs(norm_sq - display) > 1e-10 * np.maximum(1.0, display))
     if k is not None:
@@ -293,7 +321,7 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
     1e-8 is a reportable finding about this formula, never silently patched.
     """
     m = model.m
-    th2 = model.weights[1]
+    _, th2, _, up = model.weights
     zz = point.moduli_sq
     tz = th2 * zz
     z_tail, t_tail = suffix_sum(zz), suffix_sum(tz)          # Z_{j+1}, T_{j+1}
@@ -302,8 +330,7 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
     term1 = th2[m - 2] * th2[m - 1] * np.sum(zz[..., last], -1) / np.sum(tz[..., last], -1)
     j = slice(0, m - 2)
     term2 = np.sum(th2[j] * t_tail[..., j] * z_incl[..., j] / (t_incl[..., j] * z_tail[..., j]), -1)
-    rows, cols = np.ogrid[:m - 1, :m]
-    d = np.sum(np.where(cols > rows, (th2[:-1, None] - th2) * zz[..., None, :], 0.0), axis=-1)
+    d = np.sum((th2[:-1, None] - th2) * zz[..., None, :] * up, axis=-1)
     i = slice(0, m - 1)
     inner_i = suffix_sum(zz[..., i] * d**2 / (z_tail[..., i] * z_incl[..., i]))  # sum over i > j
     term3 = np.sum(zz[..., j] * inner_i[..., j] / (t_tail[..., j] * t_incl[..., j]), -1)
@@ -311,13 +338,9 @@ def oneill_closed_form(model: WeightedHopfModel, point: SpherePoint) -> float:
 
 
 def kahler_form(model: WeightedHopfModel, frame: AdaptedFrame) -> AlternatingForm:
-    """The canonical 2-form of the Hopf fibration on the horizontal fiber,
-    w(e_i, e_j) = <J e_i, e_j>, the frame's ``complex_pairing`` (the -a of
-    ``oneill_from_brackets``); nondegenerate, |w|^2 = q/2.
-
-    Only defined for the unweighted action (all weights 1), where the
-    horizontal space is invariant under the complex structure.
-    """
+    """The canonical 2-form w(e_i, e_j) = <J e_i, e_j> of the Hopf fibration, the
+    frame's ``complex_pairing`` (-a of ``oneill_from_brackets``), nondegenerate with
+    |w|^2 = q/2; only for unit weights, where J keeps the horizontal space."""
     if not model.is_hopf:
         raise ValueError("the canonical 2-form requires all weights equal to 1")
     return frame.complex_pairing
@@ -356,9 +379,8 @@ def sample_point(model: WeightedHopfModel, rngs) -> SpherePoint:
     todo = range(len(gens))
     for _ in range(10_000):
         for r in todo:
-            x = gens[r].standard_normal(2 * model.m)
-            x /= np.linalg.norm(x)
-            g[r] = x
+            x = gens[r].standard_normal(out=g[r])
+            x /= math.sqrt(x.dot(x))                 # np.linalg.norm(x), bit for bit
         z = complexify(g)
         todo = np.flatnonzero(np.min(np.abs(z) ** 2, axis=-1) < eps_deg)
         if not todo.size:

@@ -421,7 +421,7 @@ def per_point_values(rep):
 def test_chunks_give_the_one_point_values(tmp_path, monkeypatch, argv):
     # one sample short of a full chunk, a full chunk, and one more: each run
     # reports what chunks of one point report (the benchmark's two hopf
-    # configurations: 22 points a chunk at m = 10, 8 at m = 16)
+    # configurations: 45 points a chunk at m = 10, 17 at m = 16)
     size = chunk_size(cli._model(cli.build_parser().parse_args(["hopf", *argv])))
     assert size > 1
     out = tmp_path / "h.json"
@@ -524,7 +524,7 @@ def test_no_command_builds_a_dual(monkeypatch):
 def test_sample_streams_are_spawned_lazily(capsys, monkeypatch):
     # 200000 samples would hold about 74 MB of spawned seed sequences ahead of
     # the first point; spawning one child per point as its chunk is drawn
-    # holds one chunk of streams (341 at m = 3) when the first point is drawn
+    # holds one chunk of streams (682 at m = 3) when the first point is drawn
     import tracemalloc
 
     size = chunk_size(hopf.WeightedHopfModel(3, (1.0, 1.0, 1.0)))
@@ -549,11 +549,62 @@ def test_sample_streams_are_spawned_lazily(capsys, monkeypatch):
         assert "stop at the first point" in capsys.readouterr().err
 
 
+def point_pass(model, pts):
+    """The frame, bracket route, closed form and mean curvature of a chunk."""
+    frame = hopf.adapted_frame(model, pts)
+    A, _ = hopf.oneill_from_brackets(model, pts, frame=frame)
+    return frame, A, hopf.oneill_closed_form(model, pts), hopf.mean_curvature(model, pts)
+
+
+@pytest.mark.parametrize("m", [10, 16, 64])
+@pytest.mark.parametrize("unit", [False, True])
+def test_the_point_pass_takes_at_most_the_bytes_of_a_point(m, unit):
+    # a chunk has CHUNK_BYTES // _point_bytes points, so the pass may take
+    # _point_bytes a point (four (q, 2m) arrays) and no more.  A ufunc that
+    # broadcasts allocates iterator buffers of at most 64 KiB an operand at
+    # any stack length, so a point's bytes are read as the growth of the
+    # peak from a stack of 32 points to one of 64
+    import tracemalloc
+
+    theta = (1.0,) * m if unit else tuple(1 - 0.5 * k / m for k in range(m))
+    model = hopf.WeightedHopfModel(m, theta)
+
+    def peak(n):
+        pts = hopf.sample_point(model, [np.random.default_rng(r) for r in range(n)])
+        tracemalloc.start()
+        try:
+            point_pass(model, pts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)                             # the model's cached constants
+    per_point = (peak(64) - peak(32)) / 32
+    assert per_point <= cli._point_bytes(model), per_point / (8 * model.q * 2 * m)
+
+
+def test_the_model_holds_no_square_array():
+    # after a pass, what the model keeps (weights, the k > l mask) is O(m):
+    # 16 floats a coordinate, where one (m-1, m) array would be 63.  A view
+    # is followed to the array that owns its memory, through any holder
+    m = 64
+    model = hopf.WeightedHopfModel(m, tuple(1 - 0.5 * k / m for k in range(m)))
+    point_pass(model, hopf.sample_point(model, [np.random.default_rng(r) for r in range(4)]))
+    owners = {}
+    for value in vars(model).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            while getattr(a, "base", None) is not None:
+                a = a.base
+            if isinstance(a, np.ndarray):
+                owners[id(a)] = a.nbytes
+    assert owners and sum(owners.values()) <= 16 * 8 * m
+
+
 def test_lazy_streams_match_one_eager_spawn(monkeypatch):
     # chunks of two points: five points span two chunk boundaries, and each
     # chunk's spawn continues the children where the last one stopped
     model = hopf.WeightedHopfModel(3, (1.0, 1.0, 1.0))
-    monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * 8 * 8 * model.q * 2 * model.m)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * cli._point_bytes(model))
     monkeypatch.setattr(cli, "sample_point",
                         lambda model, rngs: [rng.standard_normal(3) for rng in rngs])
     children = np.random.SeedSequence(7).spawn(5)
@@ -753,7 +804,7 @@ def test_cor31_rhs_is_the_exact_maximum(tmp_path, monkeypatch):
     argv = ["bounds", "--theorem", "cor3.1", "--m", "4", "--theta", "1,0.9,0.6,0.3",
             "--samples", "3", "--seed", "5", "--out", str(out), "--quiet"]
     model = hopf.WeightedHopfModel(4, (1.0, 0.9, 0.6, 0.3))
-    monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * 8 * 8 * model.q * 2 * model.m)
+    monkeypatch.setattr(cli, "CHUNK_BYTES", 2 * cli._point_bytes(model))
     assert chunk_size(model) == 2
     assert run(argv) == 0
     expect = []

@@ -80,9 +80,19 @@ def test_nan_components_are_refused():
         RiemannTensor(R)
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, [1.0, np.nan], [np.inf, 0.5]])
+def test_non_finite_space_form_is_refused(c):
+    # every route that reads c alone (Scal, S1, the cor3.1 maximum) would
+    # return NaN unchecked, so the space form itself refuses it, on one c
+    # and on a stack
+    with pytest.raises(ValueError, match="finite c"):
+        space_form(4, c)
+
+
 def test_nan_transverse_tensor_is_refused(monkeypatch):
+    # space_form refuses a NaN c, so the structure is given directly
     A = random_skew_oneill(np.random.default_rng(21), 4, 2)
-    Rt = transverse_riemann(space_form(4, np.nan), A)
+    Rt = RiemannTensor(structure=(np.asarray(np.nan), A))
     with pytest.raises(ValueError, match="symmetries"):
         Rt.components
     assert Rt._components is None

@@ -5,7 +5,8 @@ top-level function or class that is itself read does, followed to a
 fixpoint.  A name in a module's ``__all__`` that is not read is a function
 that no command runs, even when another unread function loads it; it is
 wired into one or deleted.  Likewise every parameter default of a function
-under ``src/folcurv`` is omitted by at least one call in the package: a
+under ``src/folcurv``, and every field default of a ``NamedTuple`` or
+dataclass there, is omitted by at least one call in the package: a
 default that every call overrides is a route only tests take.  The
 exceptions are pinned here, each with its reason, so that a new one fails
 this test.  Each name has one home, its module: ``__init__.py`` holds only
@@ -91,17 +92,32 @@ def _defaults(fn: ast.FunctionDef, method: bool) -> dict:
     return out
 
 
+def _field_defaults(cls: ast.ClassDef) -> dict:
+    """{field: its position in a call} for each field with a default of a
+    ``NamedTuple`` or dataclass; any other class has none."""
+    names = {getattr(b, "id", None) or getattr(b, "attr", None) for b in cls.bases}
+    decorators = {getattr(getattr(d, "func", d), "id", None) for d in cls.decorator_list}
+    if "NamedTuple" not in names and "dataclass" not in decorators:
+        return {}
+    fields = [f for f in cls.body
+              if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return {f.target.id: i for i, f in enumerate(fields) if f.value is not None}
+
+
 def _untaken_defaults() -> set:
     """The (function, parameter) defaults that no call in the package omits.
     A function is matched by the name it is called by, a class's own name
-    for its ``__init__``; a call that spreads ``*`` or ``**`` omits nothing."""
+    for its ``__init__`` or its ``NamedTuple`` or dataclass fields; a call
+    that spreads ``*`` or ``**`` omits nothing."""
     defaults, calls = {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for f in cls.body if isinstance(f, ast.FunctionDef)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, ast.ClassDef):
+                defaults.setdefault(node.name, {}).update(_field_defaults(node))
+            elif isinstance(node, ast.FunctionDef):
                 cls = methods.get(id(node))
                 static = any(getattr(d, "id", None) == "staticmethod"
                              for d in node.decorator_list)
@@ -124,3 +140,14 @@ def _untaken_defaults() -> set:
 
 def test_every_default_is_taken_by_a_call_in_the_package():
     assert _untaken_defaults() == UNTAKEN_DEFAULTS
+
+
+def test_field_defaults_are_scanned():
+    # the theorem table's rows omit both field defaults of cli.Bound, so
+    # they are taken; a field default that every call overrode would show
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                found.update({(node.name, f): i for f, i in _field_defaults(node).items()})
+    assert {("Bound", "needs_p"): 1, ("Bound", "finding"): 2}.items() <= found.items()
